@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -97,7 +98,7 @@ class Triangle:
         a, b, c = self.vertices
         if a == b or b == c or a == c:
             raise DegenerateTriangleError("triangle vertices must be pairwise distinct")
-        if abs(_dot(_cross(_unit(a), _unit(b)), _unit(c))) < _EDGE_EPS:
+        if _vertices_contain(self.vertices, a) is None:
             raise DegenerateTriangleError("triangle vertices lie on one great circle")
 
     def perimeter_km(self) -> float:
@@ -178,29 +179,49 @@ def point_in_circle(p: Location, c: Circle) -> bool:
     return great_circle_distance(p, c.centre) <= c.radius
 
 
-def point_in_spherical_triangle(p: Location, t: Triangle) -> bool:
-    """Boundary-inclusive containment of p in the spherical triangle t.
+def spherical_containment(det: float, pab: float, pbc: float, pac: float) -> Optional[bool]:
+    """Boundary-inclusive containment of a point p in the spherical
+    triangle (a, b, c), from scalar triple products of unit vectors:
+    det = (a x b).c, pab = (a x b).p, pbc = (b x c).p and pac = (a x c).p.
 
-    p is inside iff it lies on the interior side of each of the three
-    great-circle edges. Sides are judged by the signs of scalar triple
-    products of the unit vectors; the interior side is the one holding the
-    opposite vertex.
+    This is the one containment rule of the package. Writing
+    p = alpha*a + beta*b + gamma*c gives pbc = alpha*det, pac = -beta*det
+    and pab = gamma*det, so p is inside iff all three coefficients are
+    >= 0: p lies on the interior side of each great-circle edge, the side
+    holding the opposite vertex. Products within _EDGE_EPS of zero count
+    as on the edge.
+
+    Returns:
+        None when |det| < _EDGE_EPS: the vertices lie on one great circle
+        and bound no area. Otherwise whether p is inside or on the boundary.
+    """
+    if det >= _EDGE_EPS:
+        return pab >= -_EDGE_EPS and pbc >= -_EDGE_EPS and pac <= _EDGE_EPS
+    if det <= -_EDGE_EPS:
+        return pab <= _EDGE_EPS and pbc <= _EDGE_EPS and pac >= -_EDGE_EPS
+    return None
+
+
+def _vertices_contain(vertices, p: Location) -> Optional[bool]:
+    ua, ub, uc = (_unit(v) for v in vertices)
+    up = _unit(p)
+    ab = _cross(ua, ub)
+    return spherical_containment(
+        _dot(ab, uc), _dot(ab, up), _dot(_cross(ub, uc), up), _dot(_cross(ua, uc), up)
+    )
+
+
+def point_in_spherical_triangle(p: Location, t: Triangle) -> bool:
+    """Boundary-inclusive containment of p in the spherical triangle t,
+    by the rule of spherical_containment.
 
     Raises:
         DegenerateTriangleError: when the vertices lie on one great circle.
     """
-    ua, ub, uc = (_unit(v) for v in t.vertices)
-    cab = _cross(ua, ub)
-    det = _dot(cab, uc)
-    if abs(det) < _EDGE_EPS:
+    inside = _vertices_contain(t.vertices, p)
+    if inside is None:
         raise DegenerateTriangleError("triangle vertices lie on one great circle")
-    sign = 1.0 if det > 0 else -1.0
-    up = _unit(p)
-    return (
-        _dot(cab, up) * sign >= -_EDGE_EPS
-        and _dot(_cross(ub, uc), up) * sign >= -_EDGE_EPS
-        and _dot(_cross(uc, ua), up) * sign >= -_EDGE_EPS
-    )
+    return inside
 
 
 def min_rtt_for_distance(distance_km: float) -> float:

@@ -10,16 +10,14 @@ networks.
 from __future__ import annotations
 
 import ipaddress
+from bisect import insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from functools import lru_cache
-from itertools import combinations
 from typing import Optional, Protocol, Sequence
 
 from .geo import (
-    _EDGE_EPS,
     _cross,
     _dot,
     _unit,
@@ -29,6 +27,7 @@ from .geo import (
     geodesic_midpoint,
     great_circle_distance,
     point_in_circle,
+    spherical_containment,
 )
 
 # Endpoint id of the asserted webserver in delay matrices and measure calls.
@@ -252,21 +251,6 @@ def circle_of_pair(v1: Location, v2: Location) -> Circle:
 VerifierInput = tuple[str, Location]
 
 
-@lru_cache(maxsize=8)
-def _verifier_geometry(verifiers: tuple[VerifierInput, ...]):
-    """Unit vectors plus pairwise cross products and distances, cached per
-    verifier set so scanning many candidate points stays cheap."""
-    units = [_unit(loc) for _, loc in verifiers]
-    crosses: dict[tuple[int, int], tuple[float, float, float]] = {}
-    dists: dict[tuple[int, int], float] = {}
-    n = len(verifiers)
-    for i in range(n):
-        for j in range(i + 1, n):
-            crosses[(i, j)] = _cross(units[i], units[j])
-            dists[(i, j)] = great_circle_distance(verifiers[i][1], verifiers[j][1])
-    return units, crosses, dists
-
-
 def _validated(verifiers: Sequence[VerifierInput]) -> tuple[VerifierInput, ...]:
     if len(verifiers) < 3:
         raise ValueError("need at least 3 verifiers")
@@ -276,66 +260,144 @@ def _validated(verifiers: Sequence[VerifierInput]) -> tuple[VerifierInput, ...]:
     return tuple(sorted(verifiers, key=lambda v: v[0]))
 
 
-def _combo_contains(units, crosses, combo, up) -> bool:
-    """Boundary-inclusive test of point `up` against the triangle over the
-    index combo (i < j < k); False too when the combo is degenerate."""
-    i, j, k = combo
-    cab = crosses[(i, j)]
-    det = _dot(cab, units[k])
-    if abs(det) < _EDGE_EPS:
-        return False
-    sign = 1.0 if det > 0 else -1.0
-    if _dot(cab, up) * sign < -_EDGE_EPS:
-        return False
-    if _dot(crosses[(j, k)], up) * sign < -_EDGE_EPS:
-        return False
-    cka = crosses[(i, k)]
-    # cross(k, i) is the negation of the cached cross(i, k)
-    return -(_dot(cka, up)) * sign >= -_EDGE_EPS
+# Why the search may stop early. The sign test accepts p only when
+# p = norm(alpha*a + beta*b + gamma*c) with alpha, beta, gamma >= 0 (see
+# geo.spherical_containment). So p lies on the minor arc from a to
+# q = norm(beta*b + gamma*c), and q lies on the minor arc bc. The triangle
+# inequality gives
+#     2*d(a, q) <= d(a, b) + d(b, q) + d(a, c) + d(c, q) = P,
+# the perimeter, and d(a, p) <= d(a, q); likewise for b and c. Every
+# vertex of a triangle containing p thus lies within P/2 of p, on the
+# sphere as in the plane, whatever the lengths of the sides. Verifiers are
+# visited nearest first, and every triple among the visited ones has been
+# tested, so a triangle not yet seen has a vertex at least as far as the
+# next verifier: once twice that distance exceeds the k-th best perimeter,
+# no unseen triangle can enter the top k.
+#
+# The slack absorbs haversine rounding and the sign test's edge
+# tolerance, which lets a point lie outside a triangle by a distance of
+# order EARTH_RADIUS_KM * _EDGE_EPS over the sines of its shortest side and
+# sharpest angle. 1 km covers that unless their product is below ~1e-8
+# (sides or angles of centimetres), and costs a few extra triples on
+# near-ties only.
+_STOP_SLACK_KM = 1.0
 
 
 def enumerate_triangles(
-    verifiers: Sequence[VerifierInput], asserted: Location
+    verifiers: Sequence[VerifierInput], asserted: Location, limit: Optional[int] = None
 ) -> list[Triangle]:
-    """All verifier triangles containing the asserted location.
+    """The smallest verifier triangles containing the asserted location.
 
-    Returns every 3-combination whose spherical triangle contains
-    `asserted` (boundary inclusive), ordered by ascending perimeter with
-    ties broken by the lexicographic verifier-id triple. Combinations
-    whose vertices lie on one great circle bound no area and are skipped.
-    An empty list means the point is in no triangle (no coverage).
+    Returns the first `limit` (all when None) 3-combinations whose
+    spherical triangle contains `asserted` (boundary inclusive), ordered
+    by ascending perimeter with ties broken by the lexicographic
+    verifier-id triple: exactly the head of the full, sorted list.
+    Combinations whose vertices lie on one great circle bound no area and
+    are skipped. An empty list means the point is in no triangle (no
+    coverage).
+
+    Verifiers are visited in ascending great-circle distance from
+    `asserted`, each one closing the triples it forms with those visited
+    before it, and the k best are kept. The search stops once twice the
+    next verifier's distance exceeds the k-th best perimeter (plus a small
+    slack): every vertex of a containing triangle lies within half its
+    perimeter of the point. Cross products and distances are computed
+    only for the pairs visited, and Triangle objects only for the result.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     ordered = _validated(verifiers)
-    units, crosses, dists = _verifier_geometry(ordered)
+    locs = [loc for _, loc in ordered]
+    units = [_unit(loc) for loc in locs]
     up = _unit(asserted)
-    found: list[tuple[float, tuple[str, str, str], Triangle]] = []
-    for combo in combinations(range(len(ordered)), 3):
-        if not _combo_contains(units, crosses, combo, up):
-            continue
-        i, j, k = combo
-        perimeter = dists[(i, j)] + dists[(j, k)] + dists[(i, k)]
-        ids = (ordered[i][0], ordered[j][0], ordered[k][0])
-        triangle = Triangle(
-            vertices=(ordered[i][1], ordered[j][1], ordered[k][1]),
-            verifier_ids=ids,
+    reach = [great_circle_distance(asserted, loc) for loc in locs]
+
+    # Every triple is tested as (i, j, k) with i < j < k in id order, and
+    # every pair's cross product as (i, j), i < j, so each float the test
+    # sees is computed exactly as a scan of all triples would compute it.
+    n = len(locs)
+    dists: dict[int, float] = {}
+
+    def dist(i: int, j: int) -> float:
+        d = dists.get(i * n + j)
+        if d is None:
+            d = dists[i * n + j] = great_circle_distance(locs[i], locs[j])
+        return d
+
+    best: list[tuple[float, int, int, int]] = []
+    visited: list[int] = []
+    # (a, b, position of a, position of b, cross(a, b), its side of p), a < b
+    pairs: list[tuple[int, int, int, int, tuple[float, float, float], float]] = []
+    for m in sorted(range(n), key=reach.__getitem__):
+        if limit is not None and len(best) == limit:
+            if 2.0 * reach[m] > best[-1][0] + _STOP_SLACK_KM:
+                break
+        # Cross products of m with each visited verifier, by visit position.
+        row = [_cross(units[x], units[m]) if x < m else _cross(units[m], units[x]) for x in visited]
+        row_side = [_dot(cross, up) for cross in row]
+        for a, b, pa, pb, ab, side_ab in pairs:
+            if m > b:  # (a, b, m)
+                i, j, k = a, b, m
+                ij, uk = ab, units[m]
+                pij, pjk, pik = side_ab, row_side[pb], row_side[pa]
+            elif m > a:  # (a, m, b)
+                i, j, k = a, m, b
+                ij, uk = row[pa], units[b]
+                pij, pjk, pik = row_side[pa], row_side[pb], side_ab
+            else:  # (m, a, b)
+                i, j, k = m, a, b
+                ij, uk = row[pa], units[b]
+                pij, pjk, pik = row_side[pa], side_ab, row_side[pb]
+            if not spherical_containment(
+                ij[0] * uk[0] + ij[1] * uk[1] + ij[2] * uk[2], pij, pjk, pik
+            ):
+                continue
+            key = (dist(i, j) + dist(j, k) + dist(i, k), i, j, k)
+            if limit is not None and len(best) == limit:
+                if key >= best[-1]:
+                    continue
+                best.pop()
+            insort(best, key)
+        t = len(visited)
+        pairs.extend(
+            (x, m, s, t, row[s], row_side[s]) if x < m else (m, x, t, s, row[s], row_side[s])
+            for s, x in enumerate(visited)
         )
-        found.append((perimeter, ids, triangle))
-    found.sort(key=lambda item: (item[0], item[1]))
-    return [triangle for _, _, triangle in found]
+        visited.append(m)
+
+    return [
+        Triangle(
+            vertices=(locs[i], locs[j], locs[k]),
+            verifier_ids=(ordered[i][0], ordered[j][0], ordered[k][0]),
+        )
+        for _, i, j, k in best
+    ]
 
 
 def any_triangle_contains(verifiers: Sequence[VerifierInput], point: Location) -> bool:
     """Whether at least one verifier triangle contains the point.
 
-    Same containment rule as enumerate_triangles, but stops at the first
-    hit, which is much cheaper when only coverage matters.
+    Same containment rule as enumerate_triangles, scanning the triples in
+    lexicographic order and stopping at the first hit, which is much
+    cheaper when only coverage matters.
     """
     ordered = _validated(verifiers)
-    units, crosses, _ = _verifier_geometry(ordered)
+    units = [_unit(loc) for _, loc in ordered]
     up = _unit(point)
-    for combo in combinations(range(len(ordered)), 3):
-        if _combo_contains(units, crosses, combo, up):
-            return True
+    n = len(units)
+    crosses = [[_cross(units[i], units[j]) if j > i else None for j in range(n)] for i in range(n)]
+    sides = [[_dot(c, up) if c is not None else 0.0 for c in row] for row in crosses]
+    for i in range(n):
+        cross_i, side_i = crosses[i], sides[i]
+        for j in range(i + 1, n):
+            ij, s_ij, side_j = cross_i[j], side_i[j], sides[j]
+            for k in range(j + 1, n):
+                uk = units[k]
+                if spherical_containment(
+                    ij[0] * uk[0] + ij[1] * uk[1] + ij[2] * uk[2],
+                    s_ij, side_j[k], side_i[k],
+                ):
+                    return True
     return False
 
 
@@ -379,8 +441,10 @@ def verify_location(
 ) -> VerificationResult:
     """Run the verification loop for one asserted location.
 
-    Walks the candidate triangles in enumeration order, at most
-    cfg.max_triangles of them. For each fully measured triangle the three
+    Walks the cfg.max_triangles smallest triangles containing the
+    asserted location, in enumerate_triangles order. Their search stops
+    once no farther verifier can form a smaller one, so it does not test
+    all C(n, 3) verifier triples. For each fully measured triangle the three
     verifier pairs are tested in id order; the first pair that passes the
     delay test and whose pair circle geodesically contains the asserted
     location yields a positive result with that circle as the region.
@@ -391,7 +455,7 @@ def verify_location(
     MEASUREMENT_FAILURE when no attempted triangle could be fully
     measured, ALL_TRIANGLES_REJECTED otherwise.
     """
-    triangles = enumerate_triangles(verifiers, asserted_ip.loc)
+    triangles = enumerate_triangles(verifiers, asserted_ip.loc, cfg.max_triangles)
     if not triangles:
         return VerificationResult(
             ip=asserted_ip, veri_passed=False, region=None,
@@ -399,7 +463,7 @@ def verify_location(
         )
 
     any_complete = False
-    for triangle in triangles[: cfg.max_triangles]:
+    for triangle in triangles:
         matrix = _measure_triangle(triangle, delays, cfg)
         if matrix is None:
             continue

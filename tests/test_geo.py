@@ -20,6 +20,7 @@ from slv.geo import (
     min_rtt_for_distance,
     point_in_circle,
     point_in_spherical_triangle,
+    spherical_containment,
 )
 
 
@@ -186,6 +187,29 @@ class TestPointInSphericalTriangle:
         t = self.tri()
         for vertex in t.vertices:
             assert point_in_spherical_triangle(vertex, t)
+
+    def test_edge_midpoints_count_as_inside_in_either_orientation(self):
+        # the triple products of an edge point are zero up to rounding, of
+        # either sign: only the edge tolerance keeps them inside
+        rng = random.Random(4)
+        kept = 0
+        while kept < 300:
+            a, b, c = (random_location(rng) for _ in range(3))
+            if abs(_dot(_cross(_unit(a), _unit(b)), _unit(c))) < 1e-6:
+                continue
+            for vertices in ((a, b, c), (a, c, b)):
+                t = Triangle(vertices, ("a", "b", "c"))
+                for u, v in ((a, b), (b, c), (a, c)):
+                    assert point_in_spherical_triangle(geodesic_midpoint(u, v), t)
+            kept += 1
+
+    def test_degenerate_is_none(self):
+        a, b, c = (_unit(Location(0, lon)) for lon in (0, 10, 20))
+        ab = _cross(a, b)
+        p = _unit(Location(0, 5))
+        assert spherical_containment(
+            _dot(ab, c), _dot(ab, p), _dot(_cross(b, c), p), _dot(_cross(a, c), p)
+        ) is None
 
     def test_random_triangles(self):
         rng = random.Random(3)

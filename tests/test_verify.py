@@ -1,26 +1,38 @@
 import math
 import random
 from datetime import datetime, timezone
+from itertools import combinations
 
 import pytest
 
+import slv.verify
 from conftest import IdealProvider
 from slv.geo import (
     AntipodalPointsError,
     Circle,
+    DegenerateTriangleError,
     Location,
+    Triangle,
+    _cross,
+    _dot,
+    _unit,
     destination_point,
     great_circle_distance,
     min_rtt_for_distance,
     point_in_circle,
+    point_in_spherical_triangle,
+    spherical_containment,
 )
+from slv.simulator import RegionBounds, generate_scenario, run_experiment
 from slv.verify import (
+    _STOP_SLACK_KM,
     TARGET,
     DelayMatrix,
     IPInfo,
     Reason,
     VerificationResult,
     VerifyConfig,
+    any_triangle_contains,
     apply_lastmile_correction,
     circle_of_pair,
     enumerate_triangles,
@@ -164,10 +176,6 @@ class TestEnumerateTriangles:
     def test_agrees_with_per_triangle_containment(self):
         # independent route: build every combination directly and test it
         # one triangle at a time
-        from itertools import combinations
-
-        from slv.geo import DegenerateTriangleError, Triangle, point_in_spherical_triangle
-
         rng = random.Random(17)
         verifiers = sorted(
             (f"v{i}", Location(rng.uniform(-40, 40), rng.uniform(-60, 60)))
@@ -202,6 +210,172 @@ class TestEnumerateTriangles:
             enumerate_triangles(TRI_VERIFIERS[:2], Location(0, 0))
         with pytest.raises(ValueError):
             enumerate_triangles(TRI_VERIFIERS + [("a", Location(5, 5))], Location(0, 0))
+        with pytest.raises(ValueError):
+            enumerate_triangles(TRI_VERIFIERS, Location(0, 0), limit=0)
+
+
+def oracle(verifiers, asserted: Location) -> list[Triangle]:
+    """Every verifier triangle containing `asserted`, by testing all
+    3-combinations and sorting by (perimeter, verifier-id triple).
+
+    This is the exhaustive enumeration that enumerate_triangles replaced
+    with its top-k search, kept as the reference the search must match
+    float for float: triples in id order, pair distances summed as
+    d(i, j) + d(j, k) + d(i, k).
+    """
+    ordered = sorted(verifiers, key=lambda v: v[0])
+    units = [_unit(loc) for _, loc in ordered]
+    up = _unit(asserted)
+    found = []
+    for i, j, k in combinations(range(len(ordered)), 3):
+        ij = _cross(units[i], units[j])
+        inside = spherical_containment(
+            _dot(ij, units[k]),
+            _dot(ij, up),
+            _dot(_cross(units[j], units[k]), up),
+            _dot(_cross(units[i], units[k]), up),
+        )
+        if not inside:
+            continue
+        (a, la), (b, lb), (c, lc) = ordered[i], ordered[j], ordered[k]
+        perimeter = (
+            great_circle_distance(la, lb)
+            + great_circle_distance(lb, lc)
+            + great_circle_distance(la, lc)
+        )
+        found.append((perimeter, (a, b, c), Triangle((la, lb, lc), (a, b, c))))
+    found.sort(key=lambda item: item[:2])
+    return [triangle for _, _, triangle in found]
+
+
+def _instance(rng: random.Random, kind: str):
+    """A verifier layout of 3 to 40 verifiers and a few points to test.
+
+    uniform: verifiers anywhere in a random box. lattice: distinct nodes
+    of a grid through the equator, so rows on the equator and columns
+    along meridians give collinear (degenerate) triples, and congruent
+    triangles give perimeter ties; points are nodes and half-steps, many
+    on edges. antimeridian: a box spanning longitude 180.
+    """
+    n = rng.randint(3, 40)
+    if kind == "lattice":
+        step = rng.choice([1.0, 2.5, 5.0, 10.0])
+        side = math.ceil(math.sqrt(n)) + 1
+        lat0 = -step * rng.randint(0, side - 1)
+        lon0 = rng.uniform(-180.0, 180.0)
+        nodes = [(lat0 + step * r, lon0 + step * c) for r in range(side) for c in range(side)]
+        picked = rng.sample(nodes, n)
+        verifiers = [(f"v{i:02d}", Location(lat, lon)) for i, (lat, lon) in enumerate(picked)]
+        points = [
+            Location(lat0 + step * rng.randint(0, 2 * side - 2) / 2,
+                     lon0 + step * rng.randint(0, 2 * side - 2) / 2)
+            for _ in range(3)
+        ]
+    else:
+        lat_lo = rng.uniform(-70.0, 40.0)
+        lat_hi = lat_lo + rng.uniform(5.0, 30.0)
+        if kind == "antimeridian":
+            lon_lo = rng.uniform(150.0, 175.0)
+            lon_hi = rng.uniform(185.0, 210.0)
+        else:
+            lon_lo = rng.uniform(-180.0, 120.0)
+            lon_hi = lon_lo + rng.uniform(5.0, 60.0)
+
+        def draw() -> Location:
+            return Location(rng.uniform(lat_lo, lat_hi), rng.uniform(lon_lo, lon_hi))
+
+        verifiers = [(f"v{i:02d}", draw()) for i in range(n)]
+        points = [draw() for _ in range(2)]
+    points.append(rng.choice(verifiers)[1])  # exactly on a vertex
+    rng.shuffle(verifiers)
+    return verifiers, points
+
+
+class TestTopKMatchesOracle:
+    @pytest.mark.parametrize("kind, seed", [
+        ("uniform", 1), ("uniform", 2), ("lattice", 3), ("lattice", 4), ("antimeridian", 5),
+    ])
+    def test_head_of_full_list(self, kind, seed):
+        rng = random.Random(seed)
+        for _ in range(12):
+            verifiers, points = _instance(rng, kind)
+            for p in points:
+                full = [t.verifier_ids for t in oracle(verifiers, p)]
+                assert any_triangle_contains(verifiers, p) == bool(full)
+                for k in (1, 2, 4, 7, None):
+                    got = [t.verifier_ids for t in enumerate_triangles(verifiers, p, k)]
+                    assert got == full[:k], (kind, k, verifiers, p)
+
+    def test_returns_equal_triangles(self):
+        rng = random.Random(6)
+        verifiers, points = _instance(rng, "uniform")
+        for p in points:
+            assert enumerate_triangles(verifiers, p) == oracle(verifiers, p)
+            assert enumerate_triangles(verifiers, p, 4) == oracle(verifiers, p)[:4]
+
+    def test_simulator_verdicts_identical(self, monkeypatch):
+        scenario = generate_scenario(
+            40, 4, 3, 2,
+            bounds=RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0),
+            seed=7,
+        )
+        searched = run_experiment(scenario).to_dict()
+        calls = []
+
+        def exhaustive(verifiers, asserted, limit=None):
+            calls.append(limit)
+            return oracle(verifiers, asserted)[:limit]
+
+        monkeypatch.setattr(slv.verify, "enumerate_triangles", exhaustive)
+        assert run_experiment(scenario).to_dict() == searched
+        assert calls == [scenario.cfg.max_triangles] * len(scenario.servers)
+
+
+class TestStopBound:
+    """Every vertex of a spherical triangle containing p lies within half
+    the perimeter of p: the bound the top-k search stops on."""
+
+    @staticmethod
+    def _sphere(rng: random.Random) -> Location:
+        return Location(math.degrees(math.asin(rng.uniform(-1.0, 1.0))), rng.uniform(-180, 180))
+
+    @staticmethod
+    def _straddling(rng: random.Random) -> Location:
+        return Location(rng.uniform(-40.0, 40.0), rng.uniform(-60.0, 60.0))
+
+    def test_vertices_within_half_perimeter(self):
+        rng = random.Random(41)
+        long_sides = straddling = 0
+        for trial in range(3000):
+            draw = self._sphere if trial % 2 else self._straddling
+            vertices = tuple(draw(rng) for _ in range(3))
+            try:
+                t = Triangle(vertices, ("a", "b", "c"))
+            except DegenerateTriangleError:
+                continue
+            units = [_unit(v) for v in vertices]
+            # inside points are non-negative combinations of the vertices;
+            # zero weights put them on an edge or a vertex
+            weights = [rng.choice((0.0, rng.random())) for _ in range(3)]
+            if not any(weights):
+                weights[rng.randrange(3)] = 1.0
+            s = [sum(w * u[axis] for w, u in zip(weights, units)) for axis in range(3)]
+            norm = math.sqrt(_dot(s, s))
+            if norm < 1e-9:
+                continue
+            p = Location(
+                math.degrees(math.asin(max(-1.0, min(1.0, s[2] / norm)))),
+                math.degrees(math.atan2(s[1], s[0])),
+            )
+            if not point_in_spherical_triangle(p, t):
+                continue  # rounding put it just outside
+            half = t.perimeter_km() / 2.0
+            for v in vertices:
+                assert great_circle_distance(p, v) <= half + _STOP_SLACK_KM
+            sides = [great_circle_distance(a, b) for a, b in combinations(vertices, 2)]
+            long_sides += max(sides) > math.pi / 2 * 6371.0
+            straddling += min(v.lat for v in vertices) < 0 < max(v.lat for v in vertices)
+        assert long_sides > 100 and straddling > 100
 
 
 class TestDelayMatrix:
