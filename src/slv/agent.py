@@ -243,10 +243,10 @@ def handle_measure_request(
 ) -> MeasureResponse:
     """Measure the target and every peer of one request.
 
-    Endpoints are measured concurrently with each other; probes within one
-    endpoint stay sequential. The response has one entry per requested
-    endpoint, preserving the request id. No correction of any kind is
-    applied here; the agent reports raw minima.
+    Several endpoints are measured concurrently with each other, a single
+    one inline; probes within one endpoint stay sequential. The response
+    has one entry per requested endpoint, preserving the request id. No
+    correction of any kind is applied here; the agent reports raw minima.
     """
     jobs: list[tuple[str, Callable[[], Optional[float]]]] = []
     if req.target is not None:
@@ -261,10 +261,12 @@ def handle_measure_request(
             (peer.verifier_id, lambda a=address: measure(a, req.probes, req.timeout))
         )
 
-    rtts: dict[str, Optional[float]] = {}
-    with ThreadPoolExecutor(max_workers=min(len(jobs), 8)) as pool:
-        for (endpoint_id, _), value in zip(jobs, pool.map(lambda job: job[1](), jobs)):
-            rtts[endpoint_id] = value
+    if len(jobs) == 1:
+        values = [jobs[0][1]()]
+    else:
+        with ThreadPoolExecutor(max_workers=min(len(jobs), 8)) as pool:
+            values = list(pool.map(lambda job: job[1](), jobs))
+    rtts = {endpoint_id: value for (endpoint_id, _), value in zip(jobs, values)}
     return MeasureResponse(request_id=req.request_id, rtts=rtts)
 
 
@@ -329,7 +331,9 @@ class AgentConnection:
     """Manager-side end of the wire protocol.
 
     Keeps one persistent connection to an agent, reconnecting once when a
-    stale connection fails. One request is outstanding at a time.
+    stale connection fails. One request is in flight per connection;
+    concurrent requests to one agent need several connections (see
+    manager.AgentPool), which the agent serves each on its own thread.
     """
 
     def __init__(self, host: str, port: int, connect_timeout: float = 5.0) -> None:

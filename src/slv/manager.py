@@ -26,6 +26,7 @@ from .agent import (
     DEFAULT_AGENT_PORT,
     AgentConnection,
     MeasureRequest,
+    MeasureResponse,
     PeerSpec,
     ProtocolError,
     new_request_id,
@@ -414,25 +415,43 @@ class ManagerConfig:
 
 
 class AgentPool:
-    """Persistent agent connections, shared across verifications."""
+    """Persistent agent connections, shared across verifications.
+
+    A connection carries one request at a time, so an agent gets several:
+    a request takes an idle connection of its agent or opens a new one, and
+    gives it back once answered. The connections per agent are therefore
+    bounded by the peak number of concurrent requests to it. A connection
+    whose request failed is closed instead of given back.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._connections: dict[str, AgentConnection] = {}
+        self._idle: dict[str, list[AgentConnection]] = {}
 
-    def get(self, record: VerifierRecord) -> AgentConnection:
+    def request(self, record: VerifierRecord, req: MeasureRequest) -> MeasureResponse:
+        """Send one request to the record's agent; raises as
+        AgentConnection.request does."""
         with self._lock:
-            conn = self._connections.get(record.verifier_id)
-            if conn is None:
-                conn = AgentConnection(record.host, record.port)
-                self._connections[record.verifier_id] = conn
-            return conn
+            idle = self._idle.get(record.verifier_id)
+            conn = idle.pop() if idle else None
+        if conn is None:
+            conn = AgentConnection(record.host, record.port)
+        try:
+            response = conn.request(req)
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            self._idle.setdefault(record.verifier_id, []).append(conn)
+        return response
 
     def close(self) -> None:
+        """Close every idle connection."""
         with self._lock:
-            for conn in self._connections.values():
-                conn.close()
-            self._connections.clear()
+            for idle in self._idle.values():
+                for conn in idle:
+                    conn.close()
+            self._idle.clear()
 
 
 class LiveDelayProvider:
@@ -474,7 +493,7 @@ class LiveDelayProvider:
                 probes=probes, timeout=timeout,
             )
         try:
-            response = self._pool.get(record).request(request)
+            response = self._pool.request(record, request)
         except (OSError, ProtocolError) as exc:
             log.warning("measurement via %s for %s failed: %s", verifier_id, endpoint_id, exc)
             return None

@@ -197,8 +197,8 @@ class DelayProvider(Protocol):
     """Source of raw (uncorrected) RTT measurements.
 
     Implementations may set `supports_concurrent_measure = True` to let the
-    engine measure the three verifiers of a triangle in parallel; they must
-    then tolerate concurrent calls.
+    engine take all 9 measurements of a triangle (3 verifiers times the
+    target and 2 peers) at once; they must then tolerate 9 concurrent calls.
     """
 
     def measure(
@@ -405,30 +405,27 @@ def _measure_triangle(
     triangle: Triangle, delays: DelayProvider, cfg: VerifyConfig
 ) -> Optional[DelayMatrix]:
     """Collect the 9 RTTs for one triangle, or None when any measurement
-    fails. Target RTTs are last-mile corrected as they are stored."""
+    fails. Target RTTs are last-mile corrected as they are stored.
+
+    A concurrent provider gets all 9 measurements at once, so a live
+    triangle costs one probe round of wall time rather than three."""
     ids = triangle.verifier_ids
-
-    def measure_from(v: str) -> list[tuple[str, Optional[float]]]:
-        endpoints = (TARGET,) + tuple(w for w in ids if w != v)
-        return [
-            (e, delays.measure(v, e, cfg.probes_per_measurement, cfg.measurement_timeout))
-            for e in endpoints
-        ]
-
+    edges = [(v, e) for v in ids for e in (TARGET,) + tuple(w for w in ids if w != v)]
+    probes, timeout = cfg.probes_per_measurement, cfg.measurement_timeout
     if getattr(delays, "supports_concurrent_measure", False):
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            per_verifier = list(pool.map(measure_from, ids))
+        with ThreadPoolExecutor(max_workers=len(edges)) as pool:
+            futures = [pool.submit(delays.measure, v, e, probes, timeout) for v, e in edges]
+        measured = [future.result() for future in futures]
     else:
-        per_verifier = [measure_from(v) for v in ids]
+        measured = [delays.measure(v, e, probes, timeout) for v, e in edges]
 
     matrix = DelayMatrix()
-    for v, measured in zip(ids, per_verifier):
-        for endpoint, ms in measured:
-            if ms is None:
-                return None
-            if endpoint == TARGET:
-                ms = apply_lastmile_correction(max(ms, 0.0), cfg.lambda_ms)
-            matrix.set(v, endpoint, ms)
+    for (v, endpoint), ms in zip(edges, measured):
+        if ms is None:
+            return None
+        if endpoint == TARGET:
+            ms = apply_lastmile_correction(max(ms, 0.0), cfg.lambda_ms)
+        matrix.set(v, endpoint, ms)
     return matrix
 
 

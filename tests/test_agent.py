@@ -1,5 +1,6 @@
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -177,6 +178,20 @@ class TestHandleMeasureRequest:
         req = MeasureRequest(request_id="r3", target=("127.0.0.1", 80))
         resp = handle_measure_request(req, measure=lambda a, p, t: 3.0)
         assert resp.rtts[TARGET] == 3.0
+
+    def test_single_endpoint_is_measured_on_the_calling_thread(self):
+        threads = []
+
+        def measure(address, probes, timeout):
+            threads.append(threading.current_thread())
+            return 2.5
+
+        req = MeasureRequest(
+            request_id="r4", target=None, peers=(PeerSpec("v2", "127.0.0.1", 1001),)
+        )
+        resp = handle_measure_request(req, measure=measure)
+        assert resp.rtts == {"v2": 2.5}
+        assert threads == [threading.current_thread()]
 
 
 @pytest.fixture

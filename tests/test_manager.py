@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -8,9 +9,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import slv.agent
 from conftest import IdealProvider, free_port
+from slv.agent import AgentServer, MeasureRequest, ProtocolError
 from slv.geo import Circle, Location, destination_point
 from slv.manager import (
+    AgentPool,
     CacheEntry,
     HttpLocator,
     InsufficientVerifiersError,
@@ -23,6 +27,7 @@ from slv.manager import (
     StaticTableLocator,
     UnknownAddressError,
     VerificationCache,
+    VerifierRecord,
     load_verifier_registry,
 )
 from slv.verify import Reason, VerifyConfig
@@ -530,3 +535,168 @@ class TestManagerConfig:
             LocatorConfig(provider="static_table", path=None).build()
         with pytest.raises(ValueError):
             LocatorConfig(provider="carrier-pigeon").build()
+
+
+class CountingAgent(AgentServer):
+    """Loopback agent that counts the connections it accepts and closes,
+    and can drop them all as a crashed agent process would."""
+
+    def __init__(self, port: int = 0) -> None:
+        super().__init__("127.0.0.1", port, default_probes=1, default_timeout=1.0)
+        self.accepted = 0
+        self.closed = 0
+        self._open: list = []
+        self._count_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._count_lock:
+            self.accepted += 1
+            self._open.append(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._count_lock:
+            self.closed += 1
+        super().shutdown_request(request)
+
+    def wait_closed(self, n: int, timeout: float = 5.0) -> bool:
+        deadline = time.monotonic() + timeout
+        while self.closed < n and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return self.closed >= n
+
+    def kill(self) -> None:
+        self.shutdown()
+        self.server_close()
+        with self._count_lock:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                sock.close()
+
+
+@pytest.fixture
+def counting_agent():
+    server = CountingAgent()
+    server.serve_in_background()
+    yield server
+    server.kill()
+
+
+def agent_record(server) -> VerifierRecord:
+    host, port = server.bound_address
+    return VerifierRecord("v1", host, port, Location(0, 0))
+
+
+def probe_request(target, request_id: str) -> MeasureRequest:
+    return MeasureRequest(request_id=request_id, target=target, probes=1, timeout=1.0)
+
+
+def answer_in_pairs(monkeypatch) -> None:
+    """Make in-process agents answer only while two requests are handled
+    at the same time, which one connection (served in order) cannot do."""
+    both_in_flight = threading.Barrier(2, timeout=10.0)
+    original = slv.agent.handle_measure_request
+
+    def handle(req, *args, **kwargs):
+        both_in_flight.wait()
+        return original(req, *args, **kwargs)
+
+    monkeypatch.setattr(slv.agent, "handle_measure_request", handle)
+
+
+def request_together(pool, record, target, request_ids) -> dict:
+    responses = {}
+
+    def ask(request_id):
+        responses[request_id] = pool.request(record, probe_request(target, request_id))
+
+    threads = [threading.Thread(target=ask, args=(r,)) for r in request_ids]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=15.0)
+        assert not thread.is_alive()
+    return responses
+
+
+class TestAgentPool:
+    def test_sequential_requests_reuse_one_connection(self, counting_agent, tcp_listener):
+        pool = AgentPool()
+        record = agent_record(counting_agent)
+        for i in range(4):
+            response = pool.request(record, probe_request(tcp_listener.address, f"r{i}"))
+            assert response.request_id == f"r{i}"
+        assert counting_agent.accepted == 1
+        pool.close()
+
+    def test_overlapping_requests_use_two_connections(
+        self, counting_agent, tcp_listener, monkeypatch
+    ):
+        answer_in_pairs(monkeypatch)
+        pool = AgentPool()
+        record = agent_record(counting_agent)
+        for pair in (("r0", "r1"), ("r2", "r3")):
+            responses = request_together(pool, record, tcp_listener.address, pair)
+            assert {r: resp.request_id for r, resp in responses.items()} == dict(zip(pair, pair))
+            # the second pair finds both connections idle and opens none
+            assert counting_agent.accepted == 2
+        pool.close()
+
+    def test_stale_idle_connection_is_replaced_after_agent_restart(
+        self, counting_agent, tcp_listener
+    ):
+        pool = AgentPool()
+        record = agent_record(counting_agent)
+        pool.request(record, probe_request(tcp_listener.address, "before"))
+        port = counting_agent.bound_address[1]
+        counting_agent.kill()
+
+        restarted = CountingAgent(port)
+        restarted.serve_in_background()
+        try:
+            response = pool.request(record, probe_request(tcp_listener.address, "after"))
+            assert response.request_id == "after"
+            assert response.rtts["target"] is not None
+            assert restarted.accepted == 1
+        finally:
+            pool.close()
+            restarted.kill()
+
+    def test_failed_request_does_not_return_its_connection(
+        self, counting_agent, tcp_listener
+    ):
+        pool = AgentPool()
+        record = agent_record(counting_agent)
+        pool.request(record, probe_request(tcp_listener.address, "ok"))
+        assert counting_agent.accepted == 1
+
+        bad = probe_request(tcp_listener.address, "bad")
+        # bypass client-side validation so that the agent replies with an error
+        object.__setattr__(bad, "probes", 0)
+        with pytest.raises(ProtocolError):
+            pool.request(record, bad)
+        assert counting_agent.wait_closed(1)
+
+        pool.request(record, probe_request(tcp_listener.address, "ok-again"))
+        assert counting_agent.accepted == 2
+        pool.close()
+
+    def test_close_closes_every_idle_connection(
+        self, counting_agent, tcp_listener, monkeypatch
+    ):
+        answer_in_pairs(monkeypatch)
+        pool = AgentPool()
+        record = agent_record(counting_agent)
+        request_together(pool, record, tcp_listener.address, ("r0", "r1"))
+        assert counting_agent.accepted == 2
+        assert counting_agent.closed == 0
+
+        pool.close()
+        assert counting_agent.wait_closed(2)
+        monkeypatch.undo()
+        pool.request(record, probe_request(tcp_listener.address, "after-close"))
+        assert counting_agent.accepted == 3
+        pool.close()

@@ -586,6 +586,27 @@ class TestVerifyLocation:
         b = verify_location(make_ip(server), TRI_VERIFIERS, sequential, self.cfg(), NOW)
         assert a == b
 
+    def test_concurrent_provider_gets_all_nine_measurements_at_once(self):
+        import threading
+
+        server = Location(0, 0)
+
+        class FanOutProvider(IdealProvider):
+            # the barrier opens only if all 9 measurements of the triangle
+            # (3 verifiers x target and 2 peers) are in flight together
+            supports_concurrent_measure = True
+            barrier = threading.Barrier(9, timeout=10.0)
+
+            def measure(self, verifier_id, endpoint_id, probes, timeout):
+                self.barrier.wait()
+                return super().measure(verifier_id, endpoint_id, probes, timeout)
+
+        concurrent = FanOutProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
+        sequential = IdealProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
+        a = verify_location(make_ip(server), TRI_VERIFIERS, concurrent, self.cfg(), NOW)
+        b = verify_location(make_ip(server), TRI_VERIFIERS, sequential, self.cfg(), NOW)
+        assert a == b
+
     def test_lambda_correction_applied_to_target_edges_only(self):
         server = Location(0, 0)
         seen: list[tuple[str, str]] = []
