@@ -158,10 +158,28 @@ class Locator(Protocol):
 
 
 class StaticTableLocator:
-    """CIDR-to-coordinates table answering by longest prefix match."""
+    """CIDR-to-coordinates table answering by longest prefix match.
+
+    The rows are indexed once, with one dict per (IP version, prefix length)
+    keyed by the network's leading prefix-length bits. A lookup probes the
+    tables of the address's own version, longest prefix first, so it costs
+    at most one probe per distinct prefix length present, whatever the row
+    count. Address families never cross-match: an IPv4-mapped IPv6 address
+    does not match IPv4 rows. Of duplicate CIDRs the first row wins.
+    """
 
     def __init__(self, rows: list[tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, Location]]):
-        self._rows = list(rows)
+        # Keyed by (version, host-bit count); the network address is masked,
+        # so shifting out the host bits leaves exactly the prefix.
+        tables: dict[tuple[int, int], dict[int, Location]] = {}
+        for network, loc in rows:
+            shift = network.max_prefixlen - network.prefixlen
+            table = tables.setdefault((network.version, shift), {})
+            table.setdefault(int(network.network_address) >> shift, loc)
+        # Per version, (shift, table) pairs by ascending shift: longest prefix first.
+        self._probes: dict[int, list[tuple[int, dict[int, Location]]]] = {4: [], 6: []}
+        for (version, shift), table in sorted(tables.items()):
+            self._probes[version].append((shift, table))
 
     @classmethod
     def from_file(cls, path) -> "StaticTableLocator":
@@ -185,15 +203,12 @@ class StaticTableLocator:
 
     def locate(self, ip: str) -> Location:
         address = ipaddress.ip_address(ip)
-        best: Optional[tuple[int, Location]] = None
-        for network, loc in self._rows:
-            if address.version != network.version or address not in network:
-                continue
-            if best is None or network.prefixlen > best[0]:
-                best = (network.prefixlen, loc)
-        if best is None:
-            raise UnknownAddressError(f"no assertion available for {ip}")
-        return best[1]
+        value = int(address)
+        for shift, table in self._probes[address.version]:
+            loc = table.get(value >> shift)
+            if loc is not None:
+                return loc
+        raise UnknownAddressError(f"no assertion available for {ip}")
 
 
 class HttpLocator:
@@ -285,12 +300,15 @@ class VerificationCache:
     """TTL cache of verification results keyed by IP address.
 
     An in-memory map serves reads; when a path is given every write also
-    lands in a sqlite file, so a restarted manager starts warm. Access is
-    serialized by a single lock.
+    lands in a sqlite file, so a restarted manager starts warm. `_lock`
+    guards the map and is held only briefly. Writes are serialized by
+    `_write_lock`, held through the sqlite commit, so the map and the file
+    see puts in the same order, and a read never waits on the disk.
     """
 
     def __init__(self, path=None) -> None:
         self._lock = threading.Lock()
+        self._write_lock = threading.Lock()
         self._entries: dict[str, CacheEntry] = {}
         self._db: Optional[sqlite3.Connection] = None
         if path is not None:
@@ -316,8 +334,10 @@ class VerificationCache:
             return entry
 
     def put(self, entry: CacheEntry) -> None:
-        with self._lock:
-            self._entries[entry.ip] = entry
+        """Store entry; returns once it is committed to sqlite, if any."""
+        with self._write_lock:
+            with self._lock:
+                self._entries[entry.ip] = entry
             if self._db is not None:
                 self._db.execute(
                     "INSERT OR REPLACE INTO verifications (ip, data) VALUES (?, ?)",
@@ -327,10 +347,11 @@ class VerificationCache:
 
     def evict_expired(self, now: datetime) -> int:
         """Drop every entry with expires_at <= now; returns how many went."""
-        with self._lock:
-            stale = [ip for ip, entry in self._entries.items() if entry.expires_at <= now]
-            for ip in stale:
-                del self._entries[ip]
+        with self._write_lock:
+            with self._lock:
+                stale = [ip for ip, entry in self._entries.items() if entry.expires_at <= now]
+                for ip in stale:
+                    del self._entries[ip]
             if self._db is not None and stale:
                 self._db.executemany(
                     "DELETE FROM verifications WHERE ip = ?", [(ip,) for ip in stale]
@@ -339,7 +360,7 @@ class VerificationCache:
             return len(stale)
 
     def close(self) -> None:
-        with self._lock:
+        with self._write_lock:
             if self._db is not None:
                 self._db.close()
                 self._db = None

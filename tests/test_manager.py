@@ -1,4 +1,6 @@
+import ipaddress
 import json
+import random
 import socket
 import threading
 import time
@@ -124,6 +126,111 @@ class TestStaticTableLocator:
         with pytest.raises(ParseError):
             StaticTableLocator.from_file(path)
 
+    def test_host_bits_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("10.0.0.0/8,45.42,-75.69\n10.0.0.1/8,48.14,11.58\n")
+        with pytest.raises(ParseError, match="has host bits set") as info:
+            StaticTableLocator.from_file(path)
+        assert info.value.line_no == 2
+        assert str(info.value).startswith(f"{path}:2: ")
+
+    def test_first_duplicate_wins(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("10.0.0.0/8,45.42,-75.69\n10.0.0.0/8,48.14,11.58\n")
+        assert StaticTableLocator.from_file(path).locate("10.2.3.4") == Location(45.42, -75.69)
+        rows = [(ipaddress.ip_network("::/0"), Location(1, 1)),
+                (ipaddress.ip_network("::/0"), Location(2, 2))]
+        assert StaticTableLocator(rows).locate("2001:db8::1") == Location(1, 1)
+
+    def test_address_families_never_cross_match(self, tmp_path):
+        table = self.table(tmp_path)
+        with pytest.raises(UnknownAddressError, match="no assertion available for ::ffff:10.0.0.1"):
+            table.locate("::ffff:10.0.0.1")
+        v4_default = StaticTableLocator([(ipaddress.ip_network("0.0.0.0/0"), Location(1, 1))])
+        with pytest.raises(UnknownAddressError):
+            v4_default.locate("::ffff:10.0.0.1")
+        v6_default = StaticTableLocator([(ipaddress.ip_network("::/0"), Location(2, 2))])
+        with pytest.raises(UnknownAddressError):
+            v6_default.locate("10.0.0.1")
+        assert v6_default.locate("::ffff:10.0.0.1") == Location(2, 2)
+
+
+def oracle(rows, ip):
+    """Longest-prefix match by scanning every row: the reference for the index."""
+    address = ipaddress.ip_address(ip)
+    best = None
+    for network, loc in rows:
+        if address.version != network.version or address not in network:
+            continue
+        if best is None or network.prefixlen > best[0]:
+            best = (network.prefixlen, loc)
+    if best is None:
+        raise UnknownAddressError(f"no assertion available for {ip}")
+    return best[1]
+
+
+# Networks are drawn around these addresses, so prefixes nest and overlap.
+V4_ANCHORS = ["0.0.0.0", "10.0.0.0", "10.0.0.1", "10.1.2.3", "10.255.255.255",
+              "192.168.1.0", "255.255.255.255"]
+V6_ANCHORS = ["::", "::ffff:10.0.0.0", "::ffff:10.0.0.1", "2001:db8::", "2001:db8::1",
+              "2001:db8:ffff::", "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"]
+
+
+def random_table(rng, n):
+    """n rows of mixed families; every row has its own location, so the
+    winning row, not only its coordinates, must match."""
+    rows = []
+    for i in range(n):
+        if rows and rng.random() < 0.15:
+            network = rng.choice(rows)[0]
+        else:
+            cls, anchors, bits = rng.choice((
+                (ipaddress.IPv4Network, V4_ANCHORS, 32),
+                (ipaddress.IPv6Network, V6_ANCHORS, 128),
+            ))
+            base = int(ipaddress.ip_address(rng.choice(anchors)))
+            if rng.random() < 0.5:
+                base ^= rng.getrandbits(rng.randint(1, bits))
+            prefixlen = rng.choice((0, 8, bits - 8, bits - 1, bits, rng.randint(0, bits)))
+            network = cls((base, prefixlen), strict=False)
+        rows.append((network, Location(i / 100, -i / 100)))
+    return rows
+
+
+def probe_addresses(rng, rows):
+    """Anchors, each network's boundaries, their neighbours just outside, an
+    address inside, random addresses, and the IPv4-mapped form of every
+    IPv4 address among them."""
+    addresses = [ipaddress.ip_address(a) for a in V4_ANCHORS + V6_ANCHORS]
+    addresses += [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(4)]
+    addresses += [ipaddress.IPv6Address(rng.getrandbits(128)) for _ in range(4)]
+    for network, _ in rows:
+        first, last = int(network.network_address), int(network.broadcast_address)
+        for value in (first, last, first - 1, last + 1, rng.randint(first, last)):
+            if 0 <= value < 2 ** network.max_prefixlen:
+                addresses.append(type(network.network_address)(value))
+    mapped = [f"::ffff:{a}" for a in addresses if a.version == 4]
+    return [str(a) for a in addresses] + mapped
+
+
+def test_locator_matches_oracle_on_random_tables():
+    checked = hits = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        rows = random_table(rng, (0, 1, 2, 5, 20, 60)[seed % 6])
+        locator = StaticTableLocator(rows)
+        for ip in probe_addresses(rng, rows):
+            try:
+                expected = oracle(rows, ip)
+            except UnknownAddressError:
+                with pytest.raises(UnknownAddressError):
+                    locator.locate(ip)
+            else:
+                assert locator.locate(ip) == expected, (seed, ip)
+                hits += 1
+            checked += 1
+    assert hits > checked // 4 and checked - hits > checked // 10
+
 
 class _GeoHandler(BaseHTTPRequestHandler):
     body: bytes = b'{"lat": 45.42, "lon": -75.69}'
@@ -232,6 +339,49 @@ class TestVerificationCache:
         assert restored == negative
         assert restored.to_result().reason is Reason.ALL_TRIANGLES_REJECTED
         second.close()
+
+    def test_get_does_not_wait_for_a_put_commit(self, tmp_path):
+        path = tmp_path / "cache.sqlite"
+        cache = VerificationCache(path)
+        cache.put(entry("1.1.1.1", NOW + timedelta(hours=1)))
+        committing, release = threading.Event(), threading.Event()
+
+        class BlockingCommit:
+            """The sqlite connection, with a commit that waits for release."""
+
+            def __init__(self, db):
+                self._db = db
+
+            def __getattr__(self, name):
+                return getattr(self._db, name)
+
+            def commit(self):
+                committing.set()
+                release.wait(10)
+                self._db.commit()
+
+        cache._db = BlockingCommit(cache._db)
+        writer = threading.Thread(
+            target=cache.put, args=(entry("2.2.2.2", NOW + timedelta(hours=1)),))
+        writer.start()
+        try:
+            assert committing.wait(5)
+            seen = []
+            reader = threading.Thread(target=lambda: seen.extend(
+                [cache.get("1.1.1.1", NOW), cache.get("2.2.2.2", NOW), len(cache)]))
+            reader.start()
+            reader.join(5)
+            assert not reader.is_alive()
+            assert seen[0] is not None and seen[1] is not None and seen[2] == 2
+            assert writer.is_alive()  # put returns only after its commit
+        finally:
+            release.set()
+            writer.join(5)
+        assert not writer.is_alive()
+        cache.close()
+        reopened = VerificationCache(path)
+        assert reopened.get("2.2.2.2", NOW) is not None
+        reopened.close()
 
 
 class CountingFactory:
