@@ -76,7 +76,6 @@ from .simulator import (
 )
 from .verify import (
     TARGET,
-    DelayMatrix,
     DelayProvider,
     IPInfo,
     Reason,

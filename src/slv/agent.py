@@ -11,6 +11,7 @@ from __future__ import annotations
 import ipaddress
 import json
 import logging
+import math
 import socket
 import socketserver
 import threading
@@ -18,7 +19,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .verify import TARGET, format_timestamp, utc_now
 
@@ -33,6 +34,9 @@ FAILED = "FAILED"
 
 # Pause between sequential probes so we do not queue behind ourselves.
 PROBE_SPACING_S = 0.05
+
+# Seconds AgentConnection waits to establish its connection to an agent.
+CONNECT_TIMEOUT_S = 5.0
 
 
 class ProtocolError(ValueError):
@@ -89,8 +93,8 @@ class MeasureRequest:
             _check_address(peer.host, peer.port, f"peer {peer.verifier_id}")
         if self.probes < 1:
             raise ProtocolError("probes must be >= 1")
-        if self.timeout <= 0:
-            raise ProtocolError("timeout must be > 0")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ProtocolError("timeout must be a finite number > 0")
 
     def to_wire(self) -> dict:
         return {
@@ -132,7 +136,7 @@ class MeasureRequest:
                 probes=int(data.get("probes", default_probes)),
                 timeout=float(data.get("timeout", default_timeout)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"malformed request: {exc}") from exc
 
 
@@ -153,17 +157,16 @@ class MeasureResponse:
 
     @classmethod
     def from_wire(cls, data: dict) -> "MeasureResponse":
-        if not isinstance(data, dict) or "rtts" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("rtts"), dict):
             raise ProtocolError("response must be a JSON object with an rtts map")
         rtts: dict[str, Optional[float]] = {}
         for eid, value in data["rtts"].items():
             if value == FAILED:
                 rtts[eid] = None
+            elif isinstance(value, (int, float)) and math.isfinite(value) and value >= 0:
+                rtts[eid] = float(value)
             else:
-                ms = float(value)
-                if ms < 0:
-                    raise ProtocolError(f"negative RTT for {eid}: {ms}")
-                rtts[eid] = ms
+                raise ProtocolError(f"RTT for {eid} is not a finite number >= 0: {value!r}")
         return cls(
             request_id=str(data.get("request_id", "")),
             rtts=rtts,
@@ -172,7 +175,10 @@ class MeasureResponse:
 
 
 def _tcp_connect_ms(address: tuple[str, int], timeout: float) -> float:
-    """Time one TCP connection establishment with the monotonic clock."""
+    """Time one TCP connection establishment with the monotonic clock.
+
+    Every probe looks this module global up when it runs, which makes it
+    the one seam through which tests and tracers replace the network."""
     start = time.perf_counter()
     sock = socket.create_connection(address, timeout=timeout)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -181,23 +187,18 @@ def _tcp_connect_ms(address: tuple[str, int], timeout: float) -> float:
 
 
 def _measure_rtt_ex(
-    address: tuple[str, int],
-    probes: int,
-    timeout: float,
-    probe_fn: Optional[Callable[[], float]] = None,
-    spacing_s: float = PROBE_SPACING_S,
+    address: tuple[str, int], probes: int, timeout: float
 ) -> tuple[Optional[float], bool]:
     """Like measure_rtt but also reports whether any probe was refused."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    probe = probe_fn or (lambda: _tcp_connect_ms(address, timeout))
     best: Optional[float] = None
     refused = False
     for attempt in range(probes):
-        if attempt and spacing_s > 0:
-            time.sleep(spacing_s)
+        if attempt:
+            time.sleep(PROBE_SPACING_S)
         try:
-            ms = probe()
+            ms = _tcp_connect_ms(address, timeout)
         except ConnectionRefusedError:
             refused = True
             continue
@@ -209,23 +210,16 @@ def _measure_rtt_ex(
 
 
 def measure_rtt(
-    address: tuple[str, int],
-    probes: int = DEFAULT_PROBES,
-    timeout: float = DEFAULT_TIMEOUT,
-    *,
-    probe_fn: Optional[Callable[[], float]] = None,
-    spacing_s: float = PROBE_SPACING_S,
+    address: tuple[str, int], probes: int = DEFAULT_PROBES, timeout: float = DEFAULT_TIMEOUT
 ) -> Optional[float]:
     """Minimum TCP connect time to `address` in milliseconds.
 
-    Opens `probes` sequential connections, times each from initiation to
-    completion with a monotonic clock, and closes without sending any
-    payload. Individual refusals and timeouts are tolerated; the result is
-    None only when no probe succeeds. `probe_fn` substitutes the real
-    connection probe in tests.
+    Opens `probes` sequential connections, PROBE_SPACING_S apart, times
+    each from initiation to completion with a monotonic clock, and closes
+    without sending any payload. Individual refusals and timeouts are
+    tolerated; the result is None only when no probe succeeds.
     """
-    best, _ = _measure_rtt_ex(address, probes, timeout, probe_fn, spacing_s)
-    return best
+    return _measure_rtt_ex(address, probes, timeout)[0]
 
 
 def _measure_target(address: tuple[str, int], probes: int, timeout: float) -> Optional[float]:
@@ -237,36 +231,28 @@ def _measure_target(address: tuple[str, int], probes: int, timeout: float) -> Op
     return best
 
 
-def handle_measure_request(
-    req: MeasureRequest,
-    measure: Callable[..., Optional[float]] = measure_rtt,
-) -> MeasureResponse:
+def handle_measure_request(req: MeasureRequest) -> MeasureResponse:
     """Measure the target and every peer of one request.
 
+    The target goes through the port 80 to 443 fallback, peers do not.
     Several endpoints are measured concurrently with each other, a single
     one inline; probes within one endpoint stay sequential. The response
     has one entry per requested endpoint, preserving the request id. No
     correction of any kind is applied here; the agent reports raw minima.
     """
-    jobs: list[tuple[str, Callable[[], Optional[float]]]] = []
-    if req.target is not None:
-        target = req.target
-        if measure is measure_rtt:
-            jobs.append((TARGET, lambda: _measure_target(target, req.probes, req.timeout)))
-        else:
-            jobs.append((TARGET, lambda: measure(target, req.probes, req.timeout)))
-    for peer in req.peers:
-        address = (peer.host, peer.port)
-        jobs.append(
-            (peer.verifier_id, lambda a=address: measure(a, req.probes, req.timeout))
-        )
+    jobs = [(TARGET, _measure_target, req.target)] if req.target is not None else []
+    jobs += [(p.verifier_id, measure_rtt, (p.host, p.port)) for p in req.peers]
+
+    def run(job) -> Optional[float]:
+        _, measure, address = job
+        return measure(address, req.probes, req.timeout)
 
     if len(jobs) == 1:
-        values = [jobs[0][1]()]
+        values = [run(jobs[0])]
     else:
         with ThreadPoolExecutor(max_workers=min(len(jobs), 8)) as pool:
-            values = list(pool.map(lambda job: job[1](), jobs))
-    rtts = {endpoint_id: value for (endpoint_id, _), value in zip(jobs, values)}
+            values = list(pool.map(run, jobs))
+    rtts = {endpoint_id: value for (endpoint_id, _, _), value in zip(jobs, values)}
     return MeasureResponse(request_id=req.request_id, rtts=rtts)
 
 
@@ -284,7 +270,7 @@ class _AgentHandler(socketserver.StreamRequestHandler):
                 req = MeasureRequest.from_wire(
                     data, self.server.default_probes, self.server.default_timeout
                 )
-            except (json.JSONDecodeError, ProtocolError) as exc:
+            except ValueError as exc:  # bad JSON or bad UTF-8, or a ProtocolError
                 log.debug("rejecting request from %s: %s", self.client_address, exc)
                 self._send({"error": str(exc), "request_id": request_id})
                 continue
@@ -336,15 +322,14 @@ class AgentConnection:
     manager.AgentPool), which the agent serves each on its own thread.
     """
 
-    def __init__(self, host: str, port: int, connect_timeout: float = 5.0) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self._address = (host, port)
-        self._connect_timeout = connect_timeout
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._reader = None
 
     def _connect(self) -> None:
-        self._sock = socket.create_connection(self._address, timeout=self._connect_timeout)
+        self._sock = socket.create_connection(self._address, timeout=CONNECT_TIMEOUT_S)
         self._reader = self._sock.makefile("rb")
 
     def _drop(self) -> None:
@@ -385,8 +370,11 @@ class AgentConnection:
                     self._drop()
                     if retry:
                         raise
-        data = json.loads(line)
-        if "error" in data:
+        try:
+            data = json.loads(line)
+        except ValueError as exc:
+            raise ProtocolError(f"agent reply is not JSON: {exc}") from exc
+        if isinstance(data, dict) and "error" in data:
             raise ProtocolError(f"agent rejected request: {data['error']}")
         response = MeasureResponse.from_wire(data)
         if response.request_id != req.request_id:

@@ -101,15 +101,6 @@ class Triangle:
         if _vertices_contain(self.vertices, a) is None:
             raise DegenerateTriangleError("triangle vertices lie on one great circle")
 
-    def perimeter_km(self) -> float:
-        """Sum of the three pairwise great-circle distances."""
-        a, b, c = self.vertices
-        return (
-            great_circle_distance(a, b)
-            + great_circle_distance(b, c)
-            + great_circle_distance(c, a)
-        )
-
 
 def _unit(loc: Location) -> tuple[float, float, float]:
     """Unit vector of a location in earth-centred cartesian coordinates."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ipaddress
 import json
 import logging
+import math
 import sqlite3
 import threading
 import urllib.error
@@ -402,8 +403,8 @@ class ManagerConfig:
     cache_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.cache_ttl <= 0:
-            raise ValueError("cache_ttl must be > 0")
+        if not (math.isfinite(self.cache_ttl) and self.cache_ttl > 0):
+            raise ValueError("cache_ttl must be a finite number > 0")
 
     @classmethod
     def from_file(cls, path) -> "ManagerConfig":
@@ -500,21 +501,17 @@ class LiveDelayProvider:
     def measure(
         self, verifier_id: str, endpoint_id: str, probes: int, timeout: float
     ) -> Optional[float]:
-        record = self._registry.by_id(verifier_id)
         if endpoint_id == TARGET:
-            request = MeasureRequest(
-                request_id=new_request_id(), target=self._target,
-                peers=(), probes=probes, timeout=timeout,
-            )
+            target, peers = self._target, ()
         else:
             peer = self._registry.by_id(endpoint_id)
-            request = MeasureRequest(
-                request_id=new_request_id(), target=None,
-                peers=(PeerSpec(endpoint_id, peer.host, peer.port),),
-                probes=probes, timeout=timeout,
-            )
+            target, peers = None, (PeerSpec(endpoint_id, peer.host, peer.port),)
+        request = MeasureRequest(
+            request_id=new_request_id(), target=target, peers=peers,
+            probes=probes, timeout=timeout,
+        )
         try:
-            response = self._pool.request(record, request)
+            response = self._pool.request(self._registry.by_id(verifier_id), request)
         except (OSError, ProtocolError) as exc:
             log.warning("measurement via %s for %s failed: %s", verifier_id, endpoint_id, exc)
             return None
@@ -628,9 +625,6 @@ class ManagerService:
             )
         )
         return result
-
-    def cache_evict_expired(self, now: Optional[datetime] = None) -> int:
-        return self._cache.evict_expired(now or utc_now())
 
 
 class _ApiHandler(BaseHTTPRequestHandler):

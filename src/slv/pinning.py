@@ -16,7 +16,7 @@ from datetime import datetime
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .geo import Circle, Location, great_circle_distance
+from .geo import Circle, Location, point_in_circle
 from .verify import IPInfo, VerificationResult, format_timestamp, parse_timestamp
 
 DEFAULT_RMAX = 3
@@ -89,7 +89,7 @@ class PinEntry:
 def containment_check(loc: Location, regs: Sequence[Circle]) -> Optional[int]:
     """Index of the first region containing loc in list order, else None."""
     for index, region in enumerate(regs):
-        if great_circle_distance(loc, region.centre) <= region.radius:
+        if point_in_circle(loc, region):
             return index
     return None
 

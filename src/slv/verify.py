@@ -10,9 +10,10 @@ networks.
 from __future__ import annotations
 
 import ipaddress
+import math
 from bisect import insort
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Optional, Protocol, Sequence
@@ -30,7 +31,7 @@ from .geo import (
     spherical_containment,
 )
 
-# Endpoint id of the asserted webserver in delay matrices and measure calls.
+# Endpoint id of the asserted webserver in measured RTTs and measure calls.
 # The other endpoint ids are verifier ids.
 TARGET = "target"
 
@@ -138,14 +139,14 @@ class VerifyConfig:
     measurement_timeout: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.lambda_ms < 0:
-            raise ValueError("lambda_ms must be >= 0")
+        if not (math.isfinite(self.lambda_ms) and self.lambda_ms >= 0):
+            raise ValueError("lambda_ms must be a finite number >= 0")
         if self.probes_per_measurement < 1:
             raise ValueError("probes_per_measurement must be >= 1")
         if self.max_triangles < 1:
             raise ValueError("max_triangles must be >= 1")
-        if self.measurement_timeout <= 0:
-            raise ValueError("measurement_timeout must be > 0")
+        if not (math.isfinite(self.measurement_timeout) and self.measurement_timeout > 0):
+            raise ValueError("measurement_timeout must be a finite number > 0")
 
     def to_dict(self) -> dict:
         return {
@@ -163,42 +164,14 @@ class VerifyConfig:
         return cls(**known)
 
 
-@dataclass
-class DelayMatrix:
-    """RTTs in milliseconds between the verifiers of one triangle and the target.
-
-    Keyed by (verifier_id, endpoint_id) where the endpoint is another
-    verifier or TARGET. Target entries are stored after last-mile
-    correction, verifier-to-verifier entries raw; every stored value is
-    clamped at zero.
-    """
-
-    entries: dict[tuple[str, str], float] = field(default_factory=dict)
-
-    def set(self, verifier_id: str, endpoint_id: str, ms: float) -> None:
-        self.entries[(verifier_id, endpoint_id)] = max(float(ms), 0.0)
-
-    def get(self, verifier_id: str, endpoint_id: str) -> float:
-        return self.entries[(verifier_id, endpoint_id)]
-
-    def covers_triangle(self, verifier_ids: Sequence[str]) -> bool:
-        """True when the target entry and both directions of every verifier
-        pair are present for the given triangle."""
-        for v in verifier_ids:
-            if (v, TARGET) not in self.entries:
-                return False
-            for w in verifier_ids:
-                if w != v and (v, w) not in self.entries:
-                    return False
-        return True
-
-
 class DelayProvider(Protocol):
     """Source of raw (uncorrected) RTT measurements.
 
-    Implementations may set `supports_concurrent_measure = True` to let the
-    engine take all 9 measurements of a triangle (3 verifiers times the
-    target and 2 peers) at once; they must then tolerate 9 concurrent calls.
+    The engine clamps each returned RTT at zero and applies the last-mile
+    correction to target RTTs; a provider does neither. Implementations
+    may set `supports_concurrent_measure = True` to let the engine take
+    all 9 measurements of a triangle (3 verifiers times the target and 2
+    peers) at once; they must then tolerate 9 concurrent calls.
     """
 
     def measure(
@@ -403,9 +376,11 @@ def any_triangle_contains(verifiers: Sequence[VerifierInput], point: Location) -
 
 def _measure_triangle(
     triangle: Triangle, delays: DelayProvider, cfg: VerifyConfig
-) -> Optional[DelayMatrix]:
-    """Collect the 9 RTTs for one triangle, or None when any measurement
-    fails. Target RTTs are last-mile corrected as they are stored.
+) -> Optional[dict[tuple[str, str], float]]:
+    """The 9 RTTs of one triangle in ms, keyed by (verifier id, endpoint
+    id) where the endpoint is another verifier or TARGET; None when any
+    measurement fails. Each RTT is clamped at zero, and target RTTs are
+    then last-mile corrected.
 
     A concurrent provider gets all 9 measurements at once, so a live
     triangle costs one probe round of wall time rather than three."""
@@ -419,14 +394,13 @@ def _measure_triangle(
     else:
         measured = [delays.measure(v, e, probes, timeout) for v, e in edges]
 
-    matrix = DelayMatrix()
-    for (v, endpoint), ms in zip(edges, measured):
+    rtts = {}
+    for edge, ms in zip(edges, measured):
         if ms is None:
             return None
-        if endpoint == TARGET:
-            ms = apply_lastmile_correction(max(ms, 0.0), cfg.lambda_ms)
-        matrix.set(v, endpoint, ms)
-    return matrix
+        ms = max(ms, 0.0)
+        rtts[edge] = apply_lastmile_correction(ms, cfg.lambda_ms) if edge[1] == TARGET else ms
+    return rtts
 
 
 def verify_location(
@@ -461,20 +435,14 @@ def verify_location(
 
     any_complete = False
     for triangle in triangles:
-        matrix = _measure_triangle(triangle, delays, cfg)
-        if matrix is None:
+        rtts = _measure_triangle(triangle, delays, cfg)
+        if rtts is None:
             continue
         any_complete = True
         ids = triangle.verifier_ids
         locs = dict(zip(ids, triangle.vertices))
         for a, b in ((ids[0], ids[1]), (ids[0], ids[2]), (ids[1], ids[2])):
-            accepted = thales_accept(
-                matrix.get(a, TARGET),
-                matrix.get(b, TARGET),
-                matrix.get(a, b),
-                matrix.get(b, a),
-            )
-            if not accepted:
+            if not thales_accept(rtts[a, TARGET], rtts[b, TARGET], rtts[a, b], rtts[b, a]):
                 continue
             region = circle_of_pair(locs[a], locs[b])
             if point_in_circle(asserted_ip.loc, region):

@@ -1,11 +1,13 @@
 import json
+import math
 import socket
 import threading
 import time
 
 import pytest
 
-from conftest import TcpListener, free_port
+import slv.agent
+from conftest import free_port
 from slv.agent import (
     FAILED,
     AgentConnection,
@@ -14,6 +16,7 @@ from slv.agent import (
     MeasureResponse,
     PeerSpec,
     ProtocolError,
+    _measure_rtt_ex,
     _measure_target,
     handle_measure_request,
     measure_rtt,
@@ -29,9 +32,36 @@ def dead_endpoint() -> tuple[str, int]:
     return ("127.0.0.1", free_port())
 
 
+def fake_probes(monkeypatch, connect) -> list[tuple[str, int]]:
+    """Route every probe through connect(address, timeout) instead of the
+    network, with no spacing between probes; returns the probed addresses
+    in call order."""
+    probed = []
+
+    def probe(address, timeout):
+        probed.append(address)
+        return connect(address, timeout)
+
+    monkeypatch.setattr(slv.agent, "_tcp_connect_ms", probe)
+    monkeypatch.setattr(slv.agent, "PROBE_SPACING_S", 0.0)
+    return probed
+
+
+def refuse(*ports):
+    """A fake connect that refuses the given ports and takes 6 ms elsewhere."""
+
+    def connect(address, timeout):
+        if address[1] in ports:
+            raise ConnectionRefusedError(address)
+        return 6.0
+
+    return connect
+
+
 class TestMeasureRtt:
-    def test_loopback_is_fast(self, tcp_listener):
-        ms = measure_rtt(tcp_listener.address, probes=5, timeout=2.0, spacing_s=0.0)
+    def test_loopback_is_fast(self, tcp_listener, monkeypatch):
+        monkeypatch.setattr(slv.agent, "PROBE_SPACING_S", 0.0)
+        ms = measure_rtt(tcp_listener.address, probes=5, timeout=2.0)
         assert ms is not None
         assert 0 < ms < 5.0
 
@@ -40,26 +70,54 @@ class TestMeasureRtt:
         assert measure_rtt(dead_endpoint(), probes=3, timeout=1.0) is None
         assert time.monotonic() - start < 5.0
 
-    def test_single_probe_is_the_sample(self):
-        assert measure_rtt(("127.0.0.1", 1), probes=1, probe_fn=lambda: 7.3) == 7.3
+    def test_refusal_is_reported(self):
+        assert _measure_rtt_ex(dead_endpoint(), probes=2, timeout=1.0) == (None, True)
 
-    def test_minimum_over_successful_probes(self):
+    def test_single_probe_is_the_sample(self, monkeypatch):
+        timeouts = []
+
+        def connect(address, timeout):
+            timeouts.append(timeout)
+            return 7.3
+
+        probed = fake_probes(monkeypatch, connect)
+        assert measure_rtt(("127.0.0.1", 1), probes=1, timeout=0.75) == 7.3
+        assert probed == [("127.0.0.1", 1)]
+        assert timeouts == [0.75]
+
+    def test_minimum_over_successful_probes(self, monkeypatch):
         samples = iter([5.2, ConnectionRefusedError(), 3.1, 9.9])
 
-        def probe():
+        def connect(address, timeout):
             value = next(samples)
             if isinstance(value, Exception):
                 raise value
             return value
 
-        ms = measure_rtt(("127.0.0.1", 1), probes=4, probe_fn=probe, spacing_s=0.0)
-        assert ms == 3.1
+        probed = fake_probes(monkeypatch, connect)
+        assert measure_rtt(("127.0.0.1", 1), probes=4) == 3.1
+        assert len(probed) == 4
 
-    def test_all_probes_failing_gives_none(self):
-        def probe():
+    def test_all_probes_failing_gives_none(self, monkeypatch):
+        def connect(address, timeout):
             raise TimeoutError("no answer")
 
-        assert measure_rtt(("127.0.0.1", 1), probes=3, probe_fn=probe, spacing_s=0.0) is None
+        probed = fake_probes(monkeypatch, connect)
+        assert measure_rtt(("127.0.0.1", 1), probes=3) is None
+        assert len(probed) == 3
+
+    def test_probes_are_spaced(self, monkeypatch):
+        starts = []
+
+        def connect(address, timeout):
+            starts.append(time.monotonic())
+            return 1.0
+
+        fake_probes(monkeypatch, connect)
+        monkeypatch.setattr(slv.agent, "PROBE_SPACING_S", 0.02)
+        assert measure_rtt(("127.0.0.1", 1), probes=3) == 1.0
+        # with no spacing the three probes would start microseconds apart
+        assert all(b - a >= 0.015 for a, b in zip(starts, starts[1:]))
 
     def test_rejects_zero_probes(self):
         with pytest.raises(ValueError):
@@ -72,25 +130,32 @@ class TestMeasureRtt:
 
 
 class TestTargetFallback:
-    def test_refused_port_80_falls_back_to_443(self):
-        listener = socketserver_on_443()
-        if listener is None:
-            pytest.skip("cannot bind port 443 in this environment")
-        with listener:
-            # nothing listens on port 80, so probes are refused and the
-            # measurement retries against 443
-            ms = _measure_target(("127.0.0.1", 80), probes=2, timeout=1.0)
-            assert ms is not None
+    def test_refused_port_80_falls_back_to_443(self, monkeypatch):
+        probed = fake_probes(monkeypatch, refuse(80))
+        assert _measure_target(("127.0.0.1", 80), probes=2, timeout=1.0) == 6.0
+        assert [port for _, port in probed] == [80, 80, 443, 443]
+
+    def test_timeouts_on_port_80_do_not_fall_back(self, monkeypatch):
+        def connect(address, timeout):
+            raise TimeoutError(address)
+
+        probed = fake_probes(monkeypatch, connect)
+        assert _measure_target(("127.0.0.1", 80), probes=2, timeout=1.0) is None
+        assert [port for _, port in probed] == [80, 80]
 
     def test_no_fallback_for_other_ports(self):
         assert _measure_target(("127.0.0.1", free_port()), probes=1, timeout=0.5) is None
 
-
-def socketserver_on_443():
-    try:
-        return TcpListener(port=443)
-    except OSError:
-        return None
+    def test_request_target_falls_back_but_peers_do_not(self, monkeypatch):
+        probed = fake_probes(monkeypatch, refuse(80))
+        req = MeasureRequest(
+            request_id="r-fallback",
+            target=("127.0.0.1", 80),
+            peers=(PeerSpec("v2", "127.0.0.2", 80),),
+            probes=1,
+        )
+        assert handle_measure_request(req).rtts == {TARGET: 6.0, "v2": None}
+        assert sorted(probed) == [("127.0.0.1", 80), ("127.0.0.1", 443), ("127.0.0.2", 80)]
 
 
 class TestMeasureRequestValidation:
@@ -133,6 +198,15 @@ class TestMeasureRequestValidation:
         with pytest.raises(ProtocolError):
             MeasureRequest(**self.good(timeout=0))
 
+    def test_non_finite_timeout(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ProtocolError):
+                MeasureRequest(**self.good(timeout=bad))
+            with pytest.raises(ProtocolError):
+                MeasureRequest.from_wire({**MeasureRequest(**self.good()).to_wire(), "timeout": bad})
+        with pytest.raises(ProtocolError):
+            MeasureRequest.from_wire({**MeasureRequest(**self.good()).to_wire(), "probes": math.inf})
+
     def test_wire_round_trip(self):
         req = MeasureRequest(**self.good())
         assert MeasureRequest.from_wire(req.to_wire()) == req
@@ -147,9 +221,24 @@ class TestMeasureRequestValidation:
         with pytest.raises(ProtocolError):
             MeasureResponse.from_wire({"request_id": "r", "rtts": {"target": -1.0}})
 
+    @pytest.mark.parametrize("reply", [
+        5,
+        [],
+        {"request_id": "r"},
+        {"request_id": "r", "rtts": [1.0, 2.0]},
+        {"request_id": "r", "rtts": {"target": "fast"}},
+        {"request_id": "r", "rtts": {"target": None}},
+        {"request_id": "r", "rtts": {"target": math.nan}},
+        {"request_id": "r", "rtts": {"target": math.inf}},
+    ])
+    def test_response_rejects_malformed(self, reply):
+        with pytest.raises(ProtocolError):
+            MeasureResponse.from_wire(reply)
+
 
 class TestHandleMeasureRequest:
-    def test_one_target_two_peers_three_entries(self):
+    def test_one_target_two_peers_three_entries(self, monkeypatch):
+        probed = fake_probes(monkeypatch, lambda address, timeout: 4.2)
         req = MeasureRequest(
             request_id="r1",
             target=("127.0.0.1", 80),
@@ -157,39 +246,40 @@ class TestHandleMeasureRequest:
             probes=2,
             timeout=0.5,
         )
-        resp = handle_measure_request(req, measure=lambda a, p, t: 4.2)
+        resp = handle_measure_request(req)
         assert resp.request_id == "r1"
         assert resp.rtts == {TARGET: 4.2, "v2": 4.2, "v3": 4.2}
+        assert sorted(port for _, port in probed) == [80, 80, 1001, 1001, 1002, 1002]
 
-    def test_partial_failure(self):
-        def measure(address, probes, timeout):
-            return None if address[1] == 1002 else 4.2
-
+    def test_partial_failure(self, monkeypatch):
+        fake_probes(monkeypatch, refuse(1002))
         req = MeasureRequest(
             request_id="r2",
             target=("127.0.0.1", 80),
             peers=(PeerSpec("v2", "127.0.0.1", 1001), PeerSpec("v3", "127.0.0.1", 1002)),
         )
-        resp = handle_measure_request(req, measure=measure)
-        assert resp.rtts == {TARGET: 4.2, "v2": 4.2, "v3": None}
+        resp = handle_measure_request(req)
+        assert resp.rtts == {TARGET: 6.0, "v2": 6.0, "v3": None}
 
-    def test_values_are_reported_raw(self):
+    def test_values_are_reported_raw(self, monkeypatch):
         # no correction of any kind happens on the agent side
+        fake_probes(monkeypatch, lambda address, timeout: 3.0)
         req = MeasureRequest(request_id="r3", target=("127.0.0.1", 80))
-        resp = handle_measure_request(req, measure=lambda a, p, t: 3.0)
+        resp = handle_measure_request(req)
         assert resp.rtts[TARGET] == 3.0
 
-    def test_single_endpoint_is_measured_on_the_calling_thread(self):
+    def test_single_endpoint_is_measured_on_the_calling_thread(self, monkeypatch):
         threads = []
 
-        def measure(address, probes, timeout):
+        def connect(address, timeout):
             threads.append(threading.current_thread())
             return 2.5
 
+        fake_probes(monkeypatch, connect)
         req = MeasureRequest(
-            request_id="r4", target=None, peers=(PeerSpec("v2", "127.0.0.1", 1001),)
+            request_id="r4", target=None, peers=(PeerSpec("v2", "127.0.0.1", 1001),), probes=1
         )
-        resp = handle_measure_request(req, measure=measure)
+        resp = handle_measure_request(req)
         assert resp.rtts == {"v2": 2.5}
         assert threads == [threading.current_thread()]
 
@@ -263,6 +353,21 @@ class TestAgentServer:
             reply = json.loads(sock.makefile("rb").readline())
         assert "error" in reply
         assert reply["request_id"] == "dup"
+
+    def test_non_finite_numbers_get_error_reply_and_keep_the_connection(
+        self, agent, tcp_listener
+    ):
+        good = MeasureRequest(request_id="ok", target=tcp_listener.address, probes=1, timeout=1.0)
+        with socket.create_connection(agent.bound_address, timeout=5) as sock:
+            reader = sock.makefile("rb")
+            # json writes these as the NaN and Infinity literals it also reads
+            for field, value in (("timeout", math.nan), ("timeout", math.inf), ("probes", math.inf)):
+                wire = json.dumps({**good.to_wire(), "request_id": "bad", field: value})
+                sock.sendall(wire.encode() + b"\n")
+                reply = json.loads(reader.readline())
+                assert reply["request_id"] == "bad" and "error" in reply
+            sock.sendall(json.dumps(good.to_wire()).encode() + b"\n")
+            assert json.loads(reader.readline())["request_id"] == "ok"
 
     def test_agent_error_reply_raises_protocol_error(self, agent):
         conn = AgentConnection(*agent.bound_address)

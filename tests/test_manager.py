@@ -1,7 +1,9 @@
 import ipaddress
 import json
+import math
 import random
 import socket
+import socketserver
 import threading
 import time
 import urllib.error
@@ -20,6 +22,7 @@ from slv.manager import (
     CacheEntry,
     HttpLocator,
     InsufficientVerifiersError,
+    LiveDelayProvider,
     LocatorConfig,
     ManagerConfig,
     ManagerHTTPServer,
@@ -545,10 +548,18 @@ class TestManagerService:
             service.handle_verify_request("not-an-ip", now=NOW)
 
     def test_evict_expired(self, tmp_path):
-        service, _ = make_service(tmp_path, cache_ttl=60.0)
+        # the service writes its result through to the sqlite file, and
+        # eviction from that file sticks across a reopen
+        path = tmp_path / "cache.sqlite"
+        service, _ = make_service(tmp_path, cache_ttl=60.0, cache_path=str(path))
         service.handle_verify_request("9.9.9.9", now=NOW)
-        assert service.cache_evict_expired(now=NOW + timedelta(minutes=5)) == 1
-        assert service.cache_evict_expired(now=NOW + timedelta(minutes=5)) == 0
+        cache = VerificationCache(path)
+        assert cache.evict_expired(NOW + timedelta(minutes=5)) == 1
+        assert cache.evict_expired(NOW + timedelta(minutes=5)) == 0
+        cache.close()
+        reopened = VerificationCache(path)
+        assert len(reopened) == 0
+        reopened.close()
 
     def test_requires_three_verifiers(self, tmp_path):
         registry = load_verifier_registry(write_registry(tmp_path))
@@ -629,6 +640,67 @@ class TestHttpApi:
         assert status == 404
 
 
+class _StubAgentHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        for line in self.rfile:
+            self.wfile.write(self.server.reply(json.loads(line)) + b"\n")
+
+
+def every_endpoint(value):
+    """A reply to the request that gives `value` as the RTT of each of its
+    endpoints."""
+
+    def reply(req):
+        ids = [p["verifier_id"] for p in req["peers"]]
+        if req["target"]:
+            ids.append("target")
+        return json.dumps({"request_id": req["request_id"], "rtts": dict.fromkeys(ids, value)}).encode()
+
+    return reply
+
+
+# Replies that do not follow the wire protocol, each built from the
+# request it answers.
+MALFORMED_REPLIES = {
+    "not_json": lambda req: b"this is not json",
+    "non_numeric_rtts": every_endpoint("fast"),
+    "bare_number": lambda req: b"5",
+    "rtts_list": lambda req: json.dumps({"request_id": req["request_id"], "rtts": [1.0]}).encode(),
+    "nan_rtt": every_endpoint(math.nan),
+}
+
+
+class TestMalformedAgentReplies:
+    @pytest.mark.parametrize("kind", sorted(MALFORMED_REPLIES))
+    def test_is_a_measurement_failure(self, tmp_path, kind):
+        stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _StubAgentHandler)
+        stub.daemon_threads = True
+        stub.reply = MALFORMED_REPLIES[kind]
+        threading.Thread(target=stub.serve_forever, daemon=True).start()
+        port = stub.server_address[1]
+        rows = [(f"127.0.0.1:{port}", lat, lon) for _, lat, lon in REGISTRY_ROWS]
+        registry = load_verifier_registry(write_registry(tmp_path, rows))
+        pool = AgentPool()
+        service = ManagerService(
+            registry, FixedLocator({"9.9.9.9": INSIDE}),
+            lambda ip: LiveDelayProvider(registry, ip, pool=pool),
+            ManagerConfig(registry_path="x", verify=VerifyConfig(probes_per_measurement=1)),
+        )
+        server = ManagerHTTPServer(service, "127.0.0.1", 0)
+        server.serve_in_background()
+        try:
+            status, body = api_get(server, "/verify?ip=9.9.9.9")
+        finally:
+            server.shutdown()
+            server.server_close()
+            pool.close()
+            stub.shutdown()
+            stub.server_close()
+        assert status == 200
+        assert body["veri_passed"] is False
+        assert body["reason"] == "MeasurementFailure"
+
+
 class TestProviderUnavailableSurfacing(object):
     def test_http_502(self, tmp_path):
         class DownLocator:
@@ -675,6 +747,14 @@ class TestManagerConfig:
         assert cfg.target_port == 8080
         locator = cfg.locator.build()
         assert locator.locate("10.1.2.3") == Location(45.0, -75.0)
+
+    @pytest.mark.parametrize("key", ["lambda_ms", "measurement_timeout", "cache_ttl"])
+    def test_rejects_non_finite_numbers(self, tmp_path, key):
+        config_path = tmp_path / "manager.json"
+        # json writes NaN as the bare literal it also accepts on reading
+        config_path.write_text(json.dumps({"registry": "x", key: math.nan}))
+        with pytest.raises(ValueError):
+            ManagerConfig.from_file(config_path)
 
     def test_rejects_non_positive_ttl(self):
         with pytest.raises(ValueError):
@@ -750,9 +830,9 @@ def answer_in_pairs(monkeypatch) -> None:
     both_in_flight = threading.Barrier(2, timeout=10.0)
     original = slv.agent.handle_measure_request
 
-    def handle(req, *args, **kwargs):
+    def handle(req):
         both_in_flight.wait()
-        return original(req, *args, **kwargs)
+        return original(req)
 
     monkeypatch.setattr(slv.agent, "handle_measure_request", handle)
 

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,6 +27,9 @@ BOUNDS = RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0)
 
 CALIBRATED = DelayModel(circuitousness=1.5, lastmile_ms=5.0, jitter_ms=2.0, seed=0)
 NOISELESS = DelayModel(circuitousness=1.0, lastmile_ms=5.0, jitter_ms=0.0, seed=0)
+
+# sha256 of the run_experiment rows of TestRunExperiment's golden scenarios.
+GOLDEN_VERDICT_DIGEST = "531b7713995c9babe2185391eac53100e28ec5d4fa8511693c4a5fcbb7950a0f"
 
 
 def quick_cfg(**overrides) -> VerifyConfig:
@@ -237,6 +243,27 @@ class TestRunExperiment:
             10, 10, 10, bounds=BOUNDS, model=CALIBRATED, cfg=quick_cfg(), seed=23
         )
         assert run_experiment(scenario) == run_experiment(scenario)
+
+    def test_verdicts_match_golden_digest(self):
+        # Verdicts over fixed scenarios must not drift, bit for bit: any
+        # change to the engine, the geometry or the simulator that moves
+        # one verdict or reason changes this digest. Small displacements
+        # and a thin relay overhead, with heavy jitter, put many servers
+        # near the acceptance boundary, where drift shows first.
+        rows = []
+        for num_verifiers, seed in ((40, 1), (40, 2), (12, 3), (12, 4)):
+            scenario = generate_scenario(
+                num_verifiers, 12, 6, 6, bounds=BOUNDS, relay_extra_ms=4.0,
+                displacement_km=(50.0, 800.0), model=DelayModel(jitter_ms=8.0),
+                cfg=quick_cfg(), seed=seed,
+            )
+            rows.append(run_experiment(scenario).servers)
+        outcomes = Counter((r["adversary"], r["accepted"]) for servers in rows for r in servers)
+        # every kind is present and sees both verdicts
+        assert {kind for kind, _ in outcomes} == {"none", ADVERSARY_FALSE_ASSERTION, ADVERSARY_RELAY}
+        assert len(outcomes) == 6
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == GOLDEN_VERDICT_DIGEST
 
     def test_text_table_shape(self):
         scenario = generate_scenario(

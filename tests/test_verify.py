@@ -27,7 +27,6 @@ from slv.simulator import RegionBounds, generate_scenario, run_experiment
 from slv.verify import (
     _STOP_SLACK_KM,
     TARGET,
-    DelayMatrix,
     IPInfo,
     Reason,
     VerificationResult,
@@ -47,6 +46,10 @@ TRI_VERIFIERS = [
     ("b", Location(-10, 10)),
     ("c", Location(-10, -10)),
 ]
+
+
+def perimeter(t: Triangle) -> float:
+    return sum(great_circle_distance(a, b) for a, b in combinations(t.vertices, 2))
 
 
 class TestApplyLastmileCorrection:
@@ -161,7 +164,7 @@ class TestEnumerateTriangles:
         verifiers = TRI_VERIFIERS + [("d", Location(25, 0))]
         triangles = enumerate_triangles(verifiers, Location(0, 0))
         assert len(triangles) >= 2
-        perimeters = [t.perimeter_km() for t in triangles]
+        perimeters = [perimeter(t) for t in triangles]
         assert perimeters == sorted(perimeters)
         assert triangles[0].verifier_ids == ("a", "b", "c")
         # the wider triangle through d comes later
@@ -369,32 +372,13 @@ class TestStopBound:
             )
             if not point_in_spherical_triangle(p, t):
                 continue  # rounding put it just outside
-            half = t.perimeter_km() / 2.0
+            half = perimeter(t) / 2.0
             for v in vertices:
                 assert great_circle_distance(p, v) <= half + _STOP_SLACK_KM
             sides = [great_circle_distance(a, b) for a, b in combinations(vertices, 2)]
             long_sides += max(sides) > math.pi / 2 * 6371.0
             straddling += min(v.lat for v in vertices) < 0 < max(v.lat for v in vertices)
         assert long_sides > 100 and straddling > 100
-
-
-class TestDelayMatrix:
-    def test_clamps_negative(self):
-        matrix = DelayMatrix()
-        matrix.set("a", TARGET, -3.0)
-        assert matrix.get("a", TARGET) == 0.0
-
-    def test_covers_triangle(self):
-        matrix = DelayMatrix()
-        ids = ("a", "b", "c")
-        for v in ids:
-            matrix.set(v, TARGET, 1.0)
-            for w in ids:
-                if w != v:
-                    matrix.set(v, w, 2.0)
-        assert matrix.covers_triangle(ids)
-        del matrix.entries[("b", "c")]
-        assert not matrix.covers_triangle(ids)
 
 
 class TestMessageTypes:
@@ -430,6 +414,15 @@ class TestMessageTypes:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             VerifyConfig(lambda_ms=-1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                VerifyConfig(lambda_ms=bad)
+            with pytest.raises(ValueError):
+                VerifyConfig(measurement_timeout=bad)
+            with pytest.raises(ValueError):
+                VerifyConfig.from_dict({"lambda_ms": bad})
+            with pytest.raises(ValueError):
+                VerifyConfig.from_dict({"measurement_timeout": bad})
         with pytest.raises(ValueError):
             VerifyConfig(probes_per_measurement=0)
         with pytest.raises(ValueError):
@@ -627,3 +620,33 @@ class TestVerifyLocation:
         pair_edges = [pair for pair in seen if pair[1] != TARGET]
         assert len(target_edges) == 3
         assert len(pair_edges) == 6
+
+    def test_measured_triangle_is_clamped_then_corrected(self):
+        # raw RTTs of -3, 2 and 9 ms on every edge kind: each is clamped at
+        # zero once, and lambda then comes off the target edges only
+        class Fixed:
+            def __init__(self, ms):
+                self.ms = ms
+
+            def measure(self, verifier_id, endpoint_id, probes, timeout):
+                return self.ms
+
+        triangle = enumerate_triangles(TRI_VERIFIERS, Location(0, 0))[0]
+        ids = triangle.verifier_ids
+        edges = [(v, e) for v in ids for e in (TARGET,) + tuple(w for w in ids if w != v)]
+        cfg = self.cfg(lambda_ms=5.0)
+        for raw, target_ms, peer_ms in ((-3.0, 0.0, 0.0), (2.0, 0.0, 2.0), (9.0, 4.0, 9.0)):
+            rtts = slv.verify._measure_triangle(triangle, Fixed(raw), cfg)
+            assert rtts == {e: target_ms if e[1] == TARGET else peer_ms for e in edges}
+
+    def test_measured_triangle_is_none_when_any_edge_fails(self):
+        triangle = enumerate_triangles(TRI_VERIFIERS, Location(0, 0))[0]
+        for missing in (("b", TARGET), ("b", "c")):
+            class OneFails(IdealProvider):
+                def measure(self, verifier_id, endpoint_id, probes, timeout):
+                    if (verifier_id, endpoint_id) == missing:
+                        return None
+                    return super().measure(verifier_id, endpoint_id, probes, timeout)
+
+            provider = OneFails(dict(TRI_VERIFIERS), Location(0, 0))
+            assert slv.verify._measure_triangle(triangle, provider, self.cfg()) is None
