@@ -37,6 +37,7 @@ from .manager import (
     CacheEntry,
     HttpLocator,
     InsufficientVerifiersError,
+    InvalidAddressError,
     LiveDelayProvider,
     LocatorConfig,
     ManagerConfig,

@@ -66,6 +66,10 @@ class InsufficientVerifiersError(ValueError):
     """Fewer than 3 verifiers are available."""
 
 
+class InvalidAddressError(ValueError):
+    """A string is not an IPv4 or IPv6 address."""
+
+
 class UnknownAddressError(LookupError):
     """No location assertion is available for an address."""
 
@@ -569,12 +573,15 @@ class ManagerService:
         cached assertion; otherwise a verification runs and its result
         (positive or negative) replaces the cache entry.
 
-        Raises ValueError for a syntactically invalid address, and lets
-        UnknownAddressError / ProviderUnavailableError from the locator
-        through: failing to obtain an assertion is an error, not a
+        Raises InvalidAddressError for a syntactically invalid address,
+        and lets UnknownAddressError / ProviderUnavailableError from the
+        locator through: failing to obtain an assertion is an error, not a
         negative verification.
         """
-        ipaddress.ip_address(ip)
+        try:
+            ipaddress.ip_address(ip)
+        except ValueError as exc:
+            raise InvalidAddressError(f"invalid ip address: {ip!r}") from exc
         now = now or utc_now()
         asserted = self._locator.locate(ip)
         cached = self._cache.get(ip, now)
@@ -645,13 +652,13 @@ class _ApiHandler(BaseHTTPRequestHandler):
             return
         try:
             result = self.server.service.handle_verify_request(values[0])
-        except ValueError:
-            self._reply(400, {"error": f"invalid ip address: {values[0]!r}"})
+        except InvalidAddressError as exc:
+            self._reply(400, {"error": str(exc)})
         except UnknownAddressError as exc:
             self._reply(404, {"error": str(exc)})
         except ProviderUnavailableError as exc:
             self._reply(502, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             log.exception("verification failed")
             self._reply(500, {"error": f"internal error: {exc}"})
         else:

@@ -206,7 +206,8 @@ class SimDelayProvider:
     dedicated RNG per directed edge, seeded from (model seed, stream key,
     verifier, endpoint): a given edge measures the same within one
     verification regardless of call order or concurrency, and distinct
-    streams never share noise.
+    streams never share noise. Each edge is computed once per provider and
+    remembered, since the triangles of one verification share edges.
     """
 
     def __init__(
@@ -222,10 +223,15 @@ class SimDelayProvider:
         self._model = model
         self._stream = stream
         self._extra_target_ms = extra_target_ms
+        self._measured: dict[tuple[str, str], float] = {}
 
     def measure(
         self, verifier_id: str, endpoint_id: str, probes: int, timeout: float
     ) -> Optional[float]:
+        edge = (verifier_id, endpoint_id)
+        rtt = self._measured.get(edge)
+        if rtt is not None:
+            return rtt
         origin = self._verifiers[verifier_id]
         is_target = endpoint_id == TARGET
         dest = self._true_loc if is_target else self._verifiers[endpoint_id]
@@ -233,6 +239,7 @@ class SimDelayProvider:
         rtt = simulated_rtt(origin, dest, self._model, rng, is_target)
         if is_target:
             rtt += self._extra_target_ms
+        self._measured[edge] = rtt
         return rtt
 
 

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Optional, Protocol, Sequence
 
 from .geo import (
+    EARTH_RADIUS_KM,
     _cross,
     _dot,
     _unit,
@@ -141,10 +142,10 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lambda_ms) and self.lambda_ms >= 0):
             raise ValueError("lambda_ms must be a finite number >= 0")
-        if self.probes_per_measurement < 1:
-            raise ValueError("probes_per_measurement must be >= 1")
-        if self.max_triangles < 1:
-            raise ValueError("max_triangles must be >= 1")
+        for name in ("probes_per_measurement", "max_triangles"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         if not (math.isfinite(self.measurement_timeout) and self.measurement_timeout > 0):
             raise ValueError("measurement_timeout must be a finite number > 0")
 
@@ -247,13 +248,35 @@ def _validated(verifiers: Sequence[VerifierInput]) -> tuple[VerifierInput, ...]:
 # next verifier: once twice that distance exceeds the k-th best perimeter,
 # no unseen triangle can enter the top k.
 #
-# The slack absorbs haversine rounding and the sign test's edge
-# tolerance, which lets a point lie outside a triangle by a distance of
+# Why a side may be dropped. With q as above, d(a, q) = d(a, p) + d(p, q)
+# and d(b, q) + d(q, c) = d(b, c), so
+#     d(a, p) + d(b, p) <= d(a, p) + d(p, q) + d(q, b)
+#                        = d(a, q) + d(q, b)
+#                       <= d(a, c) + d(c, q) + d(q, b) = d(a, c) + d(c, b),
+# and the perimeter of every triangle with side (a, b) that contains p is
+# at least d(a, b) + d(a, p) + d(b, p), the side's bound. A triangle's
+# perimeter is at least the bound of each of its three sides, so once the
+# k-th best perimeter is below a side's bound, no triangle through that
+# side can enter the top k; the k-th best only shrinks, so the side can be
+# dropped for good.
+#
+# The slack covers rounding and the sign test's tolerance. Both bounds
+# take every distance, to p as between verifiers, as atan2(|u x v|, u.v)
+# of unit vectors, while perimeters are summed from haversine distances;
+# both are accurate to well under a metre, near-antipodal pairs included.
+# The edge tolerance lets a point lie outside a triangle by a distance of
 # order EARTH_RADIUS_KM * _EDGE_EPS over the sines of its shortest side and
-# sharpest angle. 1 km covers that unless their product is below ~1e-8
+# sharpest angle, which weakens either inequality by at most twice that
+# distance. 1 km covers all of it unless that product is below ~1e-8
 # (sides or angles of centimetres), and costs a few extra triples on
 # near-ties only.
 _STOP_SLACK_KM = 1.0
+
+
+def _arc_km(u, cross, v) -> float:
+    """Great-circle distance in km between unit vectors u and v, given
+    cross = u x v (or v x u)."""
+    return EARTH_RADIUS_KM * math.atan2(math.sqrt(_dot(cross, cross)), _dot(u, v))
 
 
 def enumerate_triangles(
@@ -271,11 +294,16 @@ def enumerate_triangles(
 
     Verifiers are visited in ascending great-circle distance from
     `asserted`, each one closing the triples it forms with those visited
-    before it, and the k best are kept. The search stops once twice the
-    next verifier's distance exceeds the k-th best perimeter (plus a small
-    slack): every vertex of a containing triangle lies within half its
-    perimeter of the point. Cross products and distances are computed
-    only for the pairs visited, and Triangle objects only for the result.
+    before it, and the k best are kept. Two bounds cut the work once the
+    top k is full, each against the k-th best perimeter plus a small
+    slack: the search stops when twice the next verifier's distance
+    exceeds it (every vertex of a containing triangle lies within half
+    its perimeter of the point), and a verifier pair (a, b) is dropped,
+    or never formed, when d(a, b) + d(a, p) + d(b, p) exceeds it (every
+    containing triangle with side (a, b) is at least that long). Both
+    bounds are tested before containment. Cross products are computed
+    only for the pairs visited, perimeters only for containing triples
+    that pass both bounds, and Triangle objects only for the result.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -283,7 +311,7 @@ def enumerate_triangles(
     locs = [loc for _, loc in ordered]
     units = [_unit(loc) for loc in locs]
     up = _unit(asserted)
-    reach = [great_circle_distance(asserted, loc) for loc in locs]
+    reach = [_arc_km(u, _cross(u, up), up) for u in units]
 
     # Every triple is tested as (i, j, k) with i < j < k in id order, and
     # every pair's cross product as (i, j), i < j, so each float the test
@@ -298,20 +326,30 @@ def enumerate_triangles(
         return d
 
     best: list[tuple[float, int, int, int]] = []
+    # The k-th best perimeter plus slack once the top k is full, and its
+    # value when the pairs were last filtered against it.
+    cutoff = pruned_at = math.inf
     visited: list[int] = []
-    # (a, b, position of a, position of b, cross(a, b), its side of p), a < b
-    pairs: list[tuple[int, int, int, int, tuple[float, float, float], float]] = []
+    # (a, b, position of a, position of b, cross(a, b), its side of p,
+    # side bound), a < b
+    pairs: list[tuple[int, int, int, int, tuple[float, float, float], float, float]] = []
     for m in sorted(range(n), key=reach.__getitem__):
-        if limit is not None and len(best) == limit:
-            if 2.0 * reach[m] > best[-1][0] + _STOP_SLACK_KM:
-                break
+        reach_m = reach[m]
+        if 2.0 * reach_m > cutoff:
+            break
+        um = units[m]
         # Cross products of m with each visited verifier, by visit position.
-        row = [_cross(units[x], units[m]) if x < m else _cross(units[m], units[x]) for x in visited]
+        row = [_cross(units[x], um) if x < m else _cross(um, units[x]) for x in visited]
         row_side = [_dot(cross, up) for cross in row]
-        for a, b, pa, pb, ab, side_ab in pairs:
+        row_bound = [
+            _arc_km(units[x], cross, um) + reach[x] + reach_m for x, cross in zip(visited, row)
+        ]
+        for a, b, pa, pb, ab, side_ab, _ in pairs:
+            if row_bound[pa] > cutoff or row_bound[pb] > cutoff:
+                continue
             if m > b:  # (a, b, m)
                 i, j, k = a, b, m
-                ij, uk = ab, units[m]
+                ij, uk = ab, um
                 pij, pjk, pik = side_ab, row_side[pb], row_side[pa]
             elif m > a:  # (a, m, b)
                 i, j, k = a, m, b
@@ -326,15 +364,22 @@ def enumerate_triangles(
             ):
                 continue
             key = (dist(i, j) + dist(j, k) + dist(i, k), i, j, k)
-            if limit is not None and len(best) == limit:
+            if len(best) == limit:
                 if key >= best[-1]:
                     continue
                 best.pop()
             insort(best, key)
+            if len(best) == limit:
+                cutoff = best[-1][0] + _STOP_SLACK_KM
+        if cutoff < pruned_at:
+            pairs = [pair for pair in pairs if pair[-1] <= cutoff]
+            pruned_at = cutoff
         t = len(visited)
         pairs.extend(
-            (x, m, s, t, row[s], row_side[s]) if x < m else (m, x, t, s, row[s], row_side[s])
-            for s, x in enumerate(visited)
+            (x, m, s, t, row[s], row_side[s], bound) if x < m
+            else (m, x, t, s, row[s], row_side[s], bound)
+            for s, (x, bound) in enumerate(zip(visited, row_bound))
+            if bound <= cutoff
         )
         visited.append(m)
 

@@ -22,6 +22,7 @@ from slv.manager import (
     CacheEntry,
     HttpLocator,
     InsufficientVerifiersError,
+    InvalidAddressError,
     LiveDelayProvider,
     LocatorConfig,
     ManagerConfig,
@@ -640,6 +641,60 @@ class TestHttpApi:
         assert status == 404
 
 
+class TestHttpErrorMapping:
+    """Only the address check answers 400; any other failure is a logged 500."""
+
+    class RaisingService:
+        registry_size = 3
+
+        def __init__(self, exc):
+            self.exc = exc
+
+        def handle_verify_request(self, ip):
+            raise self.exc
+
+    @pytest.fixture
+    def serve(self):
+        servers = []
+
+        def start(service):
+            server = ManagerHTTPServer(service, "127.0.0.1", 0)
+            server.serve_in_background()
+            servers.append(server)
+            return server
+
+        yield start
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize("exc", [
+        ValueError("math domain error"),
+        InsufficientVerifiersError("2 verifiers registered"),
+        RuntimeError("boom"),
+    ])
+    def test_other_failures_are_logged_500(self, serve, caplog, exc):
+        server = serve(self.RaisingService(exc))
+        with caplog.at_level("ERROR", logger="slv.manager"):
+            status, body = api_get(server, "/verify?ip=9.9.9.9")
+        assert status == 500
+        assert "invalid ip address" not in body["error"]
+        assert str(exc) in body["error"]
+        assert any(r.exc_info and r.exc_info[1] is exc for r in caplog.records)
+
+    def test_address_error_is_400(self, serve):
+        server = serve(self.RaisingService(InvalidAddressError("invalid ip address: 'x'")))
+        assert api_get(server, "/verify?ip=x") == (400, {"error": "invalid ip address: 'x'"})
+
+    def test_service_raises_address_error_for_bad_address(self, tmp_path):
+        registry = load_verifier_registry(write_registry(tmp_path))
+        service = ManagerService(registry, FixedLocator({}), lambda ip: None,
+                                 ManagerConfig(registry_path="x"))
+        for bad in ("bogus", "1.2.3", "10.0.0.0/8", ""):
+            with pytest.raises(InvalidAddressError):
+                service.handle_verify_request(bad)
+
+
 class _StubAgentHandler(socketserver.StreamRequestHandler):
     def handle(self):
         for line in self.rfile:
@@ -753,6 +808,14 @@ class TestManagerConfig:
         config_path = tmp_path / "manager.json"
         # json writes NaN as the bare literal it also accepts on reading
         config_path.write_text(json.dumps({"registry": "x", key: math.nan}))
+        with pytest.raises(ValueError):
+            ManagerConfig.from_file(config_path)
+
+    @pytest.mark.parametrize("key", ["max_triangles", "probes_per_measurement"])
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_rejects_non_integer_counts(self, tmp_path, key, bad):
+        config_path = tmp_path / "manager.json"
+        config_path.write_text(json.dumps({"registry": "x", key: bad}))
         with pytest.raises(ValueError):
             ManagerConfig.from_file(config_path)
 

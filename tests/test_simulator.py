@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -102,6 +103,28 @@ class TestSimDelayProvider:
                                  extra_target_ms=30.0)
         assert relay.measure("v1", TARGET, 1, 1) == plain.measure("v1", TARGET, 1, 1) + 30.0
         assert relay.measure("v1", "v2", 1, 1) == plain.measure("v1", "v2", 1, 1)
+
+    def test_each_edge_is_seeded_once_with_unchanged_values(self, monkeypatch):
+        verifiers = {"v1": Location(40, -100), "v2": Location(45, -90), "v3": Location(35, -95)}
+        edges = [(v, e) for v in verifiers for e in (TARGET, *verifiers) if e != v]
+        # one fresh provider per call measures without any memory
+        expected = {
+            (v, e): SimDelayProvider(verifiers, Location(41, -96), CALIBRATED, stream="7")
+            .measure(v, e, 1, 1)
+            for v, e in edges
+        }
+        seeds = []
+
+        class CountingRandom(random.Random):
+            def seed(self, a=None, version=2):
+                seeds.append(a)
+                super().seed(a, version)
+
+        monkeypatch.setattr("slv.simulator.random", SimpleNamespace(Random=CountingRandom))
+        provider = SimDelayProvider(verifiers, Location(41, -96), CALIBRATED, stream="7")
+        for order in (edges, list(reversed(edges)), edges):
+            assert {(v, e): provider.measure(v, e, 1, 1) for v, e in order} == expected
+        assert len(seeds) == len(set(seeds)) == len(edges)
 
 
 class TestScenarioTypes:

@@ -2,6 +2,7 @@ import math
 import random
 from datetime import datetime, timezone
 from itertools import combinations
+from typing import Optional
 
 import pytest
 
@@ -251,8 +252,9 @@ def oracle(verifiers, asserted: Location) -> list[Triangle]:
     return [triangle for _, _, triangle in found]
 
 
-def _instance(rng: random.Random, kind: str):
-    """A verifier layout of 3 to 40 verifiers and a few points to test.
+def _instance(rng: random.Random, kind: str, n: Optional[int] = None):
+    """A verifier layout of n verifiers (3 to 40 when None) and a few
+    points to test.
 
     uniform: verifiers anywhere in a random box. lattice: distinct nodes
     of a grid through the equator, so rows on the equator and columns
@@ -260,7 +262,7 @@ def _instance(rng: random.Random, kind: str):
     triangles give perimeter ties; points are nodes and half-steps, many
     on edges. antimeridian: a box spanning longitude 180.
     """
-    n = rng.randint(3, 40)
+    n = n or rng.randint(3, 40)
     if kind == "lattice":
         step = rng.choice([1.0, 2.5, 5.0, 10.0])
         side = math.ceil(math.sqrt(n)) + 1
@@ -299,9 +301,17 @@ class TestTopKMatchesOracle:
         ("uniform", 1), ("uniform", 2), ("lattice", 3), ("lattice", 4), ("antimeridian", 5),
     ])
     def test_head_of_full_list(self, kind, seed):
-        rng = random.Random(seed)
-        for _ in range(12):
-            verifiers, points = _instance(rng, kind)
+        self._check(random.Random(seed), kind, instances=12)
+
+    @pytest.mark.parametrize("kind, seed", [("uniform", 7), ("lattice", 8), ("antimeridian", 9)])
+    def test_head_of_full_list_at_80_verifiers(self, kind, seed):
+        # most pairs of a layout this large fail the side bound
+        self._check(random.Random(seed), kind, instances=3, n=80)
+
+    @staticmethod
+    def _check(rng: random.Random, kind: str, instances: int, n: Optional[int] = None):
+        for _ in range(instances):
+            verifiers, points = _instance(rng, kind, n)
             for p in points:
                 full = [t.verifier_ids for t in oracle(verifiers, p)]
                 assert any_triangle_contains(verifiers, p) == bool(full)
@@ -315,6 +325,27 @@ class TestTopKMatchesOracle:
         for p in points:
             assert enumerate_triangles(verifiers, p) == oracle(verifiers, p)
             assert enumerate_triangles(verifiers, p, 4) == oracle(verifiers, p)[:4]
+
+    def test_pruning_bounds_containment_tests(self, monkeypatch):
+        # Without the side bound the search makes ~1150 containment tests
+        # per point on this layout, with it ~230; a bound that silently
+        # stops pruning lands far above the limit.
+        scenario = generate_scenario(
+            40, 64, 0, 0,
+            bounds=RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0),
+            seed=3,
+        )
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return spherical_containment(*args)
+
+        monkeypatch.setattr(slv.verify, "spherical_containment", counting)
+        for server in scenario.servers:
+            assert enumerate_triangles(scenario.verifiers, server.asserted_loc, 4)
+        assert calls / len(scenario.servers) < 500
 
     def test_simulator_verdicts_identical(self, monkeypatch):
         scenario = generate_scenario(
@@ -335,8 +366,9 @@ class TestTopKMatchesOracle:
 
 
 class TestStopBound:
-    """Every vertex of a spherical triangle containing p lies within half
-    the perimeter of p: the bound the top-k search stops on."""
+    """The bounds the top-k search prunes on, for a point p in a spherical
+    triangle: every vertex lies within half the perimeter of p, and the
+    perimeter is at least d(a, b) + d(a, p) + d(b, p) for each side (a, b)."""
 
     @staticmethod
     def _sphere(rng: random.Random) -> Location:
@@ -346,10 +378,13 @@ class TestStopBound:
     def _straddling(rng: random.Random) -> Location:
         return Location(rng.uniform(-40.0, 40.0), rng.uniform(-60.0, 60.0))
 
-    def test_vertices_within_half_perimeter(self):
-        rng = random.Random(41)
+    def _inside_points(self, seed: int, trials: int = 3000):
+        """(vertices, p) with p in the triangle, over triangles drawn on
+        the whole sphere (many sides over 90 degrees) and across the
+        equator, in equal numbers."""
+        rng = random.Random(seed)
         long_sides = straddling = 0
-        for trial in range(3000):
+        for trial in range(trials):
             draw = self._sphere if trial % 2 else self._straddling
             vertices = tuple(draw(rng) for _ in range(3))
             try:
@@ -372,13 +407,31 @@ class TestStopBound:
             )
             if not point_in_spherical_triangle(p, t):
                 continue  # rounding put it just outside
-            half = perimeter(t) / 2.0
-            for v in vertices:
-                assert great_circle_distance(p, v) <= half + _STOP_SLACK_KM
             sides = [great_circle_distance(a, b) for a, b in combinations(vertices, 2)]
             long_sides += max(sides) > math.pi / 2 * 6371.0
             straddling += min(v.lat for v in vertices) < 0 < max(v.lat for v in vertices)
+            yield vertices, p
         assert long_sides > 100 and straddling > 100
+
+    def test_vertices_within_half_perimeter(self):
+        for vertices, p in self._inside_points(41):
+            half = perimeter(Triangle(vertices, ("a", "b", "c"))) / 2.0
+            for v in vertices:
+                assert great_circle_distance(p, v) <= half + _STOP_SLACK_KM
+
+    def test_side_bound(self):
+        # exact up to rounding: far tighter than the search's slack
+        tol_km = 1e-6
+        for vertices, p in self._inside_points(43):
+            total = perimeter(Triangle(vertices, ("a", "b", "c")))
+            reach = [great_circle_distance(p, v) for v in vertices]
+            for x, y in combinations(range(3), 2):
+                (z,) = {0, 1, 2} - {x, y}
+                a, b, c = vertices[x], vertices[y], vertices[z]
+                assert reach[x] + reach[y] <= (
+                    great_circle_distance(a, c) + great_circle_distance(c, b) + tol_km
+                )
+                assert total >= great_circle_distance(a, b) + reach[x] + reach[y] - tol_km
 
 
 class TestMessageTypes:
@@ -427,6 +480,17 @@ class TestMessageTypes:
             VerifyConfig(probes_per_measurement=0)
         with pytest.raises(ValueError):
             VerifyConfig(max_triangles=0)
+
+    @pytest.mark.parametrize("key", ["max_triangles", "probes_per_measurement"])
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, "4", None])
+    def test_counts_must_be_integers(self, key, bad):
+        # a fractional max_triangles never equals len(best), which would
+        # turn off both the search's stop and its pruning
+        with pytest.raises(ValueError):
+            VerifyConfig(**{key: bad})
+        with pytest.raises(ValueError):
+            VerifyConfig.from_dict({key: bad})
+        assert getattr(VerifyConfig.from_dict({key: 3}), key) == 3
 
 
 def make_ip(loc: Location, value: str = "1.2.3.4") -> IPInfo:
