@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .verify import TARGET, format_timestamp, utc_now
+from .verify import MAX_PROBES, MAX_TIMEOUT_S, TARGET, format_timestamp, utc_now
 
 log = logging.getLogger(__name__)
 
@@ -38,9 +38,21 @@ PROBE_SPACING_S = 0.05
 # Seconds AgentConnection waits to establish its connection to an agent.
 CONNECT_TIMEOUT_S = 5.0
 
+# Most peers one request may name. Together with MAX_PROBES and
+# MAX_TIMEOUT_S this bounds the connections and the time one request can
+# make an agent spend, so an agent cannot be used as a scanning relay.
+MAX_PEERS = 16
+
 
 class ProtocolError(ValueError):
     """A request or response does not follow the wire protocol."""
+
+
+def _check_limits(probes: int, timeout: float) -> None:
+    if not 1 <= probes <= MAX_PROBES:
+        raise ProtocolError(f"probes must be in [1, {MAX_PROBES}]")
+    if not 0 < timeout <= MAX_TIMEOUT_S:
+        raise ProtocolError(f"timeout must be a number in (0, {MAX_TIMEOUT_S}]")
 
 
 def _check_address(host: str, port: int, what: str) -> None:
@@ -68,6 +80,8 @@ class MeasureRequest:
     Measures the target (when given) and every peer. Endpoint ids in the
     response are TARGET for the target and the verifier id for each peer,
     so ids must be unique and no peer may claim the reserved TARGET id.
+    A request names at most MAX_PEERS peers, at most MAX_PROBES probes and
+    a timeout of at most MAX_TIMEOUT_S seconds.
     """
 
     request_id: str
@@ -82,6 +96,8 @@ class MeasureRequest:
             raise ProtocolError("request_id must be non-empty")
         if self.target is None and not self.peers:
             raise ProtocolError("request must name a target or at least one peer")
+        if len(self.peers) > MAX_PEERS:
+            raise ProtocolError(f"request names more than {MAX_PEERS} peers")
         if self.target is not None:
             _check_address(self.target[0], self.target[1], "target")
         ids = [TARGET] + [p.verifier_id for p in self.peers]
@@ -91,10 +107,7 @@ class MeasureRequest:
             if not peer.verifier_id:
                 raise ProtocolError("peer verifier_id must be non-empty")
             _check_address(peer.host, peer.port, f"peer {peer.verifier_id}")
-        if self.probes < 1:
-            raise ProtocolError("probes must be >= 1")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ProtocolError("timeout must be a finite number > 0")
+        _check_limits(self.probes, self.timeout)
 
     def to_wire(self) -> dict:
         return {
@@ -120,6 +133,8 @@ class MeasureRequest:
         if not isinstance(data, dict):
             raise ProtocolError("request must be a JSON object")
         try:
+            if len(data.get("peers") or ()) > MAX_PEERS:
+                raise ProtocolError(f"request names more than {MAX_PEERS} peers")
             target = data.get("target")
             peers = tuple(
                 PeerSpec(
@@ -299,6 +314,7 @@ class AgentServer(socketserver.ThreadingTCPServer):
         default_probes: int = DEFAULT_PROBES,
         default_timeout: float = DEFAULT_TIMEOUT,
     ) -> None:
+        _check_limits(default_probes, default_timeout)
         super().__init__((host, port), _AgentHandler)
         self.default_probes = default_probes
         self.default_timeout = default_timeout

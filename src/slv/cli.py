@@ -14,7 +14,7 @@ import urllib.error
 import urllib.request
 from urllib.parse import quote
 
-from .agent import DEFAULT_AGENT_PORT, DEFAULT_PROBES, DEFAULT_TIMEOUT, AgentServer
+from .agent import DEFAULT_AGENT_PORT, DEFAULT_PROBES, DEFAULT_TIMEOUT, AgentServer, ProtocolError
 from .manager import DEFAULT_API_PORT, ManagerConfig, ManagerHTTPServer, ManagerService
 from .pinning import (
     DEFAULT_RMAX,
@@ -180,7 +180,7 @@ def cmd_pin(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         scenario = SimScenario.load(args.scenario)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot load scenario {args.scenario}: {exc}")
     if args.seed is not None:
         from dataclasses import replace
@@ -206,6 +206,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             server = AgentServer(
                 args.host, args.port, default_probes=args.probes, default_timeout=args.timeout
             )
+        except ProtocolError as exc:
+            return _fail(f"invalid agent settings: {exc}")
         except OSError as exc:
             return _fail(f"cannot bind {args.host}:{args.port}: {exc}")
         host, port = server.bound_address

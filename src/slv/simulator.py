@@ -11,16 +11,16 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from typing import Optional
 
 from .geo import Location, destination_point, great_circle_distance, min_rtt_for_distance
 from .verify import (
     TARGET,
     IPInfo,
     Reason,
+    Coverage,
     VerifierInput,
     VerifyConfig,
-    any_triangle_contains,
     verify_location,
 )
 
@@ -158,15 +158,20 @@ class SimScenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimScenario":
-        return cls(
-            verifiers=[
-                (str(v["id"]), Location(float(v["lat"]), float(v["lon"])))
-                for v in data["verifiers"]
-            ],
-            servers=[SimServer.from_dict(s) for s in data["servers"]],
-            model=DelayModel.from_dict(data.get("model", {})),
-            cfg=VerifyConfig.from_dict(data.get("cfg", {})),
-        )
+        """The scenario that to_dict wrote; raises ScenarioError for data
+        of any other shape or with invalid values."""
+        try:
+            return cls(
+                verifiers=[
+                    (str(v["id"]), Location(float(v["lat"]), float(v["lon"])))
+                    for v in data["verifiers"]
+                ],
+                servers=[SimServer.from_dict(s) for s in data["servers"]],
+                model=DelayModel.from_dict(data.get("model", {})),
+                cfg=VerifyConfig.from_dict(data.get("cfg", {})),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -376,12 +381,10 @@ def _random_location(rng: random.Random, bounds: RegionBounds) -> Location:
     )
 
 
-def _covered_location(
-    rng: random.Random, bounds: RegionBounds, verifiers: Sequence[VerifierInput]
-) -> Location:
+def _covered_location(rng: random.Random, bounds: RegionBounds, coverage: Coverage) -> Location:
     for _ in range(1000):
         candidate = _random_location(rng, bounds)
-        if any_triangle_contains(verifiers, candidate):
+        if coverage.covers(candidate):
             return candidate
     raise ScenarioError("could not place a server inside any verifier triangle")
 
@@ -418,15 +421,16 @@ def generate_scenario(
 
     rng = random.Random(seed)
     verifiers = [(f"v{i + 1}", _random_location(rng, bounds)) for i in range(num_verifiers)]
+    coverage = Coverage(verifiers)
 
     servers: list[SimServer] = []
     for _ in range(num_honest):
-        loc = _covered_location(rng, bounds, verifiers)
+        loc = _covered_location(rng, bounds, coverage)
         servers.append(SimServer(true_loc=loc, asserted_loc=loc))
     adversaries = [Adversary(ADVERSARY_FALSE_ASSERTION)] * num_false_assertion
     adversaries += [Adversary(ADVERSARY_RELAY, extra_ms=relay_extra_ms)] * num_relay
     for adversary in adversaries:
-        asserted = _covered_location(rng, bounds, verifiers)
+        asserted = _covered_location(rng, bounds, coverage)
         true_loc = destination_point(asserted, rng.uniform(0.0, 360.0), rng.uniform(lo, hi))
         servers.append(SimServer(true_loc=true_loc, asserted_loc=asserted, adversary=adversary))
 

@@ -20,6 +20,7 @@ from typing import Optional, Protocol, Sequence
 
 from .geo import (
     EARTH_RADIUS_KM,
+    _EDGE_EPS,
     _cross,
     _dot,
     _unit,
@@ -35,6 +36,12 @@ from .geo import (
 # Endpoint id of the asserted webserver in measured RTTs and measure calls.
 # The other endpoint ids are verifier ids.
 TARGET = "target"
+
+# Largest probe count and per-measurement timeout in seconds that a
+# verifier agent accepts in one request. VerifyConfig keeps to the same
+# limits, so a manager never sends a request its agents refuse.
+MAX_PROBES = 16
+MAX_TIMEOUT_S = 30.0
 
 
 def utc_now() -> datetime:
@@ -131,7 +138,9 @@ class VerifyConfig:
 
     lambda_ms is the last-mile correction subtracted from each
     verifier-to-target RTT before testing; measurement_timeout is in
-    seconds and applies per endpoint measurement.
+    seconds and applies per endpoint measurement. probes_per_measurement
+    and measurement_timeout are capped at MAX_PROBES and MAX_TIMEOUT_S,
+    the most an agent accepts.
     """
 
     lambda_ms: float = 5.0
@@ -146,8 +155,10 @@ class VerifyConfig:
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
-        if not (math.isfinite(self.measurement_timeout) and self.measurement_timeout > 0):
-            raise ValueError("measurement_timeout must be a finite number > 0")
+        if self.probes_per_measurement > MAX_PROBES:
+            raise ValueError(f"probes_per_measurement must be <= {MAX_PROBES}")
+        if not 0 < self.measurement_timeout <= MAX_TIMEOUT_S:
+            raise ValueError(f"measurement_timeout must be a number in (0, {MAX_TIMEOUT_S}]")
 
     def to_dict(self) -> dict:
         return {
@@ -392,16 +403,77 @@ def enumerate_triangles(
     ]
 
 
-def any_triangle_contains(verifiers: Sequence[VerifierInput], point: Location) -> bool:
-    """Whether at least one verifier triangle contains the point.
+# Coverage: is a point in some verifier triangle? The sign test accepts p
+# in triangle (a, b, c) iff p = alpha*a + beta*b + gamma*c with alpha,
+# beta, gamma >= 0 (up to its tolerance), i.e. iff p is in the cone of the
+# three unit vectors. By Caratheodory's theorem for cones, a point in the
+# cone of all verifiers is in the cone of 3 linearly independent ones, so
+# the union of all verifier triangles is the verifiers' spherical convex
+# hull. When the verifiers lie in the open hemisphere centred on their
+# normalized centroid, the gnomonic projection about it maps great circles
+# to straight lines, so the hull is the planar convex hull of the
+# projected points, its edges minor arcs between hull verifiers, and the
+# fan triangles (h0, hi, hi+1) of the hull vertices tile it.
+#
+# Coverage answers as the scan over all triples would, on every input:
+# - True only after a triple passes spherical_containment computed with
+#   exactly the scan's floats: the unit vectors of _unit, the triple as
+#   (i, j, k) in id order and cross(u_i, u_j) with i < j. The scan then
+#   finds a passing triple too.
+# - False only when p lies outside some hull edge, with inward unit normal
+#   n and n.u >= -_EDGE_EPS checked for every verifier u at build time, by
+#   more than _HULL_MARGIN (n.p < -_HULL_MARGIN), and no triple of the
+#   layout's thin list passes. Proof that no other triple passes: let the
+#   test accept p in (a, b, c) with computed det D' >= _EDGE_EPS (the case
+#   D' <= -_EDGE_EPS is the same with all signs flipped). The exact
+#   coefficients A = (b x c).p, B = (c x a).p, C = (a x b).p are then
+#   >= -_EDGE_EPS - r, with r ~1e-16 the rounding of a triple product of
+#   unit vectors, and the identity D p = A a + B b + C c (exact for any
+#   vectors, D the exact det) dotted with n gives
+#       D (n.p) = A (n.a) + B (n.b) + C (n.c).
+#   A term with a negative coefficient is at least -(_EDGE_EPS + r), as
+#   n.u <= 1; one with a non-negative coefficient is at least about
+#   -_EDGE_EPS, as the coefficient is at most |b x c| <= 1 and
+#   n.u >= -_EDGE_EPS. So D (n.p) > -4 _EDGE_EPS, while
+#   n.p < -_HULL_MARGIN + r; hence D < 4 _EDGE_EPS / (_HULL_MARGIN - r),
+#   and D' < _THIN_DET with a factor of 2 to spare. The test's
+#   tolerance applies to the unnormalized products, so it is not a
+#   distance: a thin triple, with D' just above _EDGE_EPS, accepts points
+#   along its near great circle up to about its own length beyond its
+#   vertices, far outside the hull. That is why every triple with
+#   _EDGE_EPS <= |D'| < _THIN_DET is found when the layout is built (see
+#   _thin_triples) and tested on each such p, and why no margin alone
+#   could make False exact.
+# Everything else falls back to the scan: points within _HULL_MARGIN
+# outside the hull, a fan triple that is degenerate or fails the test, and
+# layouts with no checked hull (outside the centroid's open hemisphere,
+# fewer than 3 hull vertices).
+_HULL_MARGIN = 1e-4  # about 640 m on the earth's surface
+_THIN_DET = 8.0 * _EDGE_EPS / _HULL_MARGIN
 
-    Same containment rule as enumerate_triangles, scanning the triples in
-    lexicographic order and stopping at the first hit, which is much
-    cheaper when only coverage matters.
-    """
-    ordered = _validated(verifiers)
-    units = [_unit(loc) for _, loc in ordered]
-    up = _unit(point)
+# (det, cross(u_i, u_j), cross(u_j, u_k), cross(u_i, u_k)) of a triple
+# i < j < k, as the scan computes them.
+_Triple = tuple[float, tuple, tuple, tuple]
+
+
+def _triple(units, i: int, j: int, k: int) -> _Triple:
+    i, j, k = sorted((i, j, k))
+    ij = _cross(units[i], units[j])
+    uk = units[k]
+    return (
+        ij[0] * uk[0] + ij[1] * uk[1] + ij[2] * uk[2],
+        ij, _cross(units[j], uk), _cross(units[i], uk),
+    )
+
+
+def _contains(triple: _Triple, up) -> Optional[bool]:
+    det, ij, jk, ik = triple
+    return spherical_containment(det, _dot(ij, up), _dot(jk, up), _dot(ik, up))
+
+
+def _scan(units, up) -> bool:
+    """Whether some triple of the unit vectors (in id order) contains up:
+    the exhaustive scan, stopping at the first hit."""
     n = len(units)
     crosses = [[_cross(units[i], units[j]) if j > i else None for j in range(n)] for i in range(n)]
     sides = [[_dot(c, up) if c is not None else 0.0 for c in row] for row in crosses]
@@ -417,6 +489,158 @@ def any_triangle_contains(verifiers: Sequence[VerifierInput], point: Location) -
                 ):
                     return True
     return False
+
+
+def _normalized(v) -> Optional[tuple[float, float, float]]:
+    norm = math.sqrt(_dot(v, v))
+    if norm < 1e-15:
+        return None
+    return (v[0] / norm, v[1] / norm, v[2] / norm)
+
+
+def _tangent_basis(u) -> tuple[tuple, tuple]:
+    """Orthonormal e1, e2 perpendicular to unit u, with e1 x e2 = u."""
+    axis = min(range(3), key=lambda i: abs(u[i]))
+    e1 = _normalized(_cross(u, tuple(float(i == axis) for i in range(3))))
+    return e1, _cross(u, e1)
+
+
+def _hull(units) -> Optional[list[int]]:
+    """Indices of the hull verifiers, counterclockwise seen from outside
+    the sphere, by a monotone chain over the gnomonic projection about the
+    normalized centroid; None when some verifier is not in the centroid's
+    open hemisphere or fewer than 3 hull vertices remain. Collinear
+    boundary verifiers are left out."""
+    centre = _normalized(tuple(sum(u[i] for u in units) for i in range(3)))
+    if centre is None:
+        return None
+    e1, e2 = _tangent_basis(centre)
+    points = []
+    for index, u in enumerate(units):
+        m = _dot(u, centre)
+        if m <= 0.0:
+            return None
+        points.append((_dot(u, e1) / m, _dot(u, e2) / m, index))
+    points.sort()
+
+    def chain(ordered) -> list:
+        out: list = []
+        for q in ordered:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (q[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (q[0] - out[-2][0])
+            ) <= 0.0:
+                out.pop()
+            out.append(q)
+        return out[:-1]
+
+    hull = chain(points) + chain(reversed(points))
+    return [q[2] for q in hull] if len(hull) >= 3 else None
+
+
+def _thin_triples(units) -> list[_Triple]:
+    """Every triple whose computed det D' has _EDGE_EPS <= |D'| < _THIN_DET.
+
+    For unit a, b, c, with s_b, s_c the sines of the arcs ab, ac and
+    psi_b, psi_c the bearings of b and c seen from a,
+        (a x b).c = s_b s_c sin(psi_c - psi_b).
+    When s_b <= s_c, |D'| < _THIN_DET thus needs |sin(psi_c - psi_b)| below
+    about w = _THIN_DET / s_b**2, and c within pi * w of b in the doubled
+    bearing 2 psi (which puts c on either side of a at the same place);
+    twice that reach leaves ample room for rounding. Each triple is looked
+    for from its lowest index a, within the reach of whichever of b and c
+    has the smaller sine. Seen from a, the doubled bearings are sorted, and
+    a point within reach of another is within reach of the neighbour on
+    its side too, so only neighbours closer than the larger reach of the
+    two start a walk.
+    """
+    n = len(units)
+    tau = math.tau
+    found: set[tuple[int, int, int]] = set()
+    for a in range(n - 2):
+        (x1, y1, z1), (x2, y2, z2) = _tangent_basis(units[a])
+        rows = sorted(
+            (2.0 * math.atan2(y, x) % tau, math.hypot(x, y), b)
+            for b, x, y in (
+                (b, u[0] * x1 + u[1] * y1 + u[2] * z1, u[0] * x2 + u[1] * y2 + u[2] * z2)
+                for b, u in enumerate(units[a + 1:], a + 1)
+            )
+        )
+        m = len(rows)
+        phis = [row[0] for row in rows]
+        reach = [2.0 * math.pi * _THIN_DET / (s * s) if s > 0.0 else math.inf for _, s, _ in rows]
+        gaps = [later - earlier for earlier, later in zip(phis, phis[1:])]
+        gaps.append(phis[0] + tau - phis[-1])
+        for pos in range(m):
+            nxt = (pos + 1) % m
+            if gaps[pos] > reach[pos] and gaps[pos] > reach[nxt]:
+                continue
+            for start, step in ((pos, 1), (nxt, -1)):
+                phi, b, limit = phis[start], rows[start][2], reach[start]
+                for offset in range(1, m):
+                    other = (start + step * offset) % m
+                    if min((phis[other] - phi) % tau, (phi - phis[other]) % tau) > limit:
+                        break
+                    found.add(tuple(sorted((a, b, rows[other][2]))))
+    triples = (_triple(units, *t) for t in found)
+    return [t for t in triples if _EDGE_EPS <= abs(t[0]) < _THIN_DET]
+
+
+class Coverage:
+    """Whether a point lies in some verifier triangle, for one layout.
+
+    Built once per verifier layout; covers(point) agrees with a scan of
+    every triple under the containment rule of enumerate_triangles on
+    every input, and costs O(h) for h hull verifiers plus the layout's
+    (rare) thin triples, instead of up to C(n, 3) tests. See the comment
+    above _HULL_MARGIN for why the hull decides exactly, and when the scan
+    is still run.
+    """
+
+    def __init__(self, verifiers: Sequence[VerifierInput]) -> None:
+        ordered = _validated(verifiers)
+        self._units = units = [_unit(loc) for _, loc in ordered]
+        # Inward unit normals of the hull edges, (boundary ray to the next
+        # fan vertex, fan triple) per fan triangle, and the thin triples,
+        # found when the first point outside the hull needs them; no
+        # normals means every point goes to the scan.
+        self._normals: list[tuple[float, float, float]] = []
+        self._fan: list[tuple[tuple, _Triple]] = []
+        self._thin: Optional[list[_Triple]] = None
+        hull = _hull(units)
+        if hull is None:
+            return
+        normals = []
+        for h, nxt in zip(hull, hull[1:] + hull[:1]):
+            normal = _normalized(_cross(units[h], units[nxt]))
+            if normal is None or any(_dot(normal, u) < -_EDGE_EPS for u in units):
+                return
+            normals.append(normal)
+        self._normals = normals
+        h0 = hull[0]
+        self._fan = [
+            (_cross(units[h0], units[hull[f + 2]]), _triple(units, h0, hull[f + 1], hull[f + 2]))
+            for f in range(len(hull) - 2)
+        ]
+
+    def covers(self, point: Location) -> bool:
+        """Whether at least one verifier triangle contains the point
+        (boundary inclusive; triples on one great circle contain nothing)."""
+        up = _unit(point)
+        if not self._normals:
+            return _scan(self._units, up)
+        for normal in self._normals:
+            if _dot(normal, up) < -_HULL_MARGIN:
+                if self._thin is None:
+                    self._thin = _thin_triples(self._units)
+                return any(_contains(t, up) for t in self._thin)
+        fan = self._fan
+        f = 0
+        while f < len(fan) - 1 and _dot(fan[f][0], up) >= 0.0:
+            f += 1
+        if _contains(fan[f][1], up):
+            return True
+        return _scan(self._units, up)
 
 
 def _measure_triangle(

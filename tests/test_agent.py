@@ -10,6 +10,7 @@ import slv.agent
 from conftest import free_port
 from slv.agent import (
     FAILED,
+    MAX_PEERS,
     AgentConnection,
     AgentServer,
     MeasureRequest,
@@ -21,7 +22,7 @@ from slv.agent import (
     handle_measure_request,
     measure_rtt,
 )
-from slv.verify import TARGET
+from slv.verify import MAX_PROBES, MAX_TIMEOUT_S, TARGET, VerifyConfig
 
 def dead_endpoint() -> tuple[str, int]:
     """A loopback port with no listener: connections are refused.
@@ -211,6 +212,45 @@ class TestMeasureRequestValidation:
         req = MeasureRequest(**self.good())
         assert MeasureRequest.from_wire(req.to_wire()) == req
 
+    @staticmethod
+    def peers(count: int) -> tuple[PeerSpec, ...]:
+        return tuple(PeerSpec(f"v{i}", "127.0.0.1", 1000 + i) for i in range(count))
+
+    def test_caps(self):
+        MeasureRequest(**self.good(probes=MAX_PROBES, timeout=MAX_TIMEOUT_S,
+                                   peers=self.peers(MAX_PEERS)))
+        for bad in (dict(probes=MAX_PROBES + 1), dict(timeout=MAX_TIMEOUT_S + 0.5),
+                    dict(peers=self.peers(MAX_PEERS + 1))):
+            with pytest.raises(ProtocolError):
+                MeasureRequest(**self.good(**bad))
+            wire = {**MeasureRequest(**self.good()).to_wire(), **bad}
+            if "peers" in bad:
+                wire["peers"] = [{"verifier_id": p.verifier_id, "host": p.host, "port": p.port}
+                                 for p in bad["peers"]]
+            with pytest.raises(ProtocolError):
+                MeasureRequest.from_wire(wire)
+        with pytest.raises(ProtocolError):
+            MeasureRequest.from_wire({**MeasureRequest(**self.good()).to_wire(), "peers": 5})
+
+    def test_caps_admit_every_config_a_manager_can_load(self):
+        # VerifyConfig refuses what the agent refuses, so a manager never
+        # builds a request its agents reject; the defaults fit both.
+        cfg = VerifyConfig(probes_per_measurement=MAX_PROBES, measurement_timeout=MAX_TIMEOUT_S)
+        MeasureRequest(**self.good(probes=cfg.probes_per_measurement,
+                                   timeout=cfg.measurement_timeout))
+        MeasureRequest(**self.good(probes=VerifyConfig().probes_per_measurement,
+                                   timeout=VerifyConfig().measurement_timeout))
+        with pytest.raises(ValueError):
+            VerifyConfig(probes_per_measurement=MAX_PROBES + 1)
+        with pytest.raises(ValueError):
+            VerifyConfig(measurement_timeout=MAX_TIMEOUT_S + 0.5)
+
+    def test_agent_defaults_are_capped(self):
+        for bad in (dict(default_probes=MAX_PROBES + 1), dict(default_timeout=MAX_TIMEOUT_S + 1),
+                    dict(default_probes=0)):
+            with pytest.raises(ProtocolError):
+                AgentServer("127.0.0.1", 0, **bad)
+
     def test_response_wire_failed_marker(self):
         resp = MeasureResponse(request_id="r1", rtts={"target": 3.25, "v2": None})
         wire = resp.to_wire()
@@ -366,6 +406,23 @@ class TestAgentServer:
                 sock.sendall(wire.encode() + b"\n")
                 reply = json.loads(reader.readline())
                 assert reply["request_id"] == "bad" and "error" in reply
+            sock.sendall(json.dumps(good.to_wire()).encode() + b"\n")
+            assert json.loads(reader.readline())["request_id"] == "ok"
+
+    def test_requests_over_the_caps_get_error_reply_and_keep_the_connection(
+        self, agent, tcp_listener
+    ):
+        good = MeasureRequest(request_id="ok", target=tcp_listener.address, probes=1, timeout=1.0)
+        many = [{"verifier_id": f"v{i}", "host": "127.0.0.1", "port": 1000 + i}
+                for i in range(MAX_PEERS + 1)]
+        with socket.create_connection(agent.bound_address, timeout=5) as sock:
+            reader = sock.makefile("rb")
+            for field, value in (("probes", MAX_PROBES + 1), ("timeout", MAX_TIMEOUT_S + 1.0),
+                                 ("peers", many)):
+                wire = json.dumps({**good.to_wire(), "request_id": "big", field: value})
+                sock.sendall(wire.encode() + b"\n")
+                reply = json.loads(reader.readline())
+                assert reply["request_id"] == "big" and "error" in reply
             sock.sendall(json.dumps(good.to_wire()).encode() + b"\n")
             assert json.loads(reader.readline())["request_id"] == "ok"
 

@@ -269,6 +269,21 @@ class TestCmdSimulate:
         path.write_text(json.dumps(data))
         assert run_cli("simulate", "--scenario", str(path)) == 1
 
+    @pytest.mark.parametrize("shape", [
+        [1, 2],
+        {"verifiers": None, "servers": []},
+        {"verifiers": [], "servers": [{"true_loc": 5}]},
+        {"verifiers": [{"id": "v1", "lat": 1.0, "lon": 2.0}], "servers": [], "model": 5},
+        {"servers": []},
+    ])
+    def test_malformed_scenario_gets_a_clean_error(self, tmp_path, capsys, shape):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(shape))
+        assert run_cli("simulate", "--scenario", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load scenario {path}")
+        assert "Traceback" not in err
+
 
 class TestCmdServe:
     def test_manager_with_too_few_verifiers_exits_one(self, tmp_path, capsys):
@@ -284,6 +299,14 @@ class TestCmdServe:
         }))
         assert run_cli("serve", "manager", "--config", str(config)) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [("--probes", "17"), ("--timeout", "31"),
+                                               ("--probes", "0"), ("--timeout", "nan")])
+    def test_verifier_over_the_request_caps_exits_one(self, capsys, option, value):
+        port = str(free_port())
+        assert run_cli("serve", "verifier", "--host", "127.0.0.1", "--port", port,
+                       option, value) == 1
+        assert "invalid agent settings" in capsys.readouterr().err
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         assert run_cli("serve", "manager", "--config", str(tmp_path / "nope.json")) == 1

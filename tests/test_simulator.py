@@ -32,6 +32,11 @@ NOISELESS = DelayModel(circuitousness=1.0, lastmile_ms=5.0, jitter_ms=0.0, seed=
 # sha256 of the run_experiment rows of TestRunExperiment's golden scenarios.
 GOLDEN_VERDICT_DIGEST = "531b7713995c9babe2185391eac53100e28ec5d4fa8511693c4a5fcbb7950a0f"
 
+# sha256 of the generate_scenario output of TestGenerateScenario's golden
+# configurations, recorded before server placement moved from a scan of
+# all verifier triples to the hull test.
+GOLDEN_SCENARIO_DIGEST = "ddfa55cb50b32c997f5e0520eee5a8021268be6291144fac514820775fa154ed"
+
 
 def quick_cfg(**overrides) -> VerifyConfig:
     defaults = dict(lambda_ms=5.0, probes_per_measurement=1, max_triangles=4,
@@ -174,6 +179,35 @@ class TestGenerateScenario:
         for server in scenario.servers:
             d = great_circle_distance(server.true_loc, server.asserted_loc)
             assert 3000.0 <= d <= 6000.0 + 1e-6
+
+    def test_scenarios_match_golden_digest(self):
+        # generate_scenario output must not drift per seed, byte for byte:
+        # server placement draws until a point is covered, so a coverage
+        # test that answers differently on one draw shifts every later
+        # draw. The first two are shaped like the sim_sweep benchmark's
+        # layouts; the others cover 3 verifiers, a polar cap, the equator
+        # and a layout spanning more than a hemisphere.
+        cases = (
+            (40, 3, 2, 1, BOUNDS, 23),
+            (40, 3, 2, 1, BOUNDS, 701),
+            (12, 10, 5, 5, BOUNDS, 4),
+            (3, 4, 2, 0, BOUNDS, 5),
+            (16, 6, 3, 0, RegionBounds(62.0, 89.0, -180.0, 180.0), 6),
+            (16, 6, 3, 0, RegionBounds(-10.0, 10.0, -40.0, 40.0), 7),
+            (10, 6, 3, 0, RegionBounds(-60.0, 60.0, -180.0, 180.0), 8),
+        )
+        blobs = [
+            json.dumps(
+                generate_scenario(
+                    verifiers, honest, false_assertion, relay,
+                    bounds=bounds, model=CALIBRATED, cfg=quick_cfg(), seed=seed,
+                ).to_dict(),
+                sort_keys=True,
+            )
+            for verifiers, honest, false_assertion, relay, bounds, seed in cases
+        ]
+        digest = hashlib.sha256("\n".join(blobs).encode()).hexdigest()
+        assert digest == GOLDEN_SCENARIO_DIGEST
 
 
 class TestRunExperiment:

@@ -26,13 +26,17 @@ from slv.geo import (
 )
 from slv.simulator import RegionBounds, generate_scenario, run_experiment
 from slv.verify import (
+    _EDGE_EPS,
     _STOP_SLACK_KM,
+    _THIN_DET,
+    MAX_PROBES,
+    MAX_TIMEOUT_S,
     TARGET,
+    Coverage,
     IPInfo,
     Reason,
     VerificationResult,
     VerifyConfig,
-    any_triangle_contains,
     apply_lastmile_correction,
     circle_of_pair,
     enumerate_triangles,
@@ -312,9 +316,12 @@ class TestTopKMatchesOracle:
     def _check(rng: random.Random, kind: str, instances: int, n: Optional[int] = None):
         for _ in range(instances):
             verifiers, points = _instance(rng, kind, n)
+            coverage = Coverage(verifiers)
+            units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
             for p in points:
                 full = [t.verifier_ids for t in oracle(verifiers, p)]
-                assert any_triangle_contains(verifiers, p) == bool(full)
+                assert coverage.covers(p) == bool(full), (kind, verifiers, p)
+                assert slv.verify._scan(units, _unit(p)) == bool(full), (kind, verifiers, p)
                 for k in (1, 2, 4, 7, None):
                     got = [t.verifier_ids for t in enumerate_triangles(verifiers, p, k)]
                     assert got == full[:k], (kind, k, verifiers, p)
@@ -363,6 +370,242 @@ class TestTopKMatchesOracle:
         monkeypatch.setattr(slv.verify, "enumerate_triangles", exhaustive)
         assert run_experiment(scenario).to_dict() == searched
         assert calls == [scenario.cfg.max_triangles] * len(scenario.servers)
+
+
+def covered_by_oracle(verifiers, p: Location) -> bool:
+    """Whether any 3-combination contains p, by the oracle's test."""
+    ordered = sorted(verifiers, key=lambda v: v[0])
+    units = [_unit(loc) for _, loc in ordered]
+    up = _unit(p)
+    return any(
+        spherical_containment(
+            _dot(_cross(units[i], units[j]), units[k]),
+            _dot(_cross(units[i], units[j]), up),
+            _dot(_cross(units[j], units[k]), up),
+            _dot(_cross(units[i], units[k]), up),
+        )
+        for i, j, k in combinations(range(len(units)), 3)
+    )
+
+
+def _location(v) -> Location:
+    norm = math.sqrt(_dot(v, v))
+    return Location(
+        math.degrees(math.asin(max(-1.0, min(1.0, v[2] / norm)))),
+        math.degrees(math.atan2(v[1], v[0])),
+    )
+
+
+def _mix(*terms) -> Location:
+    """The location of the normalized sum of weight * unit vector terms."""
+    return _location([sum(w * u[axis] for w, u in terms) for axis in range(3)])
+
+
+def _scan_calls(monkeypatch) -> list:
+    calls = []
+    scan = slv.verify._scan
+
+    def counting(units, up):
+        calls.append(up)
+        return scan(units, up)
+
+    monkeypatch.setattr(slv.verify, "_scan", counting)
+    return calls
+
+
+class TestCoverage:
+    """Coverage.covers must give the scan's answer on every input."""
+
+    BOXES = {
+        "north_america": (30.0, 57.0, -118.0, -70.0),
+        "date_line": (-35.0, 10.0, 160.0, 205.0),
+        "near_pole": (72.0, 90.0, -180.0, 180.0),
+        "equator": (-12.0, 12.0, -35.0, 35.0),
+    }
+
+    @staticmethod
+    def _draw(rng: random.Random, box, grow: float = 0.0) -> Location:
+        lat_lo, lat_hi, lon_lo, lon_hi = box
+        pad_lat, pad_lon = grow * (lat_hi - lat_lo), grow * (lon_hi - lon_lo)
+        lat = rng.uniform(max(-90.0, lat_lo - pad_lat), min(90.0, lat_hi + pad_lat))
+        return Location(lat, rng.uniform(lon_lo - pad_lon, lon_hi + pad_lon))
+
+    @pytest.mark.parametrize("kind, seed", [
+        ("north_america", 1), ("date_line", 2), ("near_pole", 3), ("equator", 4),
+    ])
+    def test_matches_oracle(self, kind, seed):
+        rng = random.Random(seed)
+        box = self.BOXES[kind]
+        for _ in range(10):
+            n = rng.randint(3, 24)
+            verifiers = [(f"v{i:02d}", self._draw(rng, box)) for i in range(n)]
+            coverage = Coverage(verifiers)
+            # a grown box puts about half the points outside the hull
+            points = [self._draw(rng, box, grow=0.3) for _ in range(20)]
+            points += [loc for _, loc in rng.sample(verifiers, 3)]
+            for p in points:
+                assert coverage.covers(p) == covered_by_oracle(verifiers, p), (verifiers, p)
+
+    def test_three_verifiers(self):
+        rng = random.Random(5)
+        box = self.BOXES["north_america"]
+        for _ in range(40):
+            verifiers = [(f"v{i}", self._draw(rng, box)) for i in range(3)]
+            coverage = Coverage(verifiers)
+            for p in [self._draw(rng, box) for _ in range(10)] + [verifiers[0][1]]:
+                assert coverage.covers(p) == covered_by_oracle(verifiers, p), (verifiers, p)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-13, 1e-9, 1e-6])
+    def test_verifiers_on_or_near_one_great_circle(self, offset):
+        rng = random.Random(6)
+        for _ in range(6):
+            pole = _unit(Location(rng.uniform(-80.0, 80.0), rng.uniform(-180.0, 180.0)))
+            e1 = _unit(Location(0.0, rng.uniform(-180.0, 180.0)))
+            e1 = _cross(pole, e1)
+            e1 = tuple(x / math.sqrt(_dot(e1, e1)) for x in e1)
+            e2 = _cross(pole, e1)
+
+            def on_circle(t: float, off: float) -> Location:
+                return _mix((math.cos(t), e1), (math.sin(t), e2), (off, pole))
+
+            verifiers = [
+                (f"v{i:02d}", on_circle(rng.uniform(-0.6, 0.6), rng.uniform(-offset, offset)))
+                for i in range(rng.randint(3, 14))
+            ]
+            coverage = Coverage(verifiers)
+            points = [on_circle(rng.uniform(-1.0, 1.0), rng.choice([0.0, 1e-12, -1e-9, 1e-3]))
+                      for _ in range(20)]
+            for p in points:
+                assert coverage.covers(p) == covered_by_oracle(verifiers, p), (verifiers, p)
+
+    def test_more_than_a_hemisphere_takes_the_scan(self, monkeypatch):
+        rng = random.Random(7)
+        calls = _scan_calls(monkeypatch)
+        asked = 0
+        for _ in range(6):
+            verifiers = [
+                (f"v{i:02d}", Location(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                                       rng.uniform(-180.0, 180.0)))
+                for i in range(12)
+            ]
+            # a verifier at each end of one axis: no open hemisphere holds both
+            verifiers += [("w0", Location(0.0, 0.0)), ("w1", Location(0.0, 180.0))]
+            coverage = Coverage(verifiers)
+            for _ in range(8):
+                p = Location(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                             rng.uniform(-180.0, 180.0))
+                asked += 1
+                assert coverage.covers(p) == covered_by_oracle(verifiers, p), (verifiers, p)
+        assert len(calls) == asked
+
+    def test_points_within_1e_10_of_hull_edges_and_vertices(self):
+        rng = random.Random(8)
+        box = self.BOXES["north_america"]
+        for _ in range(4):
+            verifiers = [(f"v{i:02d}", self._draw(rng, box)) for i in range(rng.randint(5, 20))]
+            coverage = Coverage(verifiers)
+            ordered = sorted(verifiers, key=lambda v: v[0])
+            units = [_unit(loc) for _, loc in ordered]
+            hull = slv.verify._hull(units)
+            assert hull is not None
+            points = []
+            for a, b in zip(hull, hull[1:] + hull[:1]):
+                ua, ub = units[a], units[b]
+                normal = _cross(ua, ub)
+                normal = tuple(x / math.sqrt(_dot(normal, normal)) for x in normal)
+                for t in (0.0, 1e-9, 0.25, 0.5, 0.999, 1.0):
+                    for off in (-1e-10, -1e-11, -1e-13, 0.0, 1e-13, 1e-11, 1e-10):
+                        points.append(_mix((1.0 - t, ua), (t, ub), (off, normal)))
+                for _ in range(3):
+                    jitter = [rng.uniform(-1e-10, 1e-10) for _ in range(3)]
+                    points.append(_mix((1.0, ua), (1.0, tuple(jitter))))
+            for p in points:
+                assert coverage.covers(p) == covered_by_oracle(verifiers, p), (verifiers, p)
+
+    @staticmethod
+    def _thin_layout(rng: random.Random, det: float):
+        """A North-America layout holding one thin triple (a, b, c): b on
+        the great circle ac, c lifted off it so that det(a, b, c) = det,
+        and c the layout's most eastern verifier, so the circle leaves the
+        hull at c. Returns the verifiers and the unit vectors of a and c."""
+        a = Location(rng.uniform(32.0, 55.0), rng.uniform(-118.0, -110.0))
+        c0 = Location(rng.uniform(32.0, 55.0), rng.uniform(-85.0, -80.0))
+        ua, uc0 = _unit(a), _unit(c0)
+        b = _mix((0.6, ua), (0.4, uc0))
+        ub = _unit(b)
+        normal = _cross(ua, ub)
+        lift = det / _dot(normal, normal)  # det(a, b, c0 + lift * normal)
+        c = _mix((1.0, uc0), (lift, normal))
+        verifiers = [("a", a), ("b", b), ("c", c)] + [
+            (f"v{i:02d}", Location(rng.uniform(30.0, 57.0), rng.uniform(-118.0, -90.0)))
+            for i in range(rng.randint(3, 12))
+        ]
+        return verifiers, ua, _unit(c)
+
+    def test_thin_triples_decide_points_far_outside_the_hull(self, monkeypatch):
+        # The sign test's tolerance is on unnormalized triple products, so a
+        # triple with a det just above _EDGE_EPS accepts points along its
+        # great circle far beyond its vertices, outside the hull. Only the
+        # layout's thin triples can do that, and covers tests them.
+        rng = random.Random(9)
+        calls = _scan_calls(monkeypatch)
+        accepted = 0
+        for _ in range(20):
+            verifiers, ua, uc = self._thin_layout(rng, rng.uniform(1.0, 4.0) * _EDGE_EPS)
+            coverage = Coverage(verifiers)
+            for beyond in (0.05, 0.2, 0.3, 0.6):
+                p = _mix((-beyond, ua), (1.0 + beyond, uc))
+                expected = covered_by_oracle(verifiers, p)
+                accepted += expected
+                assert coverage.covers(p) == expected, (verifiers, p)
+        assert accepted > 20  # many of them hundreds of km outside the hull
+        assert not calls
+
+    @pytest.mark.parametrize("seed", [10, 11, 12])
+    def test_thin_triples_are_all_found(self, seed):
+        # Layouts near one great circle, with near-duplicate verifiers,
+        # hold triples with every det from 0 to well above _THIN_DET.
+        rng = random.Random(seed)
+        thin = 0
+        for _ in range(4):
+            verifiers, _, _ = self._thin_layout(rng, rng.uniform(1.0, 1e5) * _EDGE_EPS)
+            for _ in range(4):
+                t = rng.uniform(0.0, 1.0)
+                off = rng.choice([0.0, 1e-11, 1e-9, 1e-7])
+                near = _mix((1.0 - t, _unit(verifiers[0][1])), (t, _unit(verifiers[2][1])),
+                            (off, (0.0, 0.0, 1.0)))
+                verifiers.append((f"n{len(verifiers):02d}", near))
+            twin = rng.choice(verifiers)[1]
+            verifiers.append(("twin", Location(twin.lat + 1e-7, twin.lon)))
+            units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
+            expected = set()
+            for i, j, k in combinations(range(len(units)), 3):
+                det = _dot(_cross(units[i], units[j]), units[k])
+                if _EDGE_EPS <= abs(det) < _THIN_DET:
+                    expected.add((i, j, k))
+            got = {slv.verify._triple(units, i, j, k)[0] for i, j, k in expected}
+            found = slv.verify._thin_triples(units)
+            assert {t[0] for t in found} == got
+            assert len(found) == len(expected)
+            thin += len(found)
+        assert thin >= 4
+
+    def test_scan_fallbacks_are_rare(self, monkeypatch):
+        # A hull that silently stops deciding sends every point to the scan.
+        scenario = generate_scenario(
+            40, 1, 0, 0,
+            bounds=RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0),
+            seed=3,
+        )
+        coverage = Coverage(scenario.verifiers)
+        calls = _scan_calls(monkeypatch)
+        rng = random.Random(13)
+        covered = sum(
+            coverage.covers(Location(rng.uniform(30.0, 57.0), rng.uniform(-118.0, -70.0)))
+            for _ in range(256)
+        )
+        assert 0 < covered < 256
+        assert len(calls) <= 2
 
 
 class TestStopBound:
@@ -480,6 +723,15 @@ class TestMessageTypes:
             VerifyConfig(probes_per_measurement=0)
         with pytest.raises(ValueError):
             VerifyConfig(max_triangles=0)
+
+    def test_config_caps_match_the_agent(self):
+        VerifyConfig(probes_per_measurement=MAX_PROBES, measurement_timeout=MAX_TIMEOUT_S)
+        for bad in ({"probes_per_measurement": MAX_PROBES + 1},
+                    {"measurement_timeout": MAX_TIMEOUT_S * 2}):
+            with pytest.raises(ValueError):
+                VerifyConfig(**bad)
+            with pytest.raises(ValueError):
+                VerifyConfig.from_dict(bad)
 
     @pytest.mark.parametrize("key", ["max_triangles", "probes_per_measurement"])
     @pytest.mark.parametrize("bad", [2.5, 4.0, True, "4", None])
