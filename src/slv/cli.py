@@ -235,6 +235,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.shutdown()
+        server.server_close()
+        service.close()
     return EXIT_OK
 
 

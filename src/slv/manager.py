@@ -12,14 +12,20 @@ import ipaddress
 import json
 import logging
 import math
+import queue
+import re
+import socket
+import socketserver
 import sqlite3
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Optional, Protocol
 from urllib.parse import parse_qs, urlsplit
 
@@ -52,6 +58,20 @@ DEFAULT_API_PORT = 7700
 # A cached assertion within this distance of the fresh one counts as
 # unchanged; exact float equality would be brittle against provider jitter.
 CACHE_LOC_TOLERANCE_KM = 1.0
+
+# HTTP front end. A request head (request line plus headers) over
+# HEAD_LIMIT bytes is refused; a client that has not sent its whole head
+# IDLE_TIMEOUT_S after connecting is dropped; at most MAX_IDLE_HANDLERS
+# handler threads wait for a connection.
+HEAD_LIMIT = 8192
+IDLE_TIMEOUT_S = 5.0
+MAX_IDLE_HANDLERS = 16
+_RECV_SIZE = 16384
+_LINGER_S = 1.0
+_SERVER = b"slv-manager/0.1"
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_VERSIONS = (b"HTTP/1.0", b"HTTP/1.1")
+_PHRASES = {s: HTTPStatus(s).phrase.encode() for s in (200, 400, 404, 405, 431, 500, 502)}
 
 
 class ParseError(ValueError):
@@ -305,7 +325,8 @@ class VerificationCache:
     """TTL cache of verification results keyed by IP address.
 
     An in-memory map serves reads; when a path is given every write also
-    lands in a sqlite file, so a restarted manager starts warm. `_lock`
+    lands in a sqlite file, so a restarted manager starts warm. Rows that
+    have expired by then are not loaded but deleted from the file. `_lock`
     guards the map and is held only briefly. Writes are serialized by
     `_write_lock`, held through the sqlite commit, so the map and the file
     see puts in the same order, and a read never waits on the disk.
@@ -321,10 +342,16 @@ class VerificationCache:
             self._db.execute(
                 "CREATE TABLE IF NOT EXISTS verifications (ip TEXT PRIMARY KEY, data TEXT NOT NULL)"
             )
-            self._db.commit()
+            now = utc_now()
+            expired = []
             for (blob,) in self._db.execute("SELECT data FROM verifications"):
                 entry = CacheEntry.from_dict(json.loads(blob))
-                self._entries[entry.ip] = entry
+                if entry.expires_at <= now:
+                    expired.append((entry.ip,))
+                else:
+                    self._entries[entry.ip] = entry
+            self._db.executemany("DELETE FROM verifications WHERE ip = ?", expired)
+            self._db.commit()
 
     def __len__(self) -> int:
         with self._lock:
@@ -453,6 +480,7 @@ class AgentPool:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._idle: dict[str, list[AgentConnection]] = {}
+        self._closed = False
 
     def request(self, record: VerifierRecord, req: MeasureRequest) -> MeasureResponse:
         """Send one request to the record's agent; raises as
@@ -468,12 +496,17 @@ class AgentPool:
             conn.close()
             raise
         with self._lock:
-            self._idle.setdefault(record.verifier_id, []).append(conn)
+            if not self._closed:
+                self._idle.setdefault(record.verifier_id, []).append(conn)
+                return response
+        conn.close()
         return response
 
     def close(self) -> None:
-        """Close every idle connection."""
+        """Close every idle connection; one in use is closed when its
+        request ends."""
         with self._lock:
+            self._closed = True
             for idle in self._idle.values():
                 for conn in idle:
                     conn.close()
@@ -528,7 +561,8 @@ class ManagerService:
     Results (positive and negative alike) are cached per IP for the
     configured TTL and reused while the fresh assertion matches the cached
     one. Concurrent requests for the same uncached IP share a single
-    verification run.
+    verification run. `pool` is the agent pool its providers share, if
+    any; close() closes it together with the cache.
     """
 
     def __init__(
@@ -538,6 +572,7 @@ class ManagerService:
         provider_factory,
         cfg: Optional[ManagerConfig] = None,
         cache: Optional[VerificationCache] = None,
+        pool: Optional[AgentPool] = None,
     ) -> None:
         if len(registry) < 3:
             raise InsufficientVerifiersError(
@@ -548,6 +583,7 @@ class ManagerService:
         self._provider_factory = provider_factory
         self._cfg = cfg or ManagerConfig()
         self._cache = cache if cache is not None else VerificationCache(self._cfg.cache_path)
+        self._pool = pool
         self._flight_lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
 
@@ -559,11 +595,17 @@ class ManagerService:
         def provider_factory(target_ip: str) -> LiveDelayProvider:
             return LiveDelayProvider(registry, target_ip, cfg.target_port, pool=pool)
 
-        return cls(registry, cfg.locator.build(), provider_factory, cfg)
+        return cls(registry, cfg.locator.build(), provider_factory, cfg, pool=pool)
 
     @property
     def registry_size(self) -> int:
         return len(self._registry)
+
+    def close(self) -> None:
+        """Close the agent connection pool, if any, and the cache."""
+        if self._pool is not None:
+            self._pool.close()
+        self._cache.close()
 
     def handle_verify_request(self, ip: str, now: Optional[datetime] = None) -> VerificationResult:
         """Verification result for one IP address, from cache when possible.
@@ -634,56 +676,101 @@ class ManagerService:
         return result
 
 
-class _ApiHandler(BaseHTTPRequestHandler):
-    server_version = "slv-manager/0.1"
+class _HttpError(Exception):
+    """A request the front end answers with an error and then a close."""
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        parts = urlsplit(self.path)
-        if parts.path == "/health":
-            self._reply(200, {"status": "ok", "verifiers": self.server.service.registry_size})
-            return
-        if parts.path != "/verify":
-            self._reply(404, {"error": "not found"})
-            return
-        params = parse_qs(parts.query)
-        values = params.get("ip", [])
-        if len(values) != 1 or not values[0]:
-            self._reply(400, {"error": "missing ip parameter"})
-            return
-        try:
-            result = self.server.service.handle_verify_request(values[0])
-        except InvalidAddressError as exc:
-            self._reply(400, {"error": str(exc)})
-        except UnknownAddressError as exc:
-            self._reply(404, {"error": str(exc)})
-        except ProviderUnavailableError as exc:
-            self._reply(502, {"error": str(exc)})
-        except Exception as exc:
-            log.exception("verification failed")
-            self._reply(500, {"error": f"internal error: {exc}"})
-        else:
-            self._reply(200, result.to_dict())
-
-    def _reply(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode() + b"\n"
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt: str, *args) -> None:
-        log.debug("%s %s", self.address_string(), fmt % args)
+    def __init__(self, status: int, message: str, headers: bytes = b"") -> None:
+        super().__init__(message)
+        self.status = status
+        self.message = message
+        self.headers = headers
 
 
-class ManagerHTTPServer(ThreadingHTTPServer):
-    """HTTP front end: GET /verify?ip=<addr> and GET /health."""
+def _read_head(conn: socket.socket) -> Optional[bytes]:
+    """The request head on conn, without its blank line; None when the
+    client closes first or has not sent a whole head IDLE_TIMEOUT_S after
+    the accept. Raises _HttpError (431) for a head over HEAD_LIMIT bytes.
+    """
+    buf = b""
+    deadline = time.monotonic() + IDLE_TIMEOUT_S
+    while True:
+        chunk = conn.recv(_RECV_SIZE)
+        if not chunk:
+            return None
+        buf += chunk
+        end = _HEAD_END.search(buf)
+        if end is not None and end.end() <= HEAD_LIMIT:
+            return buf[:end.start()]
+        if len(buf) >= HEAD_LIMIT:
+            raise _HttpError(431, f"request head over {HEAD_LIMIT} bytes")
+        if time.monotonic() > deadline:
+            return None
 
-    daemon_threads = True
+
+def _parse_head(head: bytes) -> str:
+    """The request target. Only a GET without a body passes; anything else
+    raises _HttpError."""
+    lines = head.split(b"\n")
+    parts = lines[0].rstrip(b"\r").split(b" ")
+    if len(parts) != 3 or not parts[0] or not parts[1] or parts[2] not in _VERSIONS:
+        raise _HttpError(400, "bad request line")
+    method, target, _ = parts
+    has_body = False
+    for line in lines[1:]:
+        name, sep, value = line.partition(b":")
+        if not sep:
+            raise _HttpError(400, "bad header line")
+        name = name.strip().lower()
+        if name == b"content-length":
+            value = value.strip()
+            if not value.isdigit():
+                raise _HttpError(400, "bad Content-Length")
+            has_body = has_body or int(value) > 0
+        elif name == b"transfer-encoding":
+            has_body = True
+    if method != b"GET":
+        raise _HttpError(405, f"method {method.decode('latin-1')} not allowed", b"Allow: GET\r\n")
+    if has_body:
+        raise _HttpError(400, "request body not accepted")
+    return target.decode("latin-1")
+
+
+def _close_after_error(conn: socket.socket) -> None:
+    """Half-close, then read out what the client still sends (for at most
+    _LINGER_S), so that unread input does not turn the close into a reset
+    that destroys the error answer before the client reads it."""
+    try:
+        conn.shutdown(socket.SHUT_WR)
+        conn.settimeout(_LINGER_S)
+        deadline = time.monotonic() + _LINGER_S
+        while time.monotonic() < deadline and conn.recv(_RECV_SIZE):
+            pass
+    except OSError:
+        pass
+
+
+class ManagerHTTPServer(socketserver.TCPServer):
+    """HTTP front end: GET /verify?ip=<addr> and GET /health.
+
+    The socketserver accept loop hands each connection to an idle handler
+    thread, and a new thread starts only when none is idle; a thread that
+    finds MAX_IDLE_HANDLERS others idle exits instead of waiting.
+    Concurrent connections are not capped, so a cache hit never waits
+    behind another connection's verification. A handler reads the request
+    head in one pass, answers with one sendall and closes the connection.
+    """
+
+    allow_reuse_address = True
 
     def __init__(self, service: ManagerService, host: str = "127.0.0.1", port: int = DEFAULT_API_PORT):
-        super().__init__((host, port), _ApiHandler)
+        # process_request hands connections to _handler threads, so no
+        # RequestHandlerClass is used
+        super().__init__((host, port), None)
         self.service = service
+        self._lock = threading.Lock()
+        self._idle: list[queue.SimpleQueue] = []
+        self._closed = False
+        self._date = (0, b"")
 
     @property
     def bound_address(self) -> tuple[str, int]:
@@ -693,3 +780,88 @@ class ManagerHTTPServer(ThreadingHTTPServer):
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
         return thread
+
+    def process_request(self, request: socket.socket, client_address) -> None:
+        with self._lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is not None:
+            inbox.put(request)
+        else:
+            threading.Thread(target=self._handler, args=(request,), daemon=True).start()
+
+    def server_close(self) -> None:
+        """Close the listening socket and end the handler threads: idle
+        ones at once, busy ones when their connection ends."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put(None)
+
+    def _handler(self, conn: Optional[socket.socket]) -> None:
+        """Serve connections until told to stop or no longer needed."""
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        while conn is not None:
+            self._serve(conn)
+            with self._lock:
+                if self._closed or len(self._idle) >= MAX_IDLE_HANDLERS:
+                    return
+                self._idle.append(inbox)
+            conn = inbox.get()
+
+    def _serve(self, conn: socket.socket) -> None:
+        """Answer the one request on conn, then close it."""
+        try:
+            conn.settimeout(IDLE_TIMEOUT_S)
+            head = _read_head(conn)
+            if head is None:
+                return
+            status, payload = self._route(_parse_head(head))
+            conn.sendall(self._response(status, payload))
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("%s %r %d", conn.getpeername()[0], head.split(b"\r\n", 1)[0], status)
+        except _HttpError as exc:
+            try:
+                conn.sendall(self._response(exc.status, {"error": exc.message}, exc.headers))
+            except OSError:
+                return
+            _close_after_error(conn)
+        except OSError:  # timed out or reset
+            pass
+        except Exception:
+            log.exception("HTTP connection failed")
+        finally:
+            self.shutdown_request(conn)
+
+    def _route(self, target: str) -> tuple[int, dict]:
+        parts = urlsplit(target)
+        if parts.path == "/health":
+            return 200, {"status": "ok", "verifiers": self.service.registry_size}
+        if parts.path != "/verify":
+            return 404, {"error": "not found"}
+        values = parse_qs(parts.query).get("ip", [])
+        if len(values) != 1 or not values[0]:
+            return 400, {"error": "missing ip parameter"}
+        try:
+            result = self.service.handle_verify_request(values[0])
+        except InvalidAddressError as exc:
+            return 400, {"error": str(exc)}
+        except UnknownAddressError as exc:
+            return 404, {"error": str(exc)}
+        except ProviderUnavailableError as exc:
+            return 502, {"error": str(exc)}
+        except Exception as exc:
+            log.exception("verification failed")
+            return 500, {"error": f"internal error: {exc}"}
+        return 200, result.to_dict()
+
+    def _response(self, status: int, payload: dict, headers: bytes = b"") -> bytes:
+        body = json.dumps(payload).encode() + b"\n"
+        second = int(time.time())
+        date = self._date
+        if date[0] != second:
+            date = self._date = (second, formatdate(second, usegmt=True).encode())
+        return b"HTTP/1.1 %d %s\r\nDate: %s\r\nServer: %s\r\n" \
+            b"Content-Type: application/json\r\nContent-Length: %d\r\nConnection: close\r\n%s\r\n%s" % (
+                status, _PHRASES[status], date[1], _SERVER, len(body), headers, body)

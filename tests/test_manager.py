@@ -1,9 +1,11 @@
+import http.client
 import ipaddress
 import json
 import math
 import random
 import socket
 import socketserver
+import sqlite3
 import threading
 import time
 import urllib.error
@@ -14,6 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import slv.agent
+import slv.manager
 from conftest import IdealProvider, free_port
 from slv.agent import AgentServer, MeasureRequest, ProtocolError
 from slv.geo import Circle, Location, destination_point
@@ -36,7 +39,7 @@ from slv.manager import (
     VerifierRecord,
     load_verifier_registry,
 )
-from slv.verify import Reason, VerifyConfig
+from slv.verify import IPInfo, Reason, VerificationResult, VerifyConfig, utc_now
 
 NOW = datetime(2026, 8, 9, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -325,12 +328,14 @@ class TestVerificationCache:
         assert cache.evict_expired(NOW) == 0
 
     def test_survives_restart(self, tmp_path):
+        # a reopen drops rows expired by the wall clock, so these expire after it
         path = tmp_path / "cache.sqlite"
+        later = utc_now() + timedelta(hours=1)
         first = VerificationCache(path)
-        first.put(entry("1.1.1.1", NOW + timedelta(hours=1)))
+        first.put(entry("1.1.1.1", later))
         negative = CacheEntry(
             ip="2.2.2.2", asserted_loc=INSIDE, when_veri=NOW, veri_passed=False,
-            region=None, expires_at=NOW + timedelta(hours=1),
+            region=None, expires_at=later,
             reason=Reason.ALL_TRIANGLES_REJECTED,
         )
         first.put(negative)
@@ -346,8 +351,9 @@ class TestVerificationCache:
 
     def test_get_does_not_wait_for_a_put_commit(self, tmp_path):
         path = tmp_path / "cache.sqlite"
+        later = utc_now() + timedelta(hours=1)
         cache = VerificationCache(path)
-        cache.put(entry("1.1.1.1", NOW + timedelta(hours=1)))
+        cache.put(entry("1.1.1.1", later))
         committing, release = threading.Event(), threading.Event()
 
         class BlockingCommit:
@@ -365,8 +371,7 @@ class TestVerificationCache:
                 self._db.commit()
 
         cache._db = BlockingCommit(cache._db)
-        writer = threading.Thread(
-            target=cache.put, args=(entry("2.2.2.2", NOW + timedelta(hours=1)),))
+        writer = threading.Thread(target=cache.put, args=(entry("2.2.2.2", later),))
         writer.start()
         try:
             assert committing.wait(5)
@@ -386,6 +391,22 @@ class TestVerificationCache:
         reopened = VerificationCache(path)
         assert reopened.get("2.2.2.2", NOW) is not None
         reopened.close()
+
+    def test_expired_rows_are_dropped_on_reopen(self, tmp_path):
+        path = tmp_path / "cache.sqlite"
+        now = utc_now()
+        cache = VerificationCache(path)
+        for i in range(3):
+            cache.put(entry(f"1.1.1.{i}", now - timedelta(minutes=i + 1)))
+        cache.put(entry("2.2.2.2", now + timedelta(hours=1)))
+        cache.close()
+
+        reopened = VerificationCache(path)
+        assert len(reopened) == 1
+        assert reopened.get("2.2.2.2", now) is not None
+        reopened.close()
+        with sqlite3.connect(path) as db:
+            assert db.execute("SELECT ip FROM verifications").fetchall() == [("2.2.2.2",)]
 
 
 class CountingFactory:
@@ -552,11 +573,12 @@ class TestManagerService:
         # the service writes its result through to the sqlite file, and
         # eviction from that file sticks across a reopen
         path = tmp_path / "cache.sqlite"
+        now = utc_now()  # a reopen drops rows expired by the wall clock
         service, _ = make_service(tmp_path, cache_ttl=60.0, cache_path=str(path))
-        service.handle_verify_request("9.9.9.9", now=NOW)
+        service.handle_verify_request("9.9.9.9", now=now)
         cache = VerificationCache(path)
-        assert cache.evict_expired(NOW + timedelta(minutes=5)) == 1
-        assert cache.evict_expired(NOW + timedelta(minutes=5)) == 0
+        assert cache.evict_expired(now + timedelta(minutes=5)) == 1
+        assert cache.evict_expired(now + timedelta(minutes=5)) == 0
         cache.close()
         reopened = VerificationCache(path)
         assert len(reopened) == 0
@@ -777,6 +799,196 @@ class TestProviderUnavailableSurfacing(object):
             server.server_close()
 
 
+class StubService:
+    """Answers every address at once, except those in `blocked`, which wait
+    for `release`; records the thread that served each call."""
+
+    registry_size = 3
+
+    def __init__(self, blocked=()):
+        self.blocked = set(blocked)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.threads = []
+
+    def handle_verify_request(self, ip):
+        self.threads.append(threading.current_thread())
+        if ip in self.blocked:
+            self.entered.set()
+            assert self.release.wait(10)
+        return VerificationResult(ip=IPInfo(ip, INSIDE), veri_passed=True,
+                                  region=Circle(INSIDE, 100.0), when_veri=NOW)
+
+
+@pytest.fixture
+def front():
+    """Start a ManagerHTTPServer over a service; all are closed after the test."""
+    servers = []
+
+    def start(service):
+        server = ManagerHTTPServer(service, "127.0.0.1", 0)
+        server.serve_in_background()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def exchange(server, data: bytes) -> list[tuple[int, dict, dict]]:
+    """Send data on a new connection, read until the server closes it, and
+    split what came back into (status, headers, JSON body) per response."""
+    with socket.create_connection(server.bound_address, timeout=10) as sock:
+        sock.sendall(data)
+        received = b""
+        while chunk := sock.recv(65536):  # times out unless the server closes
+            received += chunk
+    responses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        length = int(headers["Content-Length"])
+        responses.append((int(lines[0].split()[1]), headers, json.loads(rest[:length])))
+        received = rest[length:]
+    return responses
+
+
+class TestHttpFrontEnd:
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /verify?ip=9.9.9.9 HTTP/1.0\r\n\r\n",
+        b"GET /verify?ip=9.9.9.9 HTTP/1.1\r\nHost: x\r\n\r\n",
+        b"GET /verify?ip=9.9.9.9 HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n",
+    ])
+    def test_each_answer_closes_its_connection(self, front, request_bytes):
+        server = front(StubService())
+        [(status, headers, body)] = exchange(server, request_bytes)
+        assert status == 200 and body["ip"]["value"] == "9.9.9.9"
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Server"] and headers["Date"]
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"NONSENSE\r\n\r\n", 400),
+        (b"GET /health HTTP/2.0\r\n\r\n", 400),
+        (b"GET /health HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+        (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 9000 + b"\r\n\r\n", 431),
+        (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 9000, 431),
+        (b"GET /verify?ip=9.9.9.9 HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello", 400),
+        (b"GET /verify?ip=9.9.9.9 HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", 400),
+        (b"GET /health HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+    ])
+    def test_protocol_errors_are_json_then_close(self, front, request_bytes, status):
+        service = StubService()
+        server = front(service)
+        [(got, headers, body)] = exchange(server, request_bytes)
+        assert got == status and set(body) == {"error"}
+        assert headers["Connection"] == "close"
+        assert service.threads == []
+
+    def test_post_is_405_with_allow_get(self, front):
+        service = StubService()
+        server = front(service)
+        [(status, headers, body)] = exchange(
+            server, b"POST /verify?ip=9.9.9.9 HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+        assert status == 405 and set(body) == {"error"}
+        assert headers["Allow"] == "GET" and headers["Connection"] == "close"
+        assert service.threads == []
+
+    @pytest.mark.parametrize("trickle", [False, True])
+    def test_silent_or_slow_client_is_dropped_and_its_thread_reused(self, front, monkeypatch, trickle):
+        monkeypatch.setattr(slv.manager, "IDLE_TIMEOUT_S", 0.3)
+        service = StubService()
+        server = front(service)
+        assert api_get(server, "/verify?ip=9.9.9.9")[0] == 200
+        with socket.create_connection(server.bound_address, timeout=10) as sock:
+            sock.settimeout(0.1)
+            if trickle:
+                sock.sendall(b"GET /health HTTP/1.1\r\n")
+            start = time.monotonic()
+            received = None
+            while received is None and time.monotonic() - start < 5:
+                try:
+                    received = sock.recv(1)
+                except socket.timeout:
+                    if trickle:  # a head that never ends, one byte per 0.1 s
+                        sock.sendall(b"a")
+                except ConnectionError:  # a byte sent after the server closed
+                    received = b""
+            assert received == b""  # closed by the server, not by a timeout
+            assert time.monotonic() - start < 5
+        assert api_get(server, "/verify?ip=8.8.8.8")[0] == 200
+        assert service.threads[1] is service.threads[0]
+
+    def test_cache_hit_is_not_delayed_by_a_blocked_verification(self, front):
+        service = StubService(blocked={"8.8.8.8"})
+        server = front(service)
+        slow = []
+        waiter = threading.Thread(target=lambda: slow.append(api_get(server, "/verify?ip=8.8.8.8")))
+        waiter.start()
+        try:
+            assert service.entered.wait(10)
+            assert api_get(server, "/verify?ip=9.9.9.9")[0] == 200
+            assert not slow
+        finally:
+            service.release.set()
+            waiter.join(10)
+        assert slow[0][0] == 200
+
+    def test_sequential_requests_reuse_handler_threads(self, front):
+        service = StubService()
+        server = front(service)
+        for _ in range(50):
+            assert api_get(server, "/verify?ip=9.9.9.9")[0] == 200
+        assert len(service.threads) == 50
+        assert len(set(service.threads)) <= 2
+
+    def test_idle_threads_above_the_cap_exit(self, front, monkeypatch):
+        monkeypatch.setattr(slv.manager, "MAX_IDLE_HANDLERS", 1)
+        service = StubService(blocked={"8.8.8.8"})
+        server = front(service)
+        clients = [threading.Thread(target=api_get, args=(server, "/verify?ip=8.8.8.8"))
+                   for _ in range(3)]
+        for client in clients:
+            client.start()
+        deadline = time.monotonic() + 10
+        while len(service.threads) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        service.release.set()
+        for client in clients:
+            client.join(10)
+        handlers = set(service.threads)
+        assert len(handlers) == 3
+        while sum(t.is_alive() for t in handlers) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert sum(t.is_alive() for t in handlers) == 1
+
+    def test_server_close_ends_the_idle_handler_threads(self, front):
+        service = StubService()
+        server = front(service)
+        for _ in range(3):
+            api_get(server, "/verify?ip=9.9.9.9")
+        server.shutdown()
+        server.server_close()
+        for thread in set(service.threads):
+            thread.join(5)
+            assert not thread.is_alive()
+
+    def test_shutdown_and_close_right_after_start_raise_nothing(self, monkeypatch):
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        for _ in range(5):
+            server = ManagerHTTPServer(StubService(), "127.0.0.1", 0)
+            thread = server.serve_in_background()
+            server.shutdown()
+            server.server_close()
+            thread.join(5)
+            assert not thread.is_alive()
+        assert errors == []
+
+
 class TestManagerConfig:
     def test_from_file(self, tmp_path):
         table = tmp_path / "table.csv"
@@ -993,3 +1205,24 @@ class TestAgentPool:
         pool.request(record, probe_request(tcp_listener.address, "after-close"))
         assert counting_agent.accepted == 3
         pool.close()
+
+
+def test_service_close_closes_pooled_agent_connections(counting_agent, tcp_listener, tmp_path):
+    port = counting_agent.bound_address[1]
+    rows = [(f"127.0.0.1:{port}", lat, lon) for _, lat, lon in REGISTRY_ROWS]
+    table = tmp_path / "table.csv"
+    table.write_text("127.0.0.0/8,0.0,0.0\n")
+    config = tmp_path / "manager.json"
+    config.write_text(json.dumps({
+        "registry": str(write_registry(tmp_path, rows)),
+        "locator": {"provider": "static_table", "path": str(table)},
+        "target_port": tcp_listener.address[1],
+        "probes_per_measurement": 1,
+        "measurement_timeout": 1.0,
+    }))
+    service = ManagerService.from_config(ManagerConfig.from_file(config))
+    service.handle_verify_request("127.0.0.1")
+    # the agent also counts the probe connects aimed at it as peer
+    assert counting_agent.accepted - counting_agent.closed >= 1
+    service.close()
+    assert counting_agent.wait_closed(counting_agent.accepted)
