@@ -81,6 +81,7 @@ from .verify import (
     IPInfo,
     Reason,
     VerificationResult,
+    VerifierLayout,
     VerifyConfig,
     apply_lastmile_correction,
     circle_of_pair,

@@ -4,6 +4,7 @@ the daemons and run simulations."""
 from __future__ import annotations
 
 import argparse
+import functools
 import ipaddress
 import json
 import logging
@@ -100,11 +101,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot resolve {host!r}: {exc}")
 
-    url = f"{args.manager_url.rstrip('/')}/verify?ip={quote(ip)}"
+    manager_url = args.manager_url
+    if manager_url is None:
+        manager_url = os.environ.get(MANAGER_URL_ENV, DEFAULT_MANAGER_URL)
+    url = f"{manager_url.rstrip('/')}/verify?ip={quote(ip)}"
     try:
         status, body = _http_get_json(url)
     except (urllib.error.URLError, OSError, ValueError) as exc:
-        return _fail(f"manager unreachable at {args.manager_url}: {exc}")
+        return _fail(f"manager unreachable at {manager_url}: {exc}")
     if status != 200:
         return _fail(f"manager returned {status}: {body.get('error', body)}")
     try:
@@ -193,8 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(report.text_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -240,7 +243,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `slv` argument parser, built once per process: parse_args keeps
+    no state between calls, and no default depends on the environment
+    (verify reads SLV_MANAGER_URL when it runs)."""
     parser = argparse.ArgumentParser(
         prog="slv",
         description="Verify webserver locations via delay measurements and pin the verified regions.",
@@ -251,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("host", help="hostname or literal IP address")
     verify.add_argument(
         "--manager-url",
-        default=os.environ.get(MANAGER_URL_ENV, DEFAULT_MANAGER_URL),
-        help=f"manager base URL (env {MANAGER_URL_ENV})",
+        default=None,
+        help=f"manager base URL (default: env {MANAGER_URL_ENV}, else {DEFAULT_MANAGER_URL})",
     )
     verify.add_argument("--pin-store", default=DEFAULT_PIN_STORE, help="pin store path")
     verify.add_argument(

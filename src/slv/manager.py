@@ -44,6 +44,7 @@ from .verify import (
     IPInfo,
     Reason,
     VerificationResult,
+    VerifierLayout,
     VerifyConfig,
     format_timestamp,
     parse_timestamp,
@@ -271,13 +272,17 @@ class HttpLocator:
             ) from exc
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """Cached verification for one IP address.
 
     Usable until expires_at and only while the fresh assertion stays
     within CACHE_LOC_TOLERANCE_KM of asserted_loc. The reason is kept so a
-    cache hit reproduces the original result exactly.
+    cache hit reproduces the original result exactly. That result is kept
+    once built, so later hits return it without parsing the address
+    again: an entry made by of() keeps the verification's own result, and
+    one loaded from disk builds it on its first hit. Entries are not
+    changed once made.
     """
 
     ip: str
@@ -287,15 +292,35 @@ class CacheEntry:
     region: Optional[Circle]
     expires_at: datetime
     reason: Optional[Reason] = None
+    _result: Optional[VerificationResult] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def of(cls, result: VerificationResult, expires_at: datetime) -> "CacheEntry":
+        """The entry for a fresh verification result, holding that result."""
+        entry = cls(
+            ip=result.ip.value,
+            asserted_loc=result.ip.loc,
+            when_veri=result.when_veri,
+            veri_passed=result.veri_passed,
+            region=result.region,
+            expires_at=expires_at,
+            reason=result.reason,
+        )
+        entry._result = result
+        return entry
 
     def to_result(self) -> VerificationResult:
-        return VerificationResult(
-            ip=IPInfo(value=self.ip, loc=self.asserted_loc),
-            veri_passed=self.veri_passed,
-            region=self.region,
-            when_veri=self.when_veri,
-            reason=self.reason,
-        )
+        if self._result is None:
+            self._result = VerificationResult(
+                ip=IPInfo(value=self.ip, loc=self.asserted_loc),
+                veri_passed=self.veri_passed,
+                region=self.region,
+                when_veri=self.when_veri,
+                reason=self.reason,
+            )
+        return self._result
 
     def to_dict(self) -> dict:
         return {
@@ -562,7 +587,8 @@ class ManagerService:
     configured TTL and reused while the fresh assertion matches the cached
     one. Concurrent requests for the same uncached IP share a single
     verification run. `pool` is the agent pool its providers share, if
-    any; close() closes it together with the cache.
+    any; close() closes it together with the cache. Every verification
+    searches one VerifierLayout of the registry, built here.
     """
 
     def __init__(
@@ -579,6 +605,7 @@ class ManagerService:
                 f"{len(registry)} verifiers registered, need at least 3"
             )
         self._registry = registry
+        self._layout = VerifierLayout(registry.verifier_inputs())
         self._locator = locator
         self._provider_factory = provider_factory
         self._cfg = cfg or ManagerConfig()
@@ -657,22 +684,12 @@ class ManagerService:
         provider = self._provider_factory(ip)
         result = verify_location(
             IPInfo(value=ip, loc=asserted),
-            self._registry.verifier_inputs(),
+            self._layout,
             provider,
             self._cfg.verify,
             now,
         )
-        self._cache.put(
-            CacheEntry(
-                ip=ip,
-                asserted_loc=asserted,
-                when_veri=result.when_veri,
-                veri_passed=result.veri_passed,
-                region=result.region,
-                expires_at=now + timedelta(seconds=self._cfg.cache_ttl),
-                reason=result.reason,
-            )
-        )
+        self._cache.put(CacheEntry.of(result, now + timedelta(seconds=self._cfg.cache_ttl)))
         return result
 
 

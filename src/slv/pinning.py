@@ -172,8 +172,7 @@ def persist_store(store: PinStore, path) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entries, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(entries, indent=2) + "\n")
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

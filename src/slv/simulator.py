@@ -18,8 +18,8 @@ from .verify import (
     TARGET,
     IPInfo,
     Reason,
-    Coverage,
     VerifierInput,
+    VerifierLayout,
     VerifyConfig,
     verify_location,
 )
@@ -175,8 +175,7 @@ class SimScenario:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "SimScenario":
@@ -311,6 +310,7 @@ def run_experiment(scenario: SimScenario) -> ExperimentReport:
         raise ScenarioError("a scenario needs at least one server")
 
     verifier_locs = dict(scenario.verifiers)
+    layout = VerifierLayout(scenario.verifiers)
     totals = {True: 0, False: 0}
     accepted = {True: 0, False: 0}
     rows: list[dict] = []
@@ -325,7 +325,7 @@ def run_experiment(scenario: SimScenario) -> ExperimentReport:
         )
         result = verify_location(
             IPInfo(value=_index_ip(index), loc=server.asserted_loc),
-            scenario.verifiers,
+            layout,
             provider,
             scenario.cfg,
             now=_SIM_EPOCH,
@@ -381,10 +381,10 @@ def _random_location(rng: random.Random, bounds: RegionBounds) -> Location:
     )
 
 
-def _covered_location(rng: random.Random, bounds: RegionBounds, coverage: Coverage) -> Location:
+def _covered_location(rng: random.Random, bounds: RegionBounds, layout: VerifierLayout) -> Location:
     for _ in range(1000):
         candidate = _random_location(rng, bounds)
-        if coverage.covers(candidate):
+        if layout.covers(candidate):
             return candidate
     raise ScenarioError("could not place a server inside any verifier triangle")
 
@@ -421,16 +421,16 @@ def generate_scenario(
 
     rng = random.Random(seed)
     verifiers = [(f"v{i + 1}", _random_location(rng, bounds)) for i in range(num_verifiers)]
-    coverage = Coverage(verifiers)
+    layout = VerifierLayout(verifiers)
 
     servers: list[SimServer] = []
     for _ in range(num_honest):
-        loc = _covered_location(rng, bounds, coverage)
+        loc = _covered_location(rng, bounds, layout)
         servers.append(SimServer(true_loc=loc, asserted_loc=loc))
     adversaries = [Adversary(ADVERSARY_FALSE_ASSERTION)] * num_false_assertion
     adversaries += [Adversary(ADVERSARY_RELAY, extra_ms=relay_extra_ms)] * num_relay
     for adversary in adversaries:
-        asserted = _covered_location(rng, bounds, coverage)
+        asserted = _covered_location(rng, bounds, layout)
         true_loc = destination_point(asserted, rng.uniform(0.0, 360.0), rng.uniform(lo, hi))
         servers.append(SimServer(true_loc=true_loc, asserted_loc=asserted, adversary=adversary))
 

@@ -20,6 +20,7 @@ from typing import Optional, Protocol, Sequence
 
 from .geo import (
     EARTH_RADIUS_KM,
+    MAX_DISTANCE_KM,
     _EDGE_EPS,
     _cross,
     _dot,
@@ -280,8 +281,20 @@ def _validated(verifiers: Sequence[VerifierInput]) -> tuple[VerifierInput, ...]:
 # sharpest angle, which weakens either inequality by at most twice that
 # distance. 1 km covers all of it unless that product is below ~1e-8
 # (sides or angles of centimetres), and costs a few extra triples on
-# near-ties only.
+# near-ties only. Visiting in descending cosine u.p rather than ascending
+# distance swaps only verifiers whose distances differ by less than the
+# cosine's rounding, at most ~1e-8 radians (0.1 km) when both lie within
+# metres of p and far less otherwise, which the slack covers too.
 _STOP_SLACK_KM = 1.0
+
+# A new pair (x, m) whose side may be at most room km long is dropped
+# before its cross product and arc are looked up when the cosine of its
+# side, u_x.u_m, is below cos(room / EARTH_RADIUS_KM) by more than this.
+# Both cosines are exact to ~1e-16, so the pair's side is then longer than
+# room by at least 1e-9 radians (6 mm), far above the rounding of the side
+# bound: the side bound drops every such pair too, and the kept pairs are
+# the same.
+_ROOM_COS_SLACK = 1e-9
 
 
 def _arc_km(u, cross, v) -> float:
@@ -291,7 +304,9 @@ def _arc_km(u, cross, v) -> float:
 
 
 def enumerate_triangles(
-    verifiers: Sequence[VerifierInput], asserted: Location, limit: Optional[int] = None
+    verifiers: VerifierLayout | Sequence[VerifierInput],
+    asserted: Location,
+    limit: Optional[int] = None,
 ) -> list[Triangle]:
     """The smallest verifier triangles containing the asserted location.
 
@@ -301,60 +316,82 @@ def enumerate_triangles(
     verifier-id triple: exactly the head of the full, sorted list.
     Combinations whose vertices lie on one great circle bound no area and
     are skipped. An empty list means the point is in no triangle (no
-    coverage).
+    coverage). `verifiers` is a VerifierLayout, shared by every point of
+    one deployment, or a verifier list, which is wrapped in a new one.
 
     Verifiers are visited in ascending great-circle distance from
-    `asserted`, each one closing the triples it forms with those visited
-    before it, and the k best are kept. Two bounds cut the work once the
-    top k is full, each against the k-th best perimeter plus a small
-    slack: the search stops when twice the next verifier's distance
-    exceeds it (every vertex of a containing triangle lies within half
-    its perimeter of the point), and a verifier pair (a, b) is dropped,
-    or never formed, when d(a, b) + d(a, p) + d(b, p) exceeds it (every
-    containing triangle with side (a, b) is at least that long). Both
-    bounds are tested before containment. Cross products are computed
-    only for the pairs visited, perimeters only for containing triples
-    that pass both bounds, and Triangle objects only for the result.
+    `asserted`, ordered by one dot product each, and each one closes the
+    triples it forms with those visited before it; the k best are kept.
+    Two bounds cut the work once the top k is full, each against the k-th
+    best perimeter plus a small slack: the search stops when twice the
+    next verifier's distance exceeds it (every vertex of a containing
+    triangle lies within half its perimeter of the point), and a verifier
+    pair (a, b) is dropped, or never formed, when d(a, b) + d(a, p) +
+    d(b, p) exceeds it (every containing triangle with side (a, b) is at
+    least that long). Both bounds are tested before containment, and a
+    new pair whose d(a, b) is already too long by its dot product is
+    dropped before its cross product is looked up. Distances to the point
+    are computed only for the verifiers visited, the cross product, arc
+    and perimeter side of a pair once per layout, and Triangle objects
+    only for the result.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    ordered = _validated(verifiers)
-    locs = [loc for _, loc in ordered]
-    units = [_unit(loc) for loc in locs]
-    up = _unit(asserted)
-    reach = [_arc_km(u, _cross(u, up), up) for u in units]
+    layout = verifiers if isinstance(verifiers, VerifierLayout) else VerifierLayout(verifiers)
+    units = layout._units
+    n = len(units)
+    crosses = layout._crosses
+    length = layout._length
+    up = px, py, pz = _unit(asserted)
+    cosines = [u[0] * px + u[1] * py + u[2] * pz for u in units]
 
     # Every triple is tested as (i, j, k) with i < j < k in id order, and
     # every pair's cross product as (i, j), i < j, so each float the test
     # sees is computed exactly as a scan of all triples would compute it.
-    n = len(locs)
-    dists: dict[int, float] = {}
-
-    def dist(i: int, j: int) -> float:
-        d = dists.get(i * n + j)
-        if d is None:
-            d = dists[i * n + j] = great_circle_distance(locs[i], locs[j])
-        return d
-
     best: list[tuple[float, int, int, int]] = []
     # The k-th best perimeter plus slack once the top k is full, and its
     # value when the pairs were last filtered against it.
     cutoff = pruned_at = math.inf
     visited: list[int] = []
+    reach: list[float] = []  # distance to the point, by visit position
     # (a, b, position of a, position of b, cross(a, b), its side of p,
     # side bound), a < b
     pairs: list[tuple[int, int, int, int, tuple[float, float, float], float, float]] = []
-    for m in sorted(range(n), key=reach.__getitem__):
-        reach_m = reach[m]
+    for m in sorted(range(n), key=cosines.__getitem__, reverse=True):
+        um = units[m]
+        reach_m = _arc_km(um, _cross(um, up), up)
         if 2.0 * reach_m > cutoff:
             break
-        um = units[m]
-        # Cross products of m with each visited verifier, by visit position.
-        row = [_cross(units[x], um) if x < m else _cross(um, units[x]) for x in visited]
-        row_side = [_dot(cross, up) for cross in row]
-        row_bound = [
-            _arc_km(units[x], cross, um) + reach[x] + reach_m for x, cross in zip(visited, row)
-        ]
+        # Cross product, its side of p and the side bound of m with each
+        # visited verifier, by visit position; a pair whose bound cannot
+        # be met gets an infinite one. room is what the pair's side may
+        # be, and the dot test drops it only when the side is longer by
+        # far more than rounding.
+        room_m = cutoff - reach_m
+        row: list = []
+        row_side: list[float] = []
+        row_bound: list[float] = []
+        for x, reach_x in zip(visited, reach):
+            room = room_m - reach_x
+            ux = units[x]
+            if room < 0.0 or (
+                room < MAX_DISTANCE_KM
+                and ux[0] * um[0] + ux[1] * um[1] + ux[2] * um[2]
+                < math.cos(room / EARTH_RADIUS_KM) - _ROOM_COS_SLACK
+            ):
+                row.append(None)
+                row_side.append(0.0)
+                row_bound.append(math.inf)
+                continue
+            key = x * n + m if x < m else m * n + x
+            pair = crosses.get(key)
+            if pair is None:
+                cross = _cross(ux, um) if x < m else _cross(um, ux)
+                pair = crosses[key] = (cross, _arc_km(ux, cross, um))
+            cross = pair[0]
+            row.append(cross)
+            row_side.append(cross[0] * px + cross[1] * py + cross[2] * pz)
+            row_bound.append(pair[1] + reach_x + reach_m)
         for a, b, pa, pb, ab, side_ab, _ in pairs:
             if row_bound[pa] > cutoff or row_bound[pb] > cutoff:
                 continue
@@ -374,7 +411,7 @@ def enumerate_triangles(
                 ij[0] * uk[0] + ij[1] * uk[1] + ij[2] * uk[2], pij, pjk, pik
             ):
                 continue
-            key = (dist(i, j) + dist(j, k) + dist(i, k), i, j, k)
+            key = (length(i, j) + length(j, k) + length(i, k), i, j, k)
             if len(best) == limit:
                 if key >= best[-1]:
                     continue
@@ -393,7 +430,9 @@ def enumerate_triangles(
             if bound <= cutoff
         )
         visited.append(m)
+        reach.append(reach_m)
 
+    locs, ordered = layout._locs, layout._ordered
     return [
         Triangle(
             vertices=(locs[i], locs[j], locs[k]),
@@ -415,7 +454,8 @@ def enumerate_triangles(
 # projected points, its edges minor arcs between hull verifiers, and the
 # fan triangles (h0, hi, hi+1) of the hull vertices tile it.
 #
-# Coverage answers as the scan over all triples would, on every input:
+# VerifierLayout.covers answers as the scan over all triples would, on
+# every input:
 # - True only after a triple passes spherical_containment computed with
 #   exactly the scan's floats: the unit vectors of _unit, the triple as
 #   (i, j, k) in id order and cross(u_i, u_j) with i < j. The scan then
@@ -586,46 +626,84 @@ def _thin_triples(units) -> list[_Triple]:
     return [t for t in triples if _EDGE_EPS <= abs(t[0]) < _THIN_DET]
 
 
-class Coverage:
-    """Whether a point lies in some verifier triangle, for one layout.
+class VerifierLayout:
+    """One verifier deployment, indexed once and shared by every point
+    searched or tested against it.
 
-    Built once per verifier layout; covers(point) agrees with a scan of
-    every triple under the containment rule of enumerate_triangles on
-    every input, and costs O(h) for h hull verifiers plus the layout's
-    (rare) thin triples, instead of up to C(n, 3) tests. See the comment
-    above _HULL_MARGIN for why the hull decides exactly, and when the scan
-    is still run.
+    Iterates, and has a len(), as its (id, location) pairs in id order, so
+    it stands wherever a verifier list does. It holds the unit vectors,
+    and fills on first use, at most once per verifier pair (so at most
+    n(n - 1)/2 entries each), the pair's cross product and arc for the
+    triangle search's side bound and its haversine length for perimeters.
+    Every such value is the float a fresh search computes. The hull that
+    covers() decides on is built on the first covers() call, so a layout
+    that is only searched never pays for it. Threads may share a layout:
+    each memo entry is written whole, and two threads that fill the same
+    entry store the same value.
+
+    covers(point) agrees with a scan of every triple under the
+    containment rule of enumerate_triangles on every input, and costs O(h)
+    for h hull verifiers plus the layout's (rare) thin triples, instead of
+    up to C(n, 3) tests. See the comment above _HULL_MARGIN for why the
+    hull decides exactly, and when the scan is still run.
     """
 
     def __init__(self, verifiers: Sequence[VerifierInput]) -> None:
-        ordered = _validated(verifiers)
-        self._units = units = [_unit(loc) for _, loc in ordered]
-        # Inward unit normals of the hull edges, (boundary ray to the next
-        # fan vertex, fan triple) per fan triangle, and the thin triples,
-        # found when the first point outside the hull needs them; no
-        # normals means every point goes to the scan.
-        self._normals: list[tuple[float, float, float]] = []
+        self._ordered = _validated(verifiers)
+        self._locs = [loc for _, loc in self._ordered]
+        self._units = [_unit(loc) for loc in self._locs]
+        # (cross(u_i, u_j), arc in km) and haversine length of pair i < j,
+        # keyed by i * n + j.
+        self._crosses: dict[int, tuple[tuple[float, float, float], float]] = {}
+        self._lengths: dict[int, float] = {}
+        # Inward unit normals of the hull edges and (boundary ray to the
+        # next fan vertex, fan triple) per fan triangle, built by the first
+        # covers(), and the thin triples, found when the first point
+        # outside the hull needs them; no normals means every point goes
+        # to the scan.
+        self._normals: Optional[list[tuple[float, float, float]]] = None
         self._fan: list[tuple[tuple, _Triple]] = []
         self._thin: Optional[list[_Triple]] = None
+
+    def __iter__(self):
+        return iter(self._ordered)
+
+    def __len__(self) -> int:
+        return len(self._ordered)
+
+    def _length(self, i: int, j: int) -> float:
+        """Haversine length in km of the side between verifiers i < j."""
+        key = i * len(self._locs) + j
+        d = self._lengths.get(key)
+        if d is None:
+            d = self._lengths[key] = great_circle_distance(self._locs[i], self._locs[j])
+        return d
+
+    def _hull_normals(self) -> list[tuple[float, float, float]]:
+        """The inward unit normals of the checked hull's edges, after
+        setting the fan triangles; [] when the hull is not checked."""
+        units = self._units
         hull = _hull(units)
         if hull is None:
-            return
+            return []
         normals = []
         for h, nxt in zip(hull, hull[1:] + hull[:1]):
             normal = _normalized(_cross(units[h], units[nxt]))
             if normal is None or any(_dot(normal, u) < -_EDGE_EPS for u in units):
-                return
+                return []
             normals.append(normal)
-        self._normals = normals
         h0 = hull[0]
         self._fan = [
             (_cross(units[h0], units[hull[f + 2]]), _triple(units, h0, hull[f + 1], hull[f + 2]))
             for f in range(len(hull) - 2)
         ]
+        return normals
 
     def covers(self, point: Location) -> bool:
         """Whether at least one verifier triangle contains the point
         (boundary inclusive; triples on one great circle contain nothing)."""
+        if self._normals is None:
+            self._normals = self._hull_normals()
         up = _unit(point)
         if not self._normals:
             return _scan(self._units, up)
@@ -674,7 +752,7 @@ def _measure_triangle(
 
 def verify_location(
     asserted_ip: IPInfo,
-    verifiers: Sequence[VerifierInput],
+    verifiers: VerifierLayout | Sequence[VerifierInput],
     delays: DelayProvider,
     cfg: VerifyConfig,
     now: datetime,
@@ -682,7 +760,9 @@ def verify_location(
     """Run the verification loop for one asserted location.
 
     Walks the cfg.max_triangles smallest triangles containing the
-    asserted location, in enumerate_triangles order. Their search stops
+    asserted location, in enumerate_triangles order; callers that verify
+    many points against one deployment pass its VerifierLayout, so the
+    search's per-layout work is shared. Their search stops
     once no farther verifier can form a smaller one, so it does not test
     all C(n, 3) verifier triples. For each fully measured triangle the three
     verifier pairs are tested in id order; the first pair that passes the

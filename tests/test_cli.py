@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from slv.manager import (
     load_verifier_registry,
 )
 from slv.pinning import Outcome, PinEntry, load_store, persist_store
-from slv.simulator import DelayModel, RegionBounds, generate_scenario
+from slv.simulator import DelayModel, RegionBounds, generate_scenario, run_experiment
 from slv.verify import IPInfo, VerifyConfig
 
 NOW = datetime(2026, 8, 9, 12, 0, 0, tzinfo=timezone.utc)
@@ -161,6 +162,42 @@ class TestCmdVerify:
         code = run_cli("verify", "9.9.9.9", "--pin-store", str(tmp_path / "pins.json"))
         assert code == cli.EXIT_OK
 
+    def test_parser_is_built_once_and_reads_the_env_var_per_call(
+        self, manager, tmp_path, monkeypatch, capsys
+    ):
+        assert cli.build_parser() is cli.build_parser()
+        store = str(tmp_path / "pins.json")
+        down = f"http://127.0.0.1:{free_port()}"
+        monkeypatch.setenv(cli.MANAGER_URL_ENV, down)
+        assert run_cli("verify", "9.9.9.9", "--pin-store", store) == cli.EXIT_ERROR
+        assert f"manager unreachable at {down}" in capsys.readouterr().err
+        monkeypatch.setenv(cli.MANAGER_URL_ENV, manager)
+        assert run_cli("verify", "9.9.9.9", "--pin-store", store) == cli.EXIT_OK
+        assert "Unsuspicious" in capsys.readouterr().out
+        monkeypatch.setenv(cli.MANAGER_URL_ENV, down)
+        assert run_cli(
+            "verify", "9.9.9.9", "--pin-store", store, "--manager-url", manager, "--json"
+        ) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["outcome"] == "Unsuspicious"
+        # no option of the call before leaks into this one
+        assert run_cli("verify", "9.9.9.9", "--pin-store", store) == cli.EXIT_ERROR
+        assert f"manager unreachable at {down}" in capsys.readouterr().err
+
+    def test_parse_args_keeps_no_state_between_calls(self):
+        parser = cli.build_parser()
+        first = parser.parse_args([
+            "verify", "h1", "--manager-url", "http://a", "--pin-store", "p", "--rmax", "9",
+            "--json",
+        ])
+        assert (first.manager_url, first.pin_store, first.rmax, first.json) == (
+            "http://a", "p", 9, True)
+        second = parser.parse_args(["verify", "h2"])
+        assert (second.host, second.manager_url, second.pin_store, second.rmax, second.json) == (
+            "h2", None, cli.DEFAULT_PIN_STORE, cli.DEFAULT_RMAX, False)
+        simulate = parser.parse_args(["simulate", "--scenario", "s.json"])
+        assert not hasattr(simulate, "manager_url") and not hasattr(simulate, "host")
+        assert (simulate.seed, simulate.out) == (None, None)
+
 
 @pytest.fixture
 def populated_store(tmp_path):
@@ -246,6 +283,25 @@ class TestCmdSimulate:
         report = json.loads(report_path.read_text())
         assert report["total_true"] == 5
         assert report["total_false"] == 5
+
+    def test_report_and_scenario_bytes_match_json_dump(self, tmp_path, capsys):
+        # both files are written in one piece; the bytes are json.dump's
+        scenario = generate_scenario(
+            10, 3, 2, 1, bounds=BOUNDS,
+            cfg=VerifyConfig(probes_per_measurement=1, measurement_timeout=1.0), seed=5,
+        )
+        scenario_path = tmp_path / "scenario.json"
+        scenario.save(scenario_path)
+        report_path = tmp_path / "report.json"
+        assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(report_path)) == 0
+        for path, data in (
+            (scenario_path, scenario.to_dict()),
+            (report_path, run_experiment(scenario).to_dict()),
+        ):
+            expected = io.StringIO()
+            json.dump(data, expected, indent=2)
+            expected.write("\n")
+            assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_seed_override_changes_noise(self, tmp_path, capsys):
         scenario = generate_scenario(

@@ -17,6 +17,7 @@ import pytest
 
 import slv.agent
 import slv.manager
+import slv.verify
 from conftest import IdealProvider, free_port
 from slv.agent import AgentServer, MeasureRequest, ProtocolError
 from slv.geo import Circle, Location, destination_point
@@ -517,6 +518,56 @@ class TestManagerService:
         assert factory.calls == calls
         assert second == first
 
+    def test_cache_hits_return_one_result_without_a_new_parse(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.sqlite")
+        now = utc_now()  # a reopened cache drops rows expired by the wall clock
+        service, _ = make_service(tmp_path, cache_path=path)
+        first = service.handle_verify_request("9.9.9.9", now=now)
+        parses = []
+        parse = ipaddress.ip_address
+
+        def counting(address):
+            parses.append(address)
+            return parse(address)
+
+        monkeypatch.setattr(ipaddress, "ip_address", counting)
+        # the entry holds the verification's own result
+        assert service.handle_verify_request("9.9.9.9", now=now) is first
+        assert service.handle_verify_request("9.9.9.9", now=now) is first
+        assert parses == ["9.9.9.9"] * 2  # each request's own address check
+        service.close()
+
+        # a loaded entry builds its result on the first hit only
+        reopened, factory = make_service(tmp_path, cache_path=path)
+        parses.clear()
+        hit = reopened.handle_verify_request("9.9.9.9", now=now)
+        assert hit == first and factory.calls == 0
+        assert reopened.handle_verify_request("9.9.9.9", now=now) is hit
+        assert parses == ["9.9.9.9"] * 3
+        reopened.close()
+
+    def test_every_verification_searches_one_layout_of_the_registry(self, tmp_path, monkeypatch):
+        registry = load_verifier_registry(write_registry(tmp_path))
+        locs = {r.verifier_id: r.loc for r in registry.entries}
+        near = destination_point(INSIDE, 30.0, 100.0)
+        factory = CountingFactory(locs, {"9.9.9.9": INSIDE, "8.8.8.8": near})
+        service = ManagerService(
+            registry, FixedLocator({"9.9.9.9": INSIDE, "8.8.8.8": near}), factory,
+            ManagerConfig(registry_path="x", verify=VerifyConfig(probes_per_measurement=1)),
+        )
+        seen = []
+        search = slv.verify.enumerate_triangles
+
+        def recording(verifiers, asserted, limit=None):
+            seen.append(verifiers)
+            return search(verifiers, asserted, limit)
+
+        monkeypatch.setattr(slv.verify, "enumerate_triangles", recording)
+        for ip in ("9.9.9.9", "8.8.8.8"):
+            assert service.handle_verify_request(ip, now=NOW).veri_passed is True
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert list(seen[0]) == sorted(registry.verifier_inputs())
+
     def test_deterministic_for_fixed_inputs(self, tmp_path):
         service_a, _ = make_service(tmp_path)
         service_b, _ = make_service(tmp_path)
@@ -645,6 +696,18 @@ class TestHttpApi:
         assert body["veri_passed"] is False
         assert body["region"] is None
         assert body["reason"] == "AllTrianglesRejected"
+
+    def test_cached_reply_bytes_equal_the_verified_ones(self, api):
+        host, port = api.bound_address
+
+        def body(path):
+            with urllib.request.urlopen(f"http://{host}:{port}{path}", timeout=10) as resp:
+                return resp.read()
+
+        for ip in ("9.9.9.9", "7.7.7.7"):
+            verified = body(f"/verify?ip={ip}")
+            assert body(f"/verify?ip={ip}") == verified
+            assert body(f"/verify?ip={ip}") == verified
 
     def test_missing_parameter(self, api):
         status, body = api_get(api, "/verify")

@@ -1,4 +1,6 @@
 import copy
+import io
+import json
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -224,6 +226,18 @@ class TestStorePersistence:
         evaluate_pin(store, "b.example", passed_result(loc=MUNICH, ip="9.9.9.9"), NOW)
         persist_store(store, path)
         assert load_store(path) == store
+
+    def test_file_bytes_match_json_dump(self, tmp_path):
+        # the store is written in one piece; the bytes are json.dump's
+        path = tmp_path / "pins.json"
+        store = {}
+        evaluate_pin(store, "b.example", passed_result(loc=MUNICH, ip="9.9.9.9"), NOW)
+        evaluate_pin(store, "a.example", passed_result(), NOW)
+        persist_store(store, path)
+        expected = io.StringIO()
+        json.dump([store[name].to_dict() for name in sorted(store)], expected, indent=2)
+        expected.write("\n")
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_missing_file_is_empty_store(self, tmp_path):
         assert load_store(tmp_path / "nope.json") == {}

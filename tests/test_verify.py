@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from datetime import datetime, timezone
 from itertools import combinations
 from typing import Optional
@@ -24,7 +26,7 @@ from slv.geo import (
     point_in_spherical_triangle,
     spherical_containment,
 )
-from slv.simulator import RegionBounds, generate_scenario, run_experiment
+from slv.simulator import RegionBounds, SimDelayProvider, generate_scenario, run_experiment
 from slv.verify import (
     _EDGE_EPS,
     _STOP_SLACK_KM,
@@ -32,10 +34,10 @@ from slv.verify import (
     MAX_PROBES,
     MAX_TIMEOUT_S,
     TARGET,
-    Coverage,
     IPInfo,
     Reason,
     VerificationResult,
+    VerifierLayout,
     VerifyConfig,
     apply_lastmile_correction,
     circle_of_pair,
@@ -316,7 +318,7 @@ class TestTopKMatchesOracle:
     def _check(rng: random.Random, kind: str, instances: int, n: Optional[int] = None):
         for _ in range(instances):
             verifiers, points = _instance(rng, kind, n)
-            coverage = Coverage(verifiers)
+            coverage = VerifierLayout(verifiers)
             units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
             for p in points:
                 full = [t.verifier_ids for t in oracle(verifiers, p)]
@@ -372,6 +374,185 @@ class TestTopKMatchesOracle:
         assert calls == [scenario.cfg.max_triangles] * len(scenario.servers)
 
 
+class TestVerifierLayout:
+    """One layout reused across many points searches exactly as a fresh
+    verifier list per point does, and as the oracle."""
+
+    @staticmethod
+    def _box_layout(rng: random.Random, n: int, grow: float = 0.25):
+        """n verifiers in a random box and 50 points: 44 drawn from the box
+        grown by `grow` on each side (some then fall outside every
+        triangle) and 6 on verifiers."""
+        lat_lo = rng.uniform(-60.0, 30.0)
+        lat_hi = lat_lo + rng.uniform(10.0, 30.0)
+        lon_lo = rng.uniform(-180.0, 120.0)
+        lon_hi = lon_lo + rng.uniform(10.0, 60.0)
+        pad_lat, pad_lon = grow * (lat_hi - lat_lo), grow * (lon_hi - lon_lo)
+        verifiers = [
+            (f"v{i:03d}", Location(rng.uniform(lat_lo, lat_hi), rng.uniform(lon_lo, lon_hi)))
+            for i in range(n)
+        ]
+        points = [
+            Location(rng.uniform(lat_lo - pad_lat, lat_hi + pad_lat),
+                     rng.uniform(lon_lo - pad_lon, lon_hi + pad_lon))
+            for _ in range(44)
+        ]
+        points += [rng.choice(verifiers)[1] for _ in range(6)]
+        rng.shuffle(points)
+        return verifiers, points
+
+    @staticmethod
+    def _check(verifiers, points, limits, oracle_points):
+        """Search every point twice on one layout, in order and then in
+        reverse (so the pair memo holds other points' entries), against a
+        fresh list per point and, for the first oracle_points, the oracle."""
+        fresh = {}
+        for index, p in enumerate(points):
+            full = oracle(verifiers, p) if index < oracle_points else None
+            for k in limits:
+                fresh[index, k] = enumerate_triangles(list(verifiers), p, k)
+                assert full is None or fresh[index, k] == full[:k], (k, verifiers, p)
+        layout = VerifierLayout(verifiers)
+        order = list(range(len(points)))
+        for index in order + order[::-1]:
+            for k in limits:
+                got = enumerate_triangles(layout, points[index], k)
+                assert got == fresh[index, k], (k, verifiers, points[index])
+        n = len(verifiers)
+        assert len(layout._crosses) <= n * (n - 1) // 2
+        assert len(layout._lengths) <= n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n, seed", [(3, 1), (4, 2), (40, 3)])
+    def test_reused_layout_matches_fresh_lists_and_oracle(self, n, seed):
+        rng = random.Random(seed)
+        for _ in range(2 if n < 40 else 1):
+            verifiers, points = self._box_layout(rng, n)
+            self._check(verifiers, points, (1, 2, 4, None), oracle_points=len(points))
+
+    def test_reused_layout_at_160_verifiers(self):
+        # A point outside every triangle, the oracle and limit None all
+        # test C(160, 3) triples, so the points are drawn from the inner
+        # part of the box, and the oracle and limit None run on one point.
+        verifiers, points = self._box_layout(random.Random(4), 160, grow=-0.1)
+        self._check(verifiers, points, (1, 2, 4), oracle_points=0)
+        self._check(verifiers, points[:1], (1, 2, 4, None), oracle_points=1)
+
+    def test_more_than_a_hemisphere(self):
+        rng = random.Random(5)
+
+        def anywhere() -> Location:
+            return Location(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                            rng.uniform(-180.0, 180.0))
+
+        verifiers = [(f"v{i:02d}", anywhere()) for i in range(20)]
+        verifiers += [("w0", Location(0.0, 0.0)), ("w1", Location(0.0, 180.0))]
+        points = [anywhere() for _ in range(46)] + [loc for _, loc in verifiers[:4]]
+        self._check(verifiers, points, (1, 2, 4, None), oracle_points=len(points))
+
+    def test_coincident_verifiers(self):
+        rng = random.Random(6)
+        verifiers, points = self._box_layout(rng, 12)
+        verifiers += [(f"twin{i}", loc) for i, (_, loc) in enumerate(verifiers[:4])]
+        verifiers.append(("twin9", verifiers[0][1]))  # three at one place
+        points += [loc for _, loc in verifiers[-5:]]
+        self._check(verifiers, points, (1, 2, 4, None), oracle_points=len(points))
+
+    def test_threads_sharing_one_layout_get_the_fresh_results(self):
+        # The manager's handler threads share its layout; two threads that
+        # fill one memo entry store the same value, so no result changes.
+        verifiers, points = self._box_layout(random.Random(9), 40, grow=0.0)
+        expected = [enumerate_triangles(verifiers, p, 4) for p in points]
+        layout = VerifierLayout(verifiers)
+        mismatches = []
+
+        def search(offset: int) -> None:
+            for i in range(len(points)):
+                index = (i + offset) % len(points)
+                if enumerate_triangles(layout, points[index], 4) != expected[index]:
+                    mismatches.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=search, args=(k * 7,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_iterates_as_id_ordered_verifiers(self):
+        verifiers, _ = self._box_layout(random.Random(7), 9)
+        layout = VerifierLayout(verifiers)
+        assert list(layout) == sorted(verifiers, key=lambda v: v[0])
+        assert len(layout) == 9
+        with pytest.raises(ValueError):
+            VerifierLayout(verifiers[:2])
+        with pytest.raises(ValueError):
+            VerifierLayout(verifiers + [(verifiers[0][0], Location(0, 0))])
+
+    def test_hull_is_built_on_the_first_covers_call_only(self, monkeypatch):
+        calls = []
+        hull = slv.verify._hull
+
+        def counting(units):
+            calls.append(len(units))
+            return hull(units)
+
+        monkeypatch.setattr(slv.verify, "_hull", counting)
+        verifiers, points = self._box_layout(random.Random(8), 20)
+        layout = VerifierLayout(verifiers)
+        for p in points:
+            enumerate_triangles(layout, p, 4)
+        assert calls == []
+        for p in points:
+            assert layout.covers(p) == covered_by_oracle(verifiers, p)
+        assert calls == [20]
+
+    def test_verify_location_same_with_layout_as_with_list(self):
+        scenario = generate_scenario(
+            40, 6, 4, 2,
+            bounds=RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0),
+            seed=11,
+        )
+        layout = VerifierLayout(scenario.verifiers)
+        locs = dict(scenario.verifiers)
+        cfg = VerifyConfig(probes_per_measurement=1, measurement_timeout=1.0)
+        outcomes = set()
+        for index, server in enumerate(scenario.servers):
+            ip = make_ip(server.asserted_loc)
+
+            def provider():
+                return SimDelayProvider(locs, server.true_loc, scenario.model, stream=str(index),
+                                        extra_target_ms=server.adversary.extra_ms)
+
+            with_layout = verify_location(ip, layout, provider(), cfg, NOW)
+            assert with_layout == verify_location(ip, scenario.verifiers, provider(), cfg, NOW)
+            outcomes.add(with_layout.reason)
+        assert None in outcomes and Reason.ALL_TRIANGLES_REJECTED in outcomes
+
+    def test_run_experiment_searches_one_layout(self, monkeypatch):
+        scenario = generate_scenario(
+            12, 3, 2, 1,
+            bounds=RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0),
+            seed=12,
+        )
+        seen = []
+        search = slv.verify.enumerate_triangles
+
+        def recording(verifiers, asserted, limit=None):
+            seen.append(verifiers)
+            return search(verifiers, asserted, limit)
+
+        monkeypatch.setattr(slv.verify, "enumerate_triangles", recording)
+        run_experiment(scenario)
+        assert len(seen) == 6 and isinstance(seen[0], VerifierLayout)
+        assert all(layout is seen[0] for layout in seen)
+
+
 def covered_by_oracle(verifiers, p: Location) -> bool:
     """Whether any 3-combination contains p, by the oracle's test."""
     ordered = sorted(verifiers, key=lambda v: v[0])
@@ -414,7 +595,7 @@ def _scan_calls(monkeypatch) -> list:
 
 
 class TestCoverage:
-    """Coverage.covers must give the scan's answer on every input."""
+    """VerifierLayout.covers must give the scan's answer on every input."""
 
     BOXES = {
         "north_america": (30.0, 57.0, -118.0, -70.0),
@@ -439,7 +620,7 @@ class TestCoverage:
         for _ in range(10):
             n = rng.randint(3, 24)
             verifiers = [(f"v{i:02d}", self._draw(rng, box)) for i in range(n)]
-            coverage = Coverage(verifiers)
+            coverage = VerifierLayout(verifiers)
             # a grown box puts about half the points outside the hull
             points = [self._draw(rng, box, grow=0.3) for _ in range(20)]
             points += [loc for _, loc in rng.sample(verifiers, 3)]
@@ -451,7 +632,7 @@ class TestCoverage:
         box = self.BOXES["north_america"]
         for _ in range(40):
             verifiers = [(f"v{i}", self._draw(rng, box)) for i in range(3)]
-            coverage = Coverage(verifiers)
+            coverage = VerifierLayout(verifiers)
             for p in [self._draw(rng, box) for _ in range(10)] + [verifiers[0][1]]:
                 assert coverage.covers(p) == covered_by_oracle(verifiers, p), (verifiers, p)
 
@@ -472,7 +653,7 @@ class TestCoverage:
                 (f"v{i:02d}", on_circle(rng.uniform(-0.6, 0.6), rng.uniform(-offset, offset)))
                 for i in range(rng.randint(3, 14))
             ]
-            coverage = Coverage(verifiers)
+            coverage = VerifierLayout(verifiers)
             points = [on_circle(rng.uniform(-1.0, 1.0), rng.choice([0.0, 1e-12, -1e-9, 1e-3]))
                       for _ in range(20)]
             for p in points:
@@ -490,7 +671,7 @@ class TestCoverage:
             ]
             # a verifier at each end of one axis: no open hemisphere holds both
             verifiers += [("w0", Location(0.0, 0.0)), ("w1", Location(0.0, 180.0))]
-            coverage = Coverage(verifiers)
+            coverage = VerifierLayout(verifiers)
             for _ in range(8):
                 p = Location(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
                              rng.uniform(-180.0, 180.0))
@@ -503,7 +684,7 @@ class TestCoverage:
         box = self.BOXES["north_america"]
         for _ in range(4):
             verifiers = [(f"v{i:02d}", self._draw(rng, box)) for i in range(rng.randint(5, 20))]
-            coverage = Coverage(verifiers)
+            coverage = VerifierLayout(verifiers)
             ordered = sorted(verifiers, key=lambda v: v[0])
             units = [_unit(loc) for _, loc in ordered]
             hull = slv.verify._hull(units)
@@ -552,7 +733,7 @@ class TestCoverage:
         accepted = 0
         for _ in range(20):
             verifiers, ua, uc = self._thin_layout(rng, rng.uniform(1.0, 4.0) * _EDGE_EPS)
-            coverage = Coverage(verifiers)
+            coverage = VerifierLayout(verifiers)
             for beyond in (0.05, 0.2, 0.3, 0.6):
                 p = _mix((-beyond, ua), (1.0 + beyond, uc))
                 expected = covered_by_oracle(verifiers, p)
@@ -597,7 +778,7 @@ class TestCoverage:
             bounds=RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0),
             seed=3,
         )
-        coverage = Coverage(scenario.verifiers)
+        coverage = VerifierLayout(scenario.verifiers)
         calls = _scan_calls(monkeypatch)
         rng = random.Random(13)
         covered = sum(
