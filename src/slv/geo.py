@@ -98,7 +98,7 @@ class Triangle:
         a, b, c = self.vertices
         if a == b or b == c or a == c:
             raise DegenerateTriangleError("triangle vertices must be pairwise distinct")
-        if _vertices_contain(self.vertices, a) is None:
+        if abs(_triple_products(*map(_unit, self.vertices))[0]) < _EDGE_EPS:
             raise DegenerateTriangleError("triangle vertices lie on one great circle")
 
 
@@ -126,6 +126,13 @@ def _cross(a, b) -> tuple[float, float, float]:
 
 def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _normalized(v) -> Optional[tuple[float, float, float]]:
+    norm = math.sqrt(_dot(v, v))
+    if norm < 1e-15:
+        return None
+    return (v[0] / norm, v[1] / norm, v[2] / norm)
 
 
 def great_circle_distance(a: Location, b: Location) -> float:
@@ -158,11 +165,8 @@ def geodesic_midpoint(a: Location, b: Location) -> Location:
     """
     if great_circle_distance(a, b) > MAX_DISTANCE_KM - 1.0:
         raise AntipodalPointsError(f"midpoint of near-antipodal points is undefined: {a}, {b}")
-    ua = _unit(a)
-    ub = _unit(b)
-    s = (ua[0] + ub[0], ua[1] + ub[1], ua[2] + ub[2])
-    norm = math.sqrt(_dot(s, s))
-    return _from_unit((s[0] / norm, s[1] / norm, s[2] / norm))
+    ua, ub = _unit(a), _unit(b)
+    return _from_unit(_normalized((ua[0] + ub[0], ua[1] + ub[1], ua[2] + ub[2])))
 
 
 def point_in_circle(p: Location, c: Circle) -> bool:
@@ -193,13 +197,23 @@ def spherical_containment(det: float, pab: float, pbc: float, pac: float) -> Opt
     return None
 
 
-def _vertices_contain(vertices, p: Location) -> Optional[bool]:
-    ua, ub, uc = (_unit(v) for v in vertices)
-    up = _unit(p)
-    ab = _cross(ua, ub)
-    return spherical_containment(
-        _dot(ab, uc), _dot(ab, up), _dot(_cross(ub, uc), up), _dot(_cross(ua, uc), up)
-    )
+# (det, a x b, b x c, a x c) of unit vectors a, b, c, with det = (a x b).c.
+_Triple = tuple[float, tuple, tuple, tuple]
+
+
+def _triple_products(a, b, c) -> _Triple:
+    """The products spherical_containment needs of the triangle (a, b, c),
+    apart from the point; every triple tested outside the triangle search
+    is computed here."""
+    ab = _cross(a, b)
+    return (_dot(ab, c), ab, _cross(b, c), _cross(a, c))
+
+
+def _triple_contains(triple: _Triple, up) -> Optional[bool]:
+    """spherical_containment of the unit vector up in a triple of
+    _triple_products."""
+    det, ab, bc, ac = triple
+    return spherical_containment(det, _dot(ab, up), _dot(bc, up), _dot(ac, up))
 
 
 def point_in_spherical_triangle(p: Location, t: Triangle) -> bool:
@@ -209,7 +223,7 @@ def point_in_spherical_triangle(p: Location, t: Triangle) -> bool:
     Raises:
         DegenerateTriangleError: when the vertices lie on one great circle.
     """
-    inside = _vertices_contain(t.vertices, p)
+    inside = _triple_contains(_triple_products(*map(_unit, t.vertices)), _unit(p))
     if inside is None:
         raise DegenerateTriangleError("triangle vertices lie on one great circle")
     return inside

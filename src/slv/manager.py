@@ -22,7 +22,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from email.utils import formatdate
 from http import HTTPStatus
@@ -144,7 +144,7 @@ def load_verifier_registry(path, default_port: int = DEFAULT_AGENT_PORT) -> Veri
 
     Blank lines are skipped and ids are assigned v1, v2, ... in line
     order. The address is an IP, optionally with an agent port
-    (`ip:port`); rows without a port use `default_port`.
+    (`ip:port`, 1-65535); rows without a port use `default_port`.
 
     Raises:
         ParseError: on a malformed row, naming the line number.
@@ -161,6 +161,8 @@ def load_verifier_registry(path, default_port: int = DEFAULT_AGENT_PORT) -> Veri
                 raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
             try:
                 host, port = _split_hostport(parts[0], default_port)
+                if not 1 <= port <= 65535:
+                    raise ValueError(f"port out of range: {port}")
                 ipaddress.ip_address(host)
                 loc = Location(float(parts[1]), float(parts[2]))
             except ValueError as exc:
@@ -432,6 +434,10 @@ class LocatorConfig:
     url_template: Optional[str] = None
     timeout: float = 5.0
 
+    def __post_init__(self) -> None:
+        if not 0 < self.timeout < math.inf:
+            raise ValueError("locator timeout must be a finite number > 0")
+
     def build(self) -> Locator:
         if self.provider == "static_table":
             if not self.path:
@@ -461,35 +467,50 @@ class ManagerConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.cache_ttl) and self.cache_ttl > 0):
             raise ValueError("cache_ttl must be a finite number > 0")
+        # open() takes an integer as a file descriptor, so paths must be strings
+        if not all(isinstance(v, str) for v in (self.registry_path, self.listen_host)) or not (
+            self.cache_path is None or isinstance(self.cache_path, str)
+        ):
+            raise ValueError("registry, listen_host and cache_path must be strings")
+        # listen_port 0 asks the system for a free port
+        for name, low in (("agent_port", 1), ("target_port", 1), ("listen_port", 0)):
+            port = getattr(self, name)
+            if isinstance(port, bool) or not isinstance(port, int) or not low <= port <= 65535:
+                raise ValueError(f"{name} must be an integer in [{low}, 65535], got {port!r}")
 
     @classmethod
     def from_file(cls, path) -> "ManagerConfig":
-        """Load a JSON config.
+        """Load a JSON config; a key left out keeps its default.
 
         Top-level keys (all optional except registry): registry, cache_ttl
         (seconds), lambda_ms, probes_per_measurement, max_triangles,
         measurement_timeout (seconds), locator {provider, path,
         url_template, timeout}, agent_port, target_port, listen_host,
         listen_port, cache_path.
+
+        Raises:
+            ValueError: naming the file, when it is not such a JSON object
+                or holds an invalid value.
         """
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(
-            registry_path=data["registry"],
-            cache_ttl=float(data.get("cache_ttl", 4 * 3600.0)),
-            verify=VerifyConfig.from_dict(data),
-            locator=LocatorConfig(
-                provider=data.get("locator", {}).get("provider", "static_table"),
-                path=data.get("locator", {}).get("path"),
-                url_template=data.get("locator", {}).get("url_template"),
-                timeout=float(data.get("locator", {}).get("timeout", 5.0)),
-            ),
-            agent_port=int(data.get("agent_port", DEFAULT_AGENT_PORT)),
-            target_port=int(data.get("target_port", 80)),
-            listen_host=data.get("listen_host", "127.0.0.1"),
-            listen_port=int(data.get("listen_port", DEFAULT_API_PORT)),
-            cache_path=data.get("cache_path"),
-        )
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            locator = data.get("locator", {}) if isinstance(data, dict) else None
+            if not isinstance(locator, dict):
+                raise TypeError("expected a JSON object, with an object as its locator")
+            return cls(
+                registry_path=data["registry"],
+                verify=VerifyConfig.from_dict(data),
+                locator=LocatorConfig(**{
+                    f.name: locator[f.name] for f in fields(LocatorConfig) if f.name in locator
+                }),
+                **{key: data[key] for key in (
+                    "cache_ttl", "agent_port", "target_port", "listen_host", "listen_port",
+                    "cache_path",
+                ) if key in data},
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 class AgentPool:
@@ -550,15 +571,11 @@ class LiveDelayProvider:
     supports_concurrent_measure = True
 
     def __init__(
-        self,
-        registry: VerifierRegistry,
-        target_host: str,
-        target_port: int = 80,
-        pool: Optional[AgentPool] = None,
+        self, registry: VerifierRegistry, target_host: str, target_port: int, pool: AgentPool
     ) -> None:
         self._registry = registry
         self._target = (target_host, target_port)
-        self._pool = pool if pool is not None else AgentPool()
+        self._pool = pool
 
     def measure(
         self, verifier_id: str, endpoint_id: str, probes: int, timeout: float
@@ -620,7 +637,7 @@ class ManagerService:
         pool = AgentPool()
 
         def provider_factory(target_ip: str) -> LiveDelayProvider:
-            return LiveDelayProvider(registry, target_ip, cfg.target_port, pool=pool)
+            return LiveDelayProvider(registry, target_ip, cfg.target_port, pool)
 
         return cls(registry, cfg.locator.build(), provider_factory, cfg, pool=pool)
 
@@ -780,14 +797,15 @@ class ManagerHTTPServer(socketserver.TCPServer):
     allow_reuse_address = True
 
     def __init__(self, service: ManagerService, host: str = "127.0.0.1", port: int = DEFAULT_API_PORT):
-        # process_request hands connections to _handler threads, so no
-        # RequestHandlerClass is used
-        super().__init__((host, port), None)
         self.service = service
+        # set before binding: a failed bind calls server_close
         self._lock = threading.Lock()
         self._idle: list[queue.SimpleQueue] = []
         self._closed = False
         self._date = (0, b"")
+        # process_request hands connections to _handler threads, so no
+        # RequestHandlerClass is used
+        super().__init__((host, port), None)
 
     @property
     def bound_address(self) -> tuple[str, int]:

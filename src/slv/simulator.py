@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -101,12 +101,9 @@ class DelayModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DelayModel":
-        return cls(
-            circuitousness=float(data.get("circuitousness", 1.5)),
-            lastmile_ms=float(data.get("lastmile_ms", 5.0)),
-            jitter_ms=float(data.get("jitter_ms", 2.0)),
-            seed=int(data.get("seed", 0)),
-        )
+        """The model of the keys present, each converted to its default's
+        type; a key left out keeps its default."""
+        return cls(**{f.name: type(f.default)(data[f.name]) for f in fields(cls) if f.name in data})
 
 
 @dataclass(frozen=True)

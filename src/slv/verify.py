@@ -22,8 +22,12 @@ from .geo import (
     EARTH_RADIUS_KM,
     MAX_DISTANCE_KM,
     _EDGE_EPS,
+    _Triple,
     _cross,
     _dot,
+    _normalized,
+    _triple_contains,
+    _triple_products,
     _unit,
     Circle,
     Location,
@@ -454,12 +458,12 @@ def enumerate_triangles(
 # projected points, its edges minor arcs between hull verifiers, and the
 # fan triangles (h0, hi, hi+1) of the hull vertices tile it.
 #
-# VerifierLayout.covers answers as the scan over all triples would, on
-# every input:
+# VerifierLayout.covers answers as a test of every triple would, on every
+# input:
 # - True only after a triple passes spherical_containment computed with
-#   exactly the scan's floats: the unit vectors of _unit, the triple as
-#   (i, j, k) in id order and cross(u_i, u_j) with i < j. The scan then
-#   finds a passing triple too.
+#   exactly the floats of enumerate_triangles: the unit vectors of _unit,
+#   the triple as (i, j, k) in id order and cross(u_i, u_j) with i < j.
+#   The search then finds a containing triple too.
 # - False only when p lies outside some hull edge, with inward unit normal
 #   n and n.u >= -_EDGE_EPS checked for every verifier u at build time, by
 #   more than _HULL_MARGIN (n.p < -_HULL_MARGIN), and no triple of the
@@ -481,61 +485,24 @@ def enumerate_triangles(
 #   distance: a thin triple, with D' just above _EDGE_EPS, accepts points
 #   along its near great circle up to about its own length beyond its
 #   vertices, far outside the hull. That is why every triple with
-#   _EDGE_EPS <= |D'| < _THIN_DET is found when the layout is built (see
+#   _EDGE_EPS <= |D'| < _THIN_DET is found once per layout (see
 #   _thin_triples) and tested on each such p, and why no margin alone
 #   could make False exact.
-# Everything else falls back to the scan: points within _HULL_MARGIN
-# outside the hull, a fan triple that is degenerate or fails the test, and
-# layouts with no checked hull (outside the centroid's open hemisphere,
-# fewer than 3 hull vertices).
+# Everything else falls back to enumerate_triangles(layout, p, 1): points
+# within _HULL_MARGIN outside the hull, a fan triple that is degenerate or
+# fails the test, and layouts with no checked hull (outside the centroid's
+# open hemisphere, fewer than 3 hull vertices). That is exact too: the
+# search returns the head of the sorted list of every containing triple,
+# each tested with the floats above, so it is empty iff no triple passes.
 _HULL_MARGIN = 1e-4  # about 640 m on the earth's surface
 _THIN_DET = 8.0 * _EDGE_EPS / _HULL_MARGIN
 
-# (det, cross(u_i, u_j), cross(u_j, u_k), cross(u_i, u_k)) of a triple
-# i < j < k, as the scan computes them.
-_Triple = tuple[float, tuple, tuple, tuple]
-
 
 def _triple(units, i: int, j: int, k: int) -> _Triple:
+    """The products of a triple in id order i < j < k, as the search
+    computes them."""
     i, j, k = sorted((i, j, k))
-    ij = _cross(units[i], units[j])
-    uk = units[k]
-    return (
-        ij[0] * uk[0] + ij[1] * uk[1] + ij[2] * uk[2],
-        ij, _cross(units[j], uk), _cross(units[i], uk),
-    )
-
-
-def _contains(triple: _Triple, up) -> Optional[bool]:
-    det, ij, jk, ik = triple
-    return spherical_containment(det, _dot(ij, up), _dot(jk, up), _dot(ik, up))
-
-
-def _scan(units, up) -> bool:
-    """Whether some triple of the unit vectors (in id order) contains up:
-    the exhaustive scan, stopping at the first hit."""
-    n = len(units)
-    crosses = [[_cross(units[i], units[j]) if j > i else None for j in range(n)] for i in range(n)]
-    sides = [[_dot(c, up) if c is not None else 0.0 for c in row] for row in crosses]
-    for i in range(n):
-        cross_i, side_i = crosses[i], sides[i]
-        for j in range(i + 1, n):
-            ij, s_ij, side_j = cross_i[j], side_i[j], sides[j]
-            for k in range(j + 1, n):
-                uk = units[k]
-                if spherical_containment(
-                    ij[0] * uk[0] + ij[1] * uk[1] + ij[2] * uk[2],
-                    s_ij, side_j[k], side_i[k],
-                ):
-                    return True
-    return False
-
-
-def _normalized(v) -> Optional[tuple[float, float, float]]:
-    norm = math.sqrt(_dot(v, v))
-    if norm < 1e-15:
-        return None
-    return (v[0] / norm, v[1] / norm, v[2] / norm)
+    return _triple_products(units[i], units[j], units[k])
 
 
 def _tangent_basis(u) -> tuple[tuple, tuple]:
@@ -641,11 +608,12 @@ class VerifierLayout:
     each memo entry is written whole, and two threads that fill the same
     entry store the same value.
 
-    covers(point) agrees with a scan of every triple under the
+    covers(point) agrees with a test of every triple under the
     containment rule of enumerate_triangles on every input, and costs O(h)
     for h hull verifiers plus the layout's (rare) thin triples, instead of
     up to C(n, 3) tests. See the comment above _HULL_MARGIN for why the
-    hull decides exactly, and when the scan is still run.
+    hull decides exactly, and when it falls back to the search with
+    limit 1.
     """
 
     def __init__(self, verifiers: Sequence[VerifierInput]) -> None:
@@ -660,7 +628,7 @@ class VerifierLayout:
         # next fan vertex, fan triple) per fan triangle, built by the first
         # covers(), and the thin triples, found when the first point
         # outside the hull needs them; no normals means every point goes
-        # to the scan.
+        # to the search.
         self._normals: Optional[list[tuple[float, float, float]]] = None
         self._fan: list[tuple[tuple, _Triple]] = []
         self._thin: Optional[list[_Triple]] = None
@@ -706,19 +674,19 @@ class VerifierLayout:
             self._normals = self._hull_normals()
         up = _unit(point)
         if not self._normals:
-            return _scan(self._units, up)
+            return bool(enumerate_triangles(self, point, 1))
         for normal in self._normals:
             if _dot(normal, up) < -_HULL_MARGIN:
                 if self._thin is None:
                     self._thin = _thin_triples(self._units)
-                return any(_contains(t, up) for t in self._thin)
+                return any(_triple_contains(t, up) for t in self._thin)
         fan = self._fan
         f = 0
         while f < len(fan) - 1 and _dot(fan[f][0], up) >= 0.0:
             f += 1
-        if _contains(fan[f][1], up):
+        if _triple_contains(fan[f][1], up):
             return True
-        return _scan(self._units, up)
+        return bool(enumerate_triangles(self, point, 1))
 
 
 def _measure_triangle(

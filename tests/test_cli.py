@@ -1,5 +1,6 @@
 import io
 import json
+import socket
 import subprocess
 import sys
 import urllib.request
@@ -366,6 +367,70 @@ class TestCmdServe:
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         assert run_cli("serve", "manager", "--config", str(tmp_path / "nope.json")) == 1
+
+    @pytest.fixture
+    def serve_nothing(self, monkeypatch):
+        """A manager that starts after all returns at once instead of
+        serving, so a start-up that should fail cannot hang the test."""
+        serve = ManagerHTTPServer.serve_forever
+
+        def shut_down_first(self, poll_interval=0.5):
+            self._BaseServer__shutdown_request = True  # what shutdown() sets
+            serve(self, poll_interval)
+
+        monkeypatch.setattr(ManagerHTTPServer, "serve_forever", shut_down_first)
+
+    @pytest.mark.parametrize("change", [
+        "not an object", {"locator": None}, {"locator": "t.csv"}, {"listen_port": None},
+        {"measurement_timeout": "5"}, {"target_port": 0}, {"registry_row": "127.0.0.1:99999"},
+    ], ids=["not_an_object", "locator_null", "locator_string", "listen_port_null",
+            "timeout_string", "target_port_0", "registry_port_99999"])
+    def test_malformed_manager_config_exits_one_without_a_traceback(
+        self, tmp_path, capsys, serve_nothing, change
+    ):
+        registry = tmp_path / "verifiers.csv"
+        table = tmp_path / "table.csv"
+        table.write_text("10.0.0.0/8,45.0,-75.0\n")
+        data = {
+            "registry": str(registry),
+            "locator": {"provider": "static_table", "path": str(table)},
+            "listen_port": 0,
+        }
+        first = "127.0.0.1:7707"
+        if change == "not an object":
+            data = [data]
+        elif "registry_row" in change:
+            first = change["registry_row"]
+        else:
+            data.update(change)
+        registry.write_text(f"{first},1,1\n127.0.0.1,2,2\n127.0.0.1,3,3\n")
+        config = tmp_path / "manager.json"
+        config.write_text(json.dumps(data))
+        assert run_cli("serve", "manager", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot start manager: ")
+        assert "Traceback" not in err
+        named = f"{registry}:1:" if "registry_row" in change else str(config)
+        assert named in err
+
+    def test_manager_on_a_busy_port_exits_one_without_a_traceback(
+        self, tmp_path, capsys, serve_nothing
+    ):
+        registry = tmp_path / "verifiers.csv"
+        registry.write_text("127.0.0.1,1,1\n127.0.0.1,2,2\n127.0.0.1,3,3\n")
+        table = tmp_path / "table.csv"
+        table.write_text("10.0.0.0/8,45.0,-75.0\n")
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            config = tmp_path / "manager.json"
+            config.write_text(json.dumps({
+                "registry": str(registry),
+                "locator": {"provider": "static_table", "path": str(table)},
+                "listen_port": busy.getsockname()[1],
+            }))
+            assert run_cli("serve", "manager", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot start manager: ")
+        assert "Traceback" not in err and "_lock" not in err
 
     def test_verifier_daemon_subprocess(self):
         port = free_port()

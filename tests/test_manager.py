@@ -3,6 +3,7 @@ import ipaddress
 import json
 import math
 import random
+import re
 import socket
 import socketserver
 import sqlite3
@@ -96,6 +97,14 @@ class TestLoadVerifierRegistry:
         registry = load_verifier_registry(path, default_port=7707)
         assert registry.by_id("v1").port == 7711
         assert registry.by_id("v3").port == 7707
+
+    @pytest.mark.parametrize("address", ["127.0.0.1:99999", "127.0.0.1:0", "[::1]:65536"])
+    def test_out_of_range_agent_port_names_line(self, tmp_path, address):
+        path = tmp_path / "verifiers.csv"
+        path.write_text(f"127.0.0.1:65535,1,1\n{address},2,2\n127.0.0.1:1,3,3\n")
+        with pytest.raises(ParseError, match="port out of range") as err:
+            load_verifier_registry(path)
+        assert err.value.line_no == 2
 
 
 class TestStaticTableLocator:
@@ -823,7 +832,7 @@ class TestMalformedAgentReplies:
         pool = AgentPool()
         service = ManagerService(
             registry, FixedLocator({"9.9.9.9": INSIDE}),
-            lambda ip: LiveDelayProvider(registry, ip, pool=pool),
+            lambda ip: LiveDelayProvider(registry, ip, 80, pool),
             ManagerConfig(registry_path="x", verify=VerifyConfig(probes_per_measurement=1)),
         )
         server = ManagerHTTPServer(service, "127.0.0.1", 0)
@@ -1097,6 +1106,60 @@ class TestManagerConfig:
     def test_rejects_non_positive_ttl(self):
         with pytest.raises(ValueError):
             ManagerConfig(registry_path="x", cache_ttl=0)
+
+    @pytest.mark.parametrize("text", [
+        '["registry", "r"]',
+        '{"registry": "r", "locator": null}',
+        '{"registry": "r", "locator": "t.csv"}',
+        '{"registry": "r", "listen_port": null}',
+        '{"registry": "r", "measurement_timeout": "5"}',
+        '{"registry": "r", "locator": {"timeout": "5"}}',
+        '{"registry": "r", "cache_ttl": "600"}',
+        '{"registry": 5}',
+        '{"registry": "r", "listen_host": 5}',
+        '{"registry": "r", "cache_path": 5}',
+        '{"locator": {}}',
+        '{"registry": "r",',
+    ])
+    def test_malformed_file_is_a_value_error_naming_it(self, tmp_path, text):
+        config_path = tmp_path / "manager.json"
+        config_path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(config_path))):
+            ManagerConfig.from_file(config_path)
+
+    @pytest.mark.parametrize("key, port", [
+        ("agent_port", 0), ("agent_port", 65536), ("target_port", 0), ("target_port", -80),
+        ("target_port", 99999), ("listen_port", -1), ("listen_port", 65536),
+        ("agent_port", 7707.0), ("target_port", True), ("listen_port", "7700"),
+    ])
+    def test_rejects_ports_out_of_range(self, tmp_path, key, port):
+        with pytest.raises(ValueError, match=key):
+            ManagerConfig(registry_path="x", **{key: port})
+        config_path = tmp_path / "manager.json"
+        config_path.write_text(json.dumps({"registry": "x", key: port}))
+        with pytest.raises(ValueError, match=re.escape(str(config_path))):
+            ManagerConfig.from_file(config_path)
+
+    def test_port_range_ends_are_accepted(self):
+        cfg = ManagerConfig(registry_path="x", agent_port=1, target_port=65535, listen_port=0)
+        assert (cfg.agent_port, cfg.target_port, cfg.listen_port) == (1, 65535, 0)
+        assert ManagerConfig(registry_path="x", agent_port=65535, listen_port=65535)
+
+    def test_keys_left_out_keep_the_defaults(self, tmp_path):
+        config_path = tmp_path / "manager.json"
+        config_path.write_text('{"registry": "r"}')
+        assert ManagerConfig.from_file(config_path) == ManagerConfig(registry_path="r")
+        config_path.write_text('{"registry": "r", "locator": {"path": "t.csv"}}')
+        assert ManagerConfig.from_file(config_path) == ManagerConfig(
+            registry_path="r", locator=LocatorConfig(path="t.csv")
+        )
+
+    def test_live_provider_takes_its_port_and_pool(self, tmp_path):
+        registry = load_verifier_registry(write_registry(tmp_path))
+        with pytest.raises(TypeError):
+            LiveDelayProvider(registry, "10.0.0.1")
+        with pytest.raises(TypeError):
+            LiveDelayProvider(registry, "10.0.0.1", 80)
 
     def test_locator_config_validation(self):
         with pytest.raises(ValueError):

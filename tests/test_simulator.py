@@ -86,6 +86,13 @@ class TestSimulatedRtt:
         with pytest.raises(ValueError):
             DelayModel(jitter_ms=-1)
 
+    def test_model_keys_left_out_keep_the_defaults(self):
+        assert DelayModel.from_dict({}) == DelayModel()
+        model = DelayModel.from_dict({"jitter_ms": 8, "seed": 3.0})
+        assert model == DelayModel(jitter_ms=8.0, seed=3)
+        assert type(model.jitter_ms) is float and type(model.seed) is int
+        assert DelayModel.from_dict(CALIBRATED.to_dict()) == CALIBRATED
+
 
 class TestSimDelayProvider:
     def test_edge_measurements_are_stable_and_order_free(self):

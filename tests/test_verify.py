@@ -319,11 +319,9 @@ class TestTopKMatchesOracle:
         for _ in range(instances):
             verifiers, points = _instance(rng, kind, n)
             coverage = VerifierLayout(verifiers)
-            units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
             for p in points:
                 full = [t.verifier_ids for t in oracle(verifiers, p)]
                 assert coverage.covers(p) == bool(full), (kind, verifiers, p)
-                assert slv.verify._scan(units, _unit(p)) == bool(full), (kind, verifiers, p)
                 for k in (1, 2, 4, 7, None):
                     got = [t.verifier_ids for t in enumerate_triangles(verifiers, p, k)]
                     assert got == full[:k], (kind, k, verifiers, p)
@@ -583,14 +581,15 @@ def _mix(*terms) -> Location:
 
 
 def _scan_calls(monkeypatch) -> list:
+    """The points covers() hands to its fallback, the triangle search."""
     calls = []
-    scan = slv.verify._scan
+    search = slv.verify.enumerate_triangles
 
-    def counting(units, up):
-        calls.append(up)
-        return scan(units, up)
+    def counting(verifiers, asserted, limit=None):
+        calls.append(asserted)
+        return search(verifiers, asserted, limit)
 
-    monkeypatch.setattr(slv.verify, "_scan", counting)
+    monkeypatch.setattr(slv.verify, "enumerate_triangles", counting)
     return calls
 
 
@@ -787,6 +786,40 @@ class TestCoverage:
         )
         assert 0 < covered < 256
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_margin_band_alone_reaches_the_search(self, monkeypatch, n):
+        # Points at the middle of each hull edge, moved off it along the
+        # edge's normal by a multiple of _HULL_MARGIN: outward by less
+        # than the margin they lie in the band the hull cannot decide.
+        scenario = generate_scenario(
+            n, 1, 0, 0,
+            bounds=RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0),
+            seed=3,
+        )
+        verifiers = scenario.verifiers
+        units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
+        hull = slv.verify._hull(units)
+        assert hull is not None
+        band, points = set(), []
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            mid = [x + y for x, y in zip(units[a], units[b])]
+            mid = [x / math.sqrt(_dot(mid, mid)) for x in mid]
+            normal = _cross(units[a], units[b])  # points into the hull
+            normal = [x / math.sqrt(_dot(normal, normal)) for x in normal]
+            for times in (0.5, 0.99, 1.01, 2.0):
+                for side in (-1.0, 1.0):
+                    d = side * times * slv.verify._HULL_MARGIN
+                    p = _location([math.sqrt(1.0 - d * d) * m + d * v
+                                   for m, v in zip(mid, normal)])
+                    points.append(p)
+                    if side < 0.0 and times < 1.0:
+                        band.add(p)
+        coverage = VerifierLayout(verifiers)
+        calls = _scan_calls(monkeypatch)
+        for p in points:
+            assert coverage.covers(p) == covered_by_oracle(verifiers, p), (verifiers, p)
+        assert calls and set(calls) <= band
 
 
 class TestStopBound:
