@@ -11,7 +11,6 @@ from __future__ import annotations
 import ipaddress
 import json
 import logging
-import math
 import queue
 import re
 import socket
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Optional, Protocol
+from typing import Iterator, Optional, Protocol
 from urllib.parse import parse_qs, urlsplit
 
 from .agent import (
@@ -46,6 +45,7 @@ from .verify import (
     VerificationResult,
     VerifierLayout,
     VerifyConfig,
+    _checked_number,
     format_timestamp,
     parse_timestamp,
     utc_now,
@@ -139,11 +139,35 @@ def _split_hostport(text: str, default_port: int) -> tuple[str, int]:
     return text, default_port
 
 
+def _located_rows(path) -> Iterator[tuple[int, str, Location]]:
+    """(line number, first field, location) of each `key,lat,lon` row of a
+    text file, the first field unparsed; blank lines and lines starting
+    with # are skipped.
+
+    Raises:
+        ParseError: on a row without 3 fields or with a bad location,
+            naming the line number.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [part.strip() for part in line.split(",")]
+            if len(parts) != 3:
+                raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
+            try:
+                loc = Location(float(parts[1]), float(parts[2]))
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from exc
+            yield line_no, parts[0], loc
+
+
 def load_verifier_registry(path, default_port: int = DEFAULT_AGENT_PORT) -> VerifierRegistry:
     """Load verifiers from a CSV file with one `address,lat,lon` row each.
 
-    Blank lines are skipped and ids are assigned v1, v2, ... in line
-    order. The address is an IP, optionally with an agent port
+    Blank lines and #-comments are skipped and ids are assigned v1, v2,
+    ... in row order. The address is an IP, optionally with an agent port
     (`ip:port`, 1-65535); rows without a port use `default_port`.
 
     Raises:
@@ -151,27 +175,17 @@ def load_verifier_registry(path, default_port: int = DEFAULT_AGENT_PORT) -> Veri
         InsufficientVerifiersError: with fewer than 3 rows.
     """
     entries: list[VerifierRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [part.strip() for part in line.split(",")]
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
-            try:
-                host, port = _split_hostport(parts[0], default_port)
-                if not 1 <= port <= 65535:
-                    raise ValueError(f"port out of range: {port}")
-                ipaddress.ip_address(host)
-                loc = Location(float(parts[1]), float(parts[2]))
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            entries.append(
-                VerifierRecord(
-                    verifier_id=f"v{len(entries) + 1}", host=host, port=port, loc=loc
-                )
-            )
+    for line_no, address, loc in _located_rows(path):
+        try:
+            host, port = _split_hostport(address, default_port)
+            if not 1 <= port <= 65535:
+                raise ValueError(f"port out of range: {port}")
+            ipaddress.ip_address(host)
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+        entries.append(
+            VerifierRecord(verifier_id=f"v{len(entries) + 1}", host=host, port=port, loc=loc)
+        )
     if len(entries) < 3:
         raise InsufficientVerifiersError(
             f"registry {path} has {len(entries)} verifiers, need at least 3"
@@ -213,20 +227,11 @@ class StaticTableLocator:
     def from_file(cls, path) -> "StaticTableLocator":
         """Load `cidr,lat,lon` rows; blank lines and #-comments are skipped."""
         rows = []
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = [part.strip() for part in line.split(",")]
-                if len(parts) != 3:
-                    raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
-                try:
-                    network = ipaddress.ip_network(parts[0])
-                    loc = Location(float(parts[1]), float(parts[2]))
-                except ValueError as exc:
-                    raise ParseError(path, line_no, str(exc)) from exc
-                rows.append((network, loc))
+        for line_no, cidr, loc in _located_rows(path):
+            try:
+                rows.append((ipaddress.ip_network(cidr), loc))
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from exc
         return cls(rows)
 
     def locate(self, ip: str) -> Location:
@@ -435,8 +440,7 @@ class LocatorConfig:
     timeout: float = 5.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.timeout < math.inf:
-            raise ValueError("locator timeout must be a finite number > 0")
+        _checked_number("locator timeout", self.timeout, 0, above=True)
 
     def build(self) -> Locator:
         if self.provider == "static_table":
@@ -465,8 +469,7 @@ class ManagerConfig:
     cache_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.cache_ttl) and self.cache_ttl > 0):
-            raise ValueError("cache_ttl must be a finite number > 0")
+        _checked_number("cache_ttl", self.cache_ttl, 0, above=True)
         # open() takes an integer as a file descriptor, so paths must be strings
         if not all(isinstance(v, str) for v in (self.registry_path, self.listen_host)) or not (
             self.cache_path is None or isinstance(self.cache_path, str)
@@ -474,9 +477,7 @@ class ManagerConfig:
             raise ValueError("registry, listen_host and cache_path must be strings")
         # listen_port 0 asks the system for a free port
         for name, low in (("agent_port", 1), ("target_port", 1), ("listen_port", 0)):
-            port = getattr(self, name)
-            if isinstance(port, bool) or not isinstance(port, int) or not low <= port <= 65535:
-                raise ValueError(f"{name} must be an integer in [{low}, 65535], got {port!r}")
+            _checked_number(name, getattr(self, name), low, 65535, integer=True)
 
     @classmethod
     def from_file(cls, path) -> "ManagerConfig":

@@ -21,6 +21,7 @@ from .verify import (
     VerifierInput,
     VerifierLayout,
     VerifyConfig,
+    _checked_number,
     verify_location,
 )
 
@@ -54,8 +55,7 @@ class Adversary:
     def __post_init__(self) -> None:
         if self.kind not in _ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary kind: {self.kind!r}")
-        if self.extra_ms < 0:
-            raise ValueError("extra_ms must be >= 0")
+        _checked_number("extra_ms", self.extra_ms, 0)
         if self.kind != ADVERSARY_RELAY and self.extra_ms != 0.0:
             raise ValueError("extra_ms applies to relay adversaries only")
 
@@ -67,7 +67,7 @@ class Adversary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Adversary":
-        return cls(kind=str(data["type"]), extra_ms=float(data.get("extra_ms", 0.0)))
+        return cls(kind=str(data["type"]), extra_ms=data.get("extra_ms", 0.0))
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,9 @@ class DelayModel:
     circuitousness stretches the geodesic lower bound (routes are never
     straight), lastmile_ms inflates verifier-to-target paths, and jitter
     adds uniform noise in [0, jitter_ms). Simulated RTTs therefore never
-    fall below the physical lower bound for the true distance.
+    fall below the physical lower bound for the true distance. The three
+    must be finite numbers and are kept as floats; seed must be an
+    integer, and an integral float such as 3.0 is kept as 3.
     """
 
     circuitousness: float = 1.5
@@ -86,10 +88,13 @@ class DelayModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.circuitousness < 1.0:
-            raise ValueError("circuitousness must be >= 1")
-        if self.lastmile_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("lastmile_ms and jitter_ms must be >= 0")
+        for name, low in (("circuitousness", 1), ("lastmile_ms", 0), ("jitter_ms", 0)):
+            _checked_number(name, getattr(self, name), low)
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if isinstance(self.seed, float) and self.seed.is_integer():
+            object.__setattr__(self, "seed", int(self.seed))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -101,9 +106,8 @@ class DelayModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DelayModel":
-        """The model of the keys present, each converted to its default's
-        type; a key left out keeps its default."""
-        return cls(**{f.name: type(f.default)(data[f.name]) for f in fields(cls) if f.name in data})
+        """The model of the keys present; a key left out keeps its default."""
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,19 @@ MAX_PROBES = 16
 MAX_TIMEOUT_S = 30.0
 
 
+def _checked_number(name: str, value, low, high=math.inf, *, above=False, integer=False) -> None:
+    """Raise ValueError, naming name and value, unless value is a finite
+    number (an int when integer; a bool never counts) with
+    low <= value <= high, or low < value <= high when above."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)) or not (
+        (low < value if above else low <= value) and value <= high and value < math.inf
+    ):
+        kind = "an integer" if integer else "a finite number"
+        lower = f"> {low}" if above else f">= {low}"
+        upper = f" and <= {high}" if high < math.inf else ""
+        raise ValueError(f"{name} must be {kind} {lower}{upper}, got {value!r}")
+
+
 def utc_now() -> datetime:
     """Current UTC time truncated to whole seconds."""
     return datetime.now(timezone.utc).replace(microsecond=0)
@@ -154,16 +167,12 @@ class VerifyConfig:
     measurement_timeout: float = 10.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lambda_ms) and self.lambda_ms >= 0):
-            raise ValueError("lambda_ms must be a finite number >= 0")
-        for name in ("probes_per_measurement", "max_triangles"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
-        if self.probes_per_measurement > MAX_PROBES:
-            raise ValueError(f"probes_per_measurement must be <= {MAX_PROBES}")
-        if not 0 < self.measurement_timeout <= MAX_TIMEOUT_S:
-            raise ValueError(f"measurement_timeout must be a number in (0, {MAX_TIMEOUT_S}]")
+        _checked_number("lambda_ms", self.lambda_ms, 0)
+        _checked_number("probes_per_measurement", self.probes_per_measurement, 1, MAX_PROBES,
+                        integer=True)
+        _checked_number("max_triangles", self.max_triangles, 1, integer=True)
+        _checked_number("measurement_timeout", self.measurement_timeout, 0, MAX_TIMEOUT_S,
+                        above=True)
 
     def to_dict(self) -> dict:
         return {
@@ -308,9 +317,7 @@ def _arc_km(u, cross, v) -> float:
 
 
 def enumerate_triangles(
-    verifiers: VerifierLayout | Sequence[VerifierInput],
-    asserted: Location,
-    limit: Optional[int] = None,
+    layout: VerifierLayout, asserted: Location, limit: Optional[int] = None
 ) -> list[Triangle]:
     """The smallest verifier triangles containing the asserted location.
 
@@ -320,8 +327,13 @@ def enumerate_triangles(
     verifier-id triple: exactly the head of the full, sorted list.
     Combinations whose vertices lie on one great circle bound no area and
     are skipped. An empty list means the point is in no triangle (no
-    coverage). `verifiers` is a VerifierLayout, shared by every point of
-    one deployment, or a verifier list, which is wrapped in a new one.
+    coverage). `layout` is the deployment's VerifierLayout, shared by
+    every point searched against it.
+
+    A point that the layout's hull rules out (beyond a hull edge by more
+    than _HULL_MARGIN and in none of its thin triples) gets [] at once,
+    without testing a triple; that is exact, see the comment above
+    _HULL_MARGIN.
 
     Verifiers are visited in ascending great-circle distance from
     `asserted`, ordered by one dot product each, and each one closes the
@@ -341,12 +353,13 @@ def enumerate_triangles(
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    layout = verifiers if isinstance(verifiers, VerifierLayout) else VerifierLayout(verifiers)
+    up = px, py, pz = _unit(asserted)
+    if layout._beyond_hull(up) is False:
+        return []
     units = layout._units
     n = len(units)
     crosses = layout._crosses
     length = layout._length
-    up = px, py, pz = _unit(asserted)
     cosines = [u[0] * px + u[1] * py + u[2] * pz for u in units]
 
     # Every triple is tested as (i, j, k) with i < j < k in id order, and
@@ -488,6 +501,8 @@ def enumerate_triangles(
 #   _EDGE_EPS <= |D'| < _THIN_DET is found once per layout (see
 #   _thin_triples) and tested on each such p, and why no margin alone
 #   could make False exact.
+# The same False lets enumerate_triangles return [] for p before it tests
+# a triple: no triple passes, so the full sorted list is empty too.
 # Everything else falls back to enumerate_triangles(layout, p, 1): points
 # within _HULL_MARGIN outside the hull, a fan triple that is degenerate or
 # fails the test, and layouts with no checked hull (outside the centroid's
@@ -545,6 +560,26 @@ def _hull(units) -> Optional[list[int]]:
     return [q[2] for q in hull] if len(hull) >= 3 else None
 
 
+def _hull_edges(units) -> tuple[list[tuple[float, float, float]], list[tuple[tuple, _Triple]]]:
+    """The inward unit normals of the checked hull's edges, and per fan
+    triangle (boundary ray to its next fan vertex, fan triple); two empty
+    lists when the hull is not checked."""
+    hull = _hull(units)
+    if hull is None:
+        return [], []
+    normals = []
+    for h, nxt in zip(hull, hull[1:] + hull[:1]):
+        normal = _normalized(_cross(units[h], units[nxt]))
+        if normal is None or any(_dot(normal, u) < -_EDGE_EPS for u in units):
+            return [], []
+        normals.append(normal)
+    h0 = hull[0]
+    return normals, [
+        (_cross(units[h0], units[hull[f + 2]]), _triple(units, h0, hull[f + 1], hull[f + 2]))
+        for f in range(len(hull) - 2)
+    ]
+
+
 def _thin_triples(units) -> list[_Triple]:
     """Every triple whose computed det D' has _EDGE_EPS <= |D'| < _THIN_DET.
 
@@ -597,16 +632,16 @@ class VerifierLayout:
     """One verifier deployment, indexed once and shared by every point
     searched or tested against it.
 
-    Iterates, and has a len(), as its (id, location) pairs in id order, so
-    it stands wherever a verifier list does. It holds the unit vectors,
-    and fills on first use, at most once per verifier pair (so at most
-    n(n - 1)/2 entries each), the pair's cross product and arc for the
-    triangle search's side bound and its haversine length for perimeters.
-    Every such value is the float a fresh search computes. The hull that
-    covers() decides on is built on the first covers() call, so a layout
-    that is only searched never pays for it. Threads may share a layout:
-    each memo entry is written whole, and two threads that fill the same
-    entry store the same value.
+    Built whole: the constructor validates the verifiers (at least 3,
+    unique ids), takes their unit vectors and builds the hull that
+    covers() and the triangle search decide on. It fills on first use, at
+    most once per verifier pair (so at most n(n - 1)/2 entries each), the
+    pair's cross product and arc for the search's side bound and its
+    haversine length for perimeters, and, on the first point beyond the
+    hull, the layout's thin triples. Every such value is the float a fresh
+    search computes. Threads may share a layout: each memo entry is
+    written whole, and two threads that fill the same entry store the
+    same value.
 
     covers(point) agrees with a test of every triple under the
     containment rule of enumerate_triangles on every input, and costs O(h)
@@ -625,19 +660,11 @@ class VerifierLayout:
         self._crosses: dict[int, tuple[tuple[float, float, float], float]] = {}
         self._lengths: dict[int, float] = {}
         # Inward unit normals of the hull edges and (boundary ray to the
-        # next fan vertex, fan triple) per fan triangle, built by the first
-        # covers(), and the thin triples, found when the first point
-        # outside the hull needs them; no normals means every point goes
-        # to the search.
-        self._normals: Optional[list[tuple[float, float, float]]] = None
-        self._fan: list[tuple[tuple, _Triple]] = []
+        # next fan vertex, fan triple) per fan triangle, both empty when
+        # the hull is not checked; the thin triples, found when the first
+        # point beyond the hull needs them.
+        self._normals, self._fan = _hull_edges(self._units)
         self._thin: Optional[list[_Triple]] = None
-
-    def __iter__(self):
-        return iter(self._ordered)
-
-    def __len__(self) -> int:
-        return len(self._ordered)
 
     def _length(self, i: int, j: int) -> float:
         """Haversine length in km of the side between verifiers i < j."""
@@ -647,45 +674,31 @@ class VerifierLayout:
             d = self._lengths[key] = great_circle_distance(self._locs[i], self._locs[j])
         return d
 
-    def _hull_normals(self) -> list[tuple[float, float, float]]:
-        """The inward unit normals of the checked hull's edges, after
-        setting the fan triangles; [] when the hull is not checked."""
-        units = self._units
-        hull = _hull(units)
-        if hull is None:
-            return []
-        normals = []
-        for h, nxt in zip(hull, hull[1:] + hull[:1]):
-            normal = _normalized(_cross(units[h], units[nxt]))
-            if normal is None or any(_dot(normal, u) < -_EDGE_EPS for u in units):
-                return []
-            normals.append(normal)
-        h0 = hull[0]
-        self._fan = [
-            (_cross(units[h0], units[hull[f + 2]]), _triple(units, h0, hull[f + 1], hull[f + 2]))
-            for f in range(len(hull) - 2)
-        ]
-        return normals
-
-    def covers(self, point: Location) -> bool:
-        """Whether at least one verifier triangle contains the point
-        (boundary inclusive; triples on one great circle contain nothing)."""
-        if self._normals is None:
-            self._normals = self._hull_normals()
-        up = _unit(point)
-        if not self._normals:
-            return bool(enumerate_triangles(self, point, 1))
+    def _beyond_hull(self, up) -> Optional[bool]:
+        """For unit vector up beyond a hull edge by more than _HULL_MARGIN,
+        whether some verifier triangle contains it (only a thin triple
+        can); None for every other point."""
         for normal in self._normals:
             if _dot(normal, up) < -_HULL_MARGIN:
                 if self._thin is None:
                     self._thin = _thin_triples(self._units)
                 return any(_triple_contains(t, up) for t in self._thin)
+        return None
+
+    def covers(self, point: Location) -> bool:
+        """Whether at least one verifier triangle contains the point
+        (boundary inclusive; triples on one great circle contain nothing)."""
+        up = _unit(point)
+        beyond = self._beyond_hull(up)
+        if beyond is not None:
+            return beyond
         fan = self._fan
-        f = 0
-        while f < len(fan) - 1 and _dot(fan[f][0], up) >= 0.0:
-            f += 1
-        if _triple_contains(fan[f][1], up):
-            return True
+        if fan:
+            f = 0
+            while f < len(fan) - 1 and _dot(fan[f][0], up) >= 0.0:
+                f += 1
+            if _triple_contains(fan[f][1], up):
+                return True
         return bool(enumerate_triangles(self, point, 1))
 
 
@@ -720,7 +733,7 @@ def _measure_triangle(
 
 def verify_location(
     asserted_ip: IPInfo,
-    verifiers: VerifierLayout | Sequence[VerifierInput],
+    layout: VerifierLayout,
     delays: DelayProvider,
     cfg: VerifyConfig,
     now: datetime,
@@ -728,11 +741,11 @@ def verify_location(
     """Run the verification loop for one asserted location.
 
     Walks the cfg.max_triangles smallest triangles containing the
-    asserted location, in enumerate_triangles order; callers that verify
-    many points against one deployment pass its VerifierLayout, so the
-    search's per-layout work is shared. Their search stops
+    asserted location, in enumerate_triangles order, on the deployment's
+    `layout`, shared by every point verified against it. The search stops
     once no farther verifier can form a smaller one, so it does not test
-    all C(n, 3) verifier triples. For each fully measured triangle the three
+    all C(n, 3) verifier triples, and a point that the layout's hull rules
+    out tests none. For each fully measured triangle the three
     verifier pairs are tested in id order; the first pair that passes the
     delay test and whose pair circle geodesically contains the asserted
     location yields a positive result with that circle as the region.
@@ -743,7 +756,7 @@ def verify_location(
     MEASUREMENT_FAILURE when no attempted triangle could be fully
     measured, ALL_TRIANGLES_REJECTED otherwise.
     """
-    triangles = enumerate_triangles(verifiers, asserted_ip.loc, cfg.max_triangles)
+    triangles = enumerate_triangles(layout, asserted_ip.loc, cfg.max_triangles)
     if not triangles:
         return VerificationResult(
             ip=asserted_ip, veri_passed=False, region=None,

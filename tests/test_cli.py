@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import socket
 import subprocess
 import sys
@@ -341,6 +342,24 @@ class TestCmdSimulate:
         assert err.startswith(f"error: cannot load scenario {path}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("jitter_ms", math.nan, "nan"), ("circuitousness", math.inf, "inf"), ("seed", 1.5, "1.5"),
+    ])
+    def test_bad_model_number_exits_one_naming_key_and_value(
+        self, tmp_path, capsys, key, value, shown
+    ):
+        # at jitter NaN every honest server was rejected, at circuitousness
+        # Infinity every adversary accepted, and seed 1.5 ran as seed 1
+        data = generate_scenario(6, 3, 3, bounds=BOUNDS, seed=2).to_dict()
+        data["model"][key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("simulate", "--scenario", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot load scenario {path}")
+        assert f"{key} must be" in err and f"got {shown}" in err
+        assert "Traceback" not in err
+
 
 class TestCmdServe:
     def test_manager_with_too_few_verifiers_exits_one(self, tmp_path, capsys):
@@ -412,6 +431,39 @@ class TestCmdServe:
         assert "Traceback" not in err
         named = f"{registry}:1:" if "registry_row" in change else str(config)
         assert named in err
+
+    @pytest.mark.parametrize("change, key, shown", [
+        ({"measurement_timeout": "5"}, "measurement_timeout", "'5'"),
+        ({"lambda_ms": "5"}, "lambda_ms", "'5'"),
+        ({"cache_ttl": "60"}, "cache_ttl", "'60'"),
+        ({"locator_timeout": "5"}, "locator timeout", "'5'"),
+        ({"lambda_ms": True}, "lambda_ms", "True"),
+        ({"cache_ttl": True}, "cache_ttl", "True"),
+    ], ids=["timeout_string", "lambda_string", "ttl_string", "locator_timeout_string",
+            "lambda_bool", "ttl_bool"])
+    def test_wrongly_typed_number_exits_one_naming_key_and_value(
+        self, tmp_path, capsys, serve_nothing, change, key, shown
+    ):
+        registry = tmp_path / "verifiers.csv"
+        registry.write_text("127.0.0.1,1,1\n127.0.0.1,2,2\n127.0.0.1,3,3\n")
+        table = tmp_path / "table.csv"
+        table.write_text("10.0.0.0/8,45.0,-75.0\n")
+        data = {
+            "registry": str(registry),
+            "locator": {"provider": "static_table", "path": str(table)},
+            "listen_port": 0,
+        }
+        if "locator_timeout" in change:
+            data["locator"]["timeout"] = change["locator_timeout"]
+        else:
+            data.update(change)
+        config = tmp_path / "manager.json"
+        config.write_text(json.dumps(data))
+        assert run_cli("serve", "manager", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot start manager: ")
+        assert f"{key} must be a finite number" in err and f"got {shown}" in err
+        assert "Traceback" not in err
 
     def test_manager_on_a_busy_port_exits_one_without_a_traceback(
         self, tmp_path, capsys, serve_nothing

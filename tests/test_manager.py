@@ -74,6 +74,13 @@ class TestLoadVerifierRegistry:
         path.write_text("10.0.0.1,1,1\n\n10.0.0.2,2,2\n\n10.0.0.3,3,3\n")
         assert len(load_verifier_registry(path)) == 3
 
+    def test_skips_comment_lines(self, tmp_path):
+        path = tmp_path / "verifiers.csv"
+        path.write_text("# agents\n10.0.0.1,1,1\n  # 10.0.0.9,9,9\n10.0.0.2,2,2\n10.0.0.3,3,3\n")
+        registry = load_verifier_registry(path)
+        assert [r.host for r in registry.entries] == ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+        assert [r.verifier_id for r in registry.entries] == ["v1", "v2", "v3"]
+
     def test_out_of_range_latitude(self, tmp_path):
         path = write_registry(tmp_path, [("1.2.3.4", 91.0, 0.0)] + REGISTRY_ROWS)
         with pytest.raises(ParseError) as err:
@@ -575,7 +582,7 @@ class TestManagerService:
         for ip in ("9.9.9.9", "8.8.8.8"):
             assert service.handle_verify_request(ip, now=NOW).veri_passed is True
         assert len(seen) == 2 and seen[0] is seen[1]
-        assert list(seen[0]) == sorted(registry.verifier_inputs())
+        assert list(seen[0]._ordered) == sorted(registry.verifier_inputs())
 
     def test_deterministic_for_fixed_inputs(self, tmp_path):
         service_a, _ = make_service(tmp_path)
@@ -643,6 +650,32 @@ class TestManagerService:
         reopened = VerificationCache(path)
         assert len(reopened) == 0
         reopened.close()
+
+    def test_uncovered_address_is_decided_by_the_hull_built_at_start(self, tmp_path, monkeypatch):
+        built, tested = [], []
+        hull, containment = slv.verify._hull, slv.verify.spherical_containment
+
+        def counting_hull(units):
+            built.append(len(units))
+            return hull(units)
+
+        def counting_containment(*args):
+            tested.append(args)
+            return containment(*args)
+
+        monkeypatch.setattr(slv.verify, "_hull", counting_hull)
+        monkeypatch.setattr(slv.verify, "spherical_containment", counting_containment)
+        registry = load_verifier_registry(write_registry(tmp_path))
+        outside = Location(50.0, 50.0)  # far beyond the registry's triangle
+        factory = CountingFactory({r.verifier_id: r.loc for r in registry.entries},
+                                  {"7.7.7.7": outside})
+        service = ManagerService(registry, FixedLocator({"7.7.7.7": outside}), factory,
+                                 ManagerConfig(registry_path="x"))
+        assert built == [3]
+        result = service.handle_verify_request("7.7.7.7", now=NOW)
+        assert result.reason is Reason.NO_COVERAGE and not result.veri_passed
+        assert factory.calls == 0 and tested == []
+        assert built == [3]
 
     def test_requires_three_verifiers(self, tmp_path):
         registry = load_verifier_registry(write_registry(tmp_path))
@@ -991,6 +1024,10 @@ class TestHttpFrontEnd:
                     received = b""
             assert received == b""  # closed by the server, not by a timeout
             assert time.monotonic() - start < 5
+        # the handler closes the connection before it goes back to idle
+        deadline = time.monotonic() + 5
+        while len(server._idle) != 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert api_get(server, "/verify?ip=8.8.8.8")[0] == 200
         assert service.threads[1] is service.threads[0]
 
@@ -1102,6 +1139,26 @@ class TestManagerConfig:
         config_path.write_text(json.dumps({"registry": "x", key: bad}))
         with pytest.raises(ValueError):
             ManagerConfig.from_file(config_path)
+
+    @pytest.mark.parametrize("data, key, value", [
+        ({"measurement_timeout": "5"}, "measurement_timeout", "'5'"),
+        ({"lambda_ms": "5"}, "lambda_ms", "'5'"),
+        ({"cache_ttl": "60"}, "cache_ttl", "'60'"),
+        ({"locator": {"timeout": "5"}}, "locator timeout", "'5'"),
+        ({"lambda_ms": True}, "lambda_ms", "True"),
+        ({"cache_ttl": True}, "cache_ttl", "True"),
+        ({"measurement_timeout": True}, "measurement_timeout", "True"),
+        ({"locator": {"timeout": True}}, "locator timeout", "True"),
+    ], ids=["timeout_string", "lambda_string", "ttl_string", "locator_timeout_string",
+            "lambda_bool", "ttl_bool", "timeout_bool", "locator_timeout_bool"])
+    def test_wrongly_typed_number_is_refused_naming_key_and_value(self, tmp_path, data, key, value):
+        config_path = tmp_path / "manager.json"
+        config_path.write_text(json.dumps({"registry": "x", **data}))
+        with pytest.raises(ValueError) as err:
+            ManagerConfig.from_file(config_path)
+        message = str(err.value)
+        assert str(config_path) in message
+        assert f"{key} must be a finite number" in message and f"got {value}" in message
 
     def test_rejects_non_positive_ttl(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import random
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -150,6 +152,34 @@ class TestScenarioTypes:
         with pytest.raises(ValueError):
             Adversary(ADVERSARY_FALSE_ASSERTION, extra_ms=3)
         Adversary(ADVERSARY_RELAY, extra_ms=3)
+
+    @pytest.mark.parametrize("section, key, value, shown", [
+        ("model", "jitter_ms", math.nan, "nan"),
+        ("model", "circuitousness", math.inf, "inf"),
+        ("model", "lastmile_ms", -math.inf, "-inf"),
+        ("model", "seed", 1.5, "1.5"),
+        ("model", "seed", True, "True"),
+        ("model", "jitter_ms", True, "True"),
+        ("model", "jitter_ms", "2", "'2'"),
+        ("cfg", "lambda_ms", math.nan, "nan"),
+        ("cfg", "measurement_timeout", "5", "'5'"),
+        ("relay", "extra_ms", math.nan, "nan"),
+    ])
+    def test_bad_numbers_are_scenario_errors_naming_key_and_value(
+        self, tmp_path, section, key, value, shown
+    ):
+        data = generate_scenario(5, 1, 1, 1, bounds=BOUNDS, cfg=quick_cfg(), seed=3).to_dict()
+        target = data["servers"][2]["adversary"] if section == "relay" else data[section]
+        target[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))  # NaN and Infinity as Python's JSON writes them
+        with pytest.raises(ScenarioError, match=re.escape(f"{key} must be")) as err:
+            SimScenario.load(path)
+        assert f"got {shown}" in str(err.value)
+
+    def test_integral_float_seed_is_kept_as_an_integer(self):
+        assert DelayModel.from_dict({"seed": 7.0}).seed == 7
+        assert type(DelayModel(seed=7.0).seed) is int
 
     def test_scenario_json_round_trip(self, tmp_path):
         scenario = generate_scenario(

@@ -160,16 +160,16 @@ class TestCircleOfPair:
 
 class TestEnumerateTriangles:
     def test_single_containing_combination(self):
-        triangles = enumerate_triangles(TRI_VERIFIERS, Location(0, 0))
+        triangles = enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(0, 0))
         assert len(triangles) == 1
         assert triangles[0].verifier_ids == ("a", "b", "c")
 
     def test_point_far_outside(self):
-        assert enumerate_triangles(TRI_VERIFIERS, Location(50, 50)) == []
+        assert enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(50, 50)) == []
 
     def test_nested_triangles_smallest_perimeter_first(self):
         verifiers = TRI_VERIFIERS + [("d", Location(25, 0))]
-        triangles = enumerate_triangles(verifiers, Location(0, 0))
+        triangles = enumerate_triangles(VerifierLayout(verifiers), Location(0, 0))
         assert len(triangles) >= 2
         perimeters = [perimeter(t) for t in triangles]
         assert perimeters == sorted(perimeters)
@@ -179,8 +179,8 @@ class TestEnumerateTriangles:
 
     def test_deterministic(self):
         verifiers = TRI_VERIFIERS + [("d", Location(25, 0)), ("e", Location(-25, 3))]
-        first = enumerate_triangles(verifiers, Location(0, 0))
-        second = enumerate_triangles(list(reversed(verifiers)), Location(0, 0))
+        first = enumerate_triangles(VerifierLayout(verifiers), Location(0, 0))
+        second = enumerate_triangles(VerifierLayout(list(reversed(verifiers))), Location(0, 0))
         assert first == second
 
     def test_agrees_with_per_triangle_containment(self):
@@ -201,7 +201,7 @@ class TestEnumerateTriangles:
                     continue
                 if point_in_spherical_triangle(p, t):
                     expected.add(t.verifier_ids)
-            enumerated = {t.verifier_ids for t in enumerate_triangles(verifiers, p)}
+            enumerated = {t.verifier_ids for t in enumerate_triangles(VerifierLayout(verifiers), p)}
             assert enumerated == expected
 
     def test_skips_degenerate_combinations(self):
@@ -212,16 +212,18 @@ class TestEnumerateTriangles:
             ("d", Location(10, 10)),
             ("e", Location(-10, 10)),
         ]
-        triangles = enumerate_triangles(verifiers, Location(0, 10))
+        triangles = enumerate_triangles(VerifierLayout(verifiers), Location(0, 10))
         assert all(t.verifier_ids != ("a", "b", "c") for t in triangles)
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
-            enumerate_triangles(TRI_VERIFIERS[:2], Location(0, 0))
+            enumerate_triangles(VerifierLayout(TRI_VERIFIERS[:2]), Location(0, 0))
         with pytest.raises(ValueError):
-            enumerate_triangles(TRI_VERIFIERS + [("a", Location(5, 5))], Location(0, 0))
+            enumerate_triangles(
+                VerifierLayout(TRI_VERIFIERS + [("a", Location(5, 5))]), Location(0, 0)
+            )
         with pytest.raises(ValueError):
-            enumerate_triangles(TRI_VERIFIERS, Location(0, 0), limit=0)
+            enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(0, 0), limit=0)
 
 
 def oracle(verifiers, asserted: Location) -> list[Triangle]:
@@ -323,15 +325,16 @@ class TestTopKMatchesOracle:
                 full = [t.verifier_ids for t in oracle(verifiers, p)]
                 assert coverage.covers(p) == bool(full), (kind, verifiers, p)
                 for k in (1, 2, 4, 7, None):
-                    got = [t.verifier_ids for t in enumerate_triangles(verifiers, p, k)]
+                    found = enumerate_triangles(VerifierLayout(verifiers), p, k)
+                    got = [t.verifier_ids for t in found]
                     assert got == full[:k], (kind, k, verifiers, p)
 
     def test_returns_equal_triangles(self):
         rng = random.Random(6)
         verifiers, points = _instance(rng, "uniform")
         for p in points:
-            assert enumerate_triangles(verifiers, p) == oracle(verifiers, p)
-            assert enumerate_triangles(verifiers, p, 4) == oracle(verifiers, p)[:4]
+            assert enumerate_triangles(VerifierLayout(verifiers), p) == oracle(verifiers, p)
+            assert enumerate_triangles(VerifierLayout(verifiers), p, 4) == oracle(verifiers, p)[:4]
 
     def test_pruning_bounds_containment_tests(self, monkeypatch):
         # Without the side bound the search makes ~1150 containment tests
@@ -351,7 +354,7 @@ class TestTopKMatchesOracle:
 
         monkeypatch.setattr(slv.verify, "spherical_containment", counting)
         for server in scenario.servers:
-            assert enumerate_triangles(scenario.verifiers, server.asserted_loc, 4)
+            assert enumerate_triangles(VerifierLayout(scenario.verifiers), server.asserted_loc, 4)
         assert calls / len(scenario.servers) < 500
 
     def test_simulator_verdicts_identical(self, monkeypatch):
@@ -363,9 +366,9 @@ class TestTopKMatchesOracle:
         searched = run_experiment(scenario).to_dict()
         calls = []
 
-        def exhaustive(verifiers, asserted, limit=None):
+        def exhaustive(layout, asserted, limit=None):
             calls.append(limit)
-            return oracle(verifiers, asserted)[:limit]
+            return oracle(layout._ordered, asserted)[:limit]
 
         monkeypatch.setattr(slv.verify, "enumerate_triangles", exhaustive)
         assert run_experiment(scenario).to_dict() == searched
@@ -408,7 +411,7 @@ class TestVerifierLayout:
         for index, p in enumerate(points):
             full = oracle(verifiers, p) if index < oracle_points else None
             for k in limits:
-                fresh[index, k] = enumerate_triangles(list(verifiers), p, k)
+                fresh[index, k] = enumerate_triangles(VerifierLayout(verifiers), p, k)
                 assert full is None or fresh[index, k] == full[:k], (k, verifiers, p)
         layout = VerifierLayout(verifiers)
         order = list(range(len(points)))
@@ -459,7 +462,7 @@ class TestVerifierLayout:
         # The manager's handler threads share its layout; two threads that
         # fill one memo entry store the same value, so no result changes.
         verifiers, points = self._box_layout(random.Random(9), 40, grow=0.0)
-        expected = [enumerate_triangles(verifiers, p, 4) for p in points]
+        expected = [enumerate_triangles(VerifierLayout(verifiers), p, 4) for p in points]
         layout = VerifierLayout(verifiers)
         mismatches = []
 
@@ -482,55 +485,42 @@ class TestVerifierLayout:
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
 
-    def test_iterates_as_id_ordered_verifiers(self):
-        verifiers, _ = self._box_layout(random.Random(7), 9)
-        layout = VerifierLayout(verifiers)
-        assert list(layout) == sorted(verifiers, key=lambda v: v[0])
-        assert len(layout) == 9
-        with pytest.raises(ValueError):
-            VerifierLayout(verifiers[:2])
-        with pytest.raises(ValueError):
-            VerifierLayout(verifiers + [(verifiers[0][0], Location(0, 0))])
+    def test_hull_is_built_at_construction_and_thin_triples_beyond_it(self, monkeypatch):
+        # The hull is part of a built layout; the thin triples wait for
+        # the first point beyond it, which may never come.
+        built = {"hull": [], "thin": []}
+        hull, thin = slv.verify._hull, slv.verify._thin_triples
 
-    def test_hull_is_built_on_the_first_covers_call_only(self, monkeypatch):
-        calls = []
-        hull = slv.verify._hull
-
-        def counting(units):
-            calls.append(len(units))
+        def counting_hull(units):
+            built["hull"].append(len(units))
             return hull(units)
 
-        monkeypatch.setattr(slv.verify, "_hull", counting)
+        def counting_thin(units):
+            built["thin"].append(len(units))
+            return thin(units)
+
+        monkeypatch.setattr(slv.verify, "_hull", counting_hull)
+        monkeypatch.setattr(slv.verify, "_thin_triples", counting_thin)
         verifiers, points = self._box_layout(random.Random(8), 20)
         layout = VerifierLayout(verifiers)
-        for p in points:
-            enumerate_triangles(layout, p, 4)
-        assert calls == []
-        for p in points:
+        assert built == {"hull": [20], "thin": []}
+        assert layout._normals and layout._fan
+
+        def beyond(p: Location) -> bool:
+            up = _unit(p)
+            return any(_dot(n, up) < -slv.verify._HULL_MARGIN for n in layout._normals)
+
+        inside = [p for p in points if not beyond(p)]
+        outside = [p for p in points if beyond(p)]
+        assert inside and outside
+        for p in inside:
+            assert enumerate_triangles(layout, p, 4) == oracle(verifiers, p)[:4]
             assert layout.covers(p) == covered_by_oracle(verifiers, p)
-        assert calls == [20]
-
-    def test_verify_location_same_with_layout_as_with_list(self):
-        scenario = generate_scenario(
-            40, 6, 4, 2,
-            bounds=RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0),
-            seed=11,
-        )
-        layout = VerifierLayout(scenario.verifiers)
-        locs = dict(scenario.verifiers)
-        cfg = VerifyConfig(probes_per_measurement=1, measurement_timeout=1.0)
-        outcomes = set()
-        for index, server in enumerate(scenario.servers):
-            ip = make_ip(server.asserted_loc)
-
-            def provider():
-                return SimDelayProvider(locs, server.true_loc, scenario.model, stream=str(index),
-                                        extra_target_ms=server.adversary.extra_ms)
-
-            with_layout = verify_location(ip, layout, provider(), cfg, NOW)
-            assert with_layout == verify_location(ip, scenario.verifiers, provider(), cfg, NOW)
-            outcomes.add(with_layout.reason)
-        assert None in outcomes and Reason.ALL_TRIANGLES_REJECTED in outcomes
+        assert built == {"hull": [20], "thin": []}
+        for p in outside:
+            assert enumerate_triangles(layout, p, 4) == oracle(verifiers, p)[:4]
+            assert layout.covers(p) == covered_by_oracle(verifiers, p)
+        assert built == {"hull": [20], "thin": [20]}
 
     def test_run_experiment_searches_one_layout(self, monkeypatch):
         scenario = generate_scenario(
@@ -578,6 +568,24 @@ def _location(v) -> Location:
 def _mix(*terms) -> Location:
     """The location of the normalized sum of weight * unit vector terms."""
     return _location([sum(w * u[axis] for w, u in terms) for axis in range(3)])
+
+
+def _hull_band(units, hull) -> list[tuple[float, Location]]:
+    """(signed offset, point) for points at the middle of each hull edge,
+    moved off it along the edge's normal by 0.5, 0.99, 1.01 and 2 times
+    _HULL_MARGIN each way; a negative offset, in margins, is outward."""
+    points = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        mid = [x + y for x, y in zip(units[a], units[b])]
+        mid = [x / math.sqrt(_dot(mid, mid)) for x in mid]
+        normal = _cross(units[a], units[b])  # points into the hull
+        normal = [x / math.sqrt(_dot(normal, normal)) for x in normal]
+        for times in (0.5, 0.99, 1.01, 2.0):
+            for side in (-1.0, 1.0):
+                d = side * times * slv.verify._HULL_MARGIN
+                points.append((side * times, _location(
+                    [math.sqrt(1.0 - d * d) * m + d * v for m, v in zip(mid, normal)])))
+    return points
 
 
 def _scan_calls(monkeypatch) -> list:
@@ -801,25 +809,97 @@ class TestCoverage:
         units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
         hull = slv.verify._hull(units)
         assert hull is not None
-        band, points = set(), []
-        for a, b in zip(hull, hull[1:] + hull[:1]):
-            mid = [x + y for x, y in zip(units[a], units[b])]
-            mid = [x / math.sqrt(_dot(mid, mid)) for x in mid]
-            normal = _cross(units[a], units[b])  # points into the hull
-            normal = [x / math.sqrt(_dot(normal, normal)) for x in normal]
-            for times in (0.5, 0.99, 1.01, 2.0):
-                for side in (-1.0, 1.0):
-                    d = side * times * slv.verify._HULL_MARGIN
-                    p = _location([math.sqrt(1.0 - d * d) * m + d * v
-                                   for m, v in zip(mid, normal)])
-                    points.append(p)
-                    if side < 0.0 and times < 1.0:
-                        band.add(p)
+        offsets = _hull_band(units, hull)
+        points = [p for _, p in offsets]
+        band = {p for offset, p in offsets if -1.0 < offset < 0.0}
         coverage = VerifierLayout(verifiers)
         calls = _scan_calls(monkeypatch)
         for p in points:
             assert coverage.covers(p) == covered_by_oracle(verifiers, p), (verifiers, p)
         assert calls and set(calls) <= band
+
+
+class TestSearchConsultsTheHull:
+    """enumerate_triangles returns [] for a point its layout's hull rules
+    out before it tests a triple, and is the oracle's head everywhere."""
+
+    NORTH_AMERICA = RegionBounds(lat_min=25.0, lat_max=50.0, lon_min=-125.0, lon_max=-70.0)
+    # south of the box's hull, and in Sydney
+    UNCOVERED = (Location(20.0, -95.0), Location(-33.9, 151.2))
+
+    @staticmethod
+    def _containment_calls(monkeypatch) -> list:
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return spherical_containment(*args)
+
+        monkeypatch.setattr(slv.verify, "spherical_containment", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [40, 160])
+    def test_uncovered_points_test_no_triple(self, monkeypatch, n):
+        scenario = generate_scenario(n, 0, 1, 0, bounds=self.NORTH_AMERICA, seed=5)
+        layout = VerifierLayout(scenario.verifiers)
+        locs = dict(scenario.verifiers)
+        cfg = VerifyConfig(probes_per_measurement=1, measurement_timeout=1.0)
+        calls = self._containment_calls(monkeypatch)
+        for p in self.UNCOVERED:
+            assert enumerate_triangles(layout, p, 4) == []
+            assert enumerate_triangles(layout, p) == []
+            provider = IdealProvider(locs, p)
+            result = verify_location(make_ip(p), layout, provider, cfg, NOW)
+            assert result.reason is Reason.NO_COVERAGE and provider.calls == 0
+        assert calls == []
+        # the search still tests triples for a covered point
+        enumerate_triangles(layout, scenario.servers[0].asserted_loc, 4)
+        assert calls
+
+    @staticmethod
+    def _check(layout, verifiers, points) -> None:
+        for p in points:
+            full = oracle(verifiers, p)
+            for k in (1, 4, None):
+                assert enumerate_triangles(layout, p, k) == full[:k], (k, verifiers, p)
+
+    @pytest.mark.parametrize("kind, seed", [("north_america", 1), ("date_line", 2), ("equator", 3)])
+    def test_oracle_head_inside_in_the_band_and_far_away(self, kind, seed):
+        rng = random.Random(seed)
+        box = TestCoverage.BOXES[kind]
+        ruled_out = 0
+        for _ in range(3):
+            verifiers = [(f"v{i:02d}", TestCoverage._draw(rng, box))
+                         for i in range(rng.randint(5, 24))]
+            layout = VerifierLayout(verifiers)
+            units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
+            hull = slv.verify._hull(units)
+            assert hull is not None and layout._normals
+            inside = [TestCoverage._draw(rng, box) for _ in range(6)]
+            far = [Location(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                            rng.uniform(-180.0, 180.0)) for _ in range(6)]
+            band = _hull_band(units, hull)
+            for offset, p in band:
+                beyond = layout._beyond_hull(_unit(p))
+                # only points outward by more than the margin are decided
+                assert (beyond is None) == (offset > -1.0), (offset, verifiers, p)
+            ruled_out += sum(layout._beyond_hull(_unit(p)) is False for p in far)
+            self._check(layout, verifiers, inside + far + [p for _, p in band])
+        assert ruled_out > 0
+
+    def test_oracle_head_on_more_than_a_hemisphere(self):
+        rng = random.Random(4)
+
+        def anywhere() -> Location:
+            return Location(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                            rng.uniform(-180.0, 180.0))
+
+        for _ in range(3):
+            verifiers = [(f"v{i:02d}", anywhere()) for i in range(14)]
+            verifiers += [("w0", Location(0.0, 0.0)), ("w1", Location(0.0, 180.0))]
+            layout = VerifierLayout(verifiers)
+            assert layout._normals == [] and layout._fan == []
+            self._check(layout, verifiers, [anywhere() for _ in range(12)])
 
 
 class TestStopBound:
@@ -973,7 +1053,9 @@ class TestVerifyLocation:
     def test_truthful_server_accepted(self):
         server = Location(0, 0)
         provider = IdealProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
-        result = verify_location(make_ip(server), TRI_VERIFIERS, provider, self.cfg(), NOW)
+        result = verify_location(
+            make_ip(server), VerifierLayout(TRI_VERIFIERS), provider, self.cfg(), NOW
+        )
 
         assert result.veri_passed is True
         assert result.reason is None
@@ -998,7 +1080,7 @@ class TestVerifyLocation:
             for i, bearing in enumerate(range(0, 360, 60))
         ]
         provider = IdealProvider(dict(ring), true_loc, target_inflation_ms=5.0)
-        result = verify_location(make_ip(asserted), ring, provider, self.cfg(), NOW)
+        result = verify_location(make_ip(asserted), VerifierLayout(ring), provider, self.cfg(), NOW)
 
         assert result.veri_passed is False
         assert result.region is None
@@ -1007,7 +1089,9 @@ class TestVerifyLocation:
     def test_no_coverage(self):
         asserted = Location(50, 50)
         provider = IdealProvider(dict(TRI_VERIFIERS), asserted)
-        result = verify_location(make_ip(asserted), TRI_VERIFIERS, provider, self.cfg(), NOW)
+        result = verify_location(
+            make_ip(asserted), VerifierLayout(TRI_VERIFIERS), provider, self.cfg(), NOW
+        )
 
         assert result.veri_passed is False
         assert result.reason is Reason.NO_COVERAGE
@@ -1019,7 +1103,7 @@ class TestVerifyLocation:
                 return None
 
         result = verify_location(
-            make_ip(Location(0, 0)), TRI_VERIFIERS, DeadProvider(), self.cfg(), NOW
+            make_ip(Location(0, 0)), VerifierLayout(TRI_VERIFIERS), DeadProvider(), self.cfg(), NOW
         )
         assert result.veri_passed is False
         assert result.reason is Reason.MEASUREMENT_FAILURE
@@ -1038,7 +1122,7 @@ class TestVerifyLocation:
         # one triangle only, nothing completes
         provider = FlakyA(dict(verifiers), server, target_inflation_ms=5.0)
         result = verify_location(
-            make_ip(server), verifiers, provider, self.cfg(max_triangles=1), NOW
+            make_ip(server), VerifierLayout(verifiers), provider, self.cfg(max_triangles=1), NOW
         )
         assert result.veri_passed is False
         assert result.reason is Reason.MEASUREMENT_FAILURE
@@ -1046,7 +1130,7 @@ class TestVerifyLocation:
         # a second slot reaches the wider triangle (b, c, d), which accepts
         provider = FlakyA(dict(verifiers), server, target_inflation_ms=5.0)
         result = verify_location(
-            make_ip(server), verifiers, provider, self.cfg(max_triangles=2), NOW
+            make_ip(server), VerifierLayout(verifiers), provider, self.cfg(max_triangles=2), NOW
         )
         assert result.veri_passed is True
         assert result.region is not None
@@ -1064,7 +1148,7 @@ class TestVerifyLocation:
         verifiers = TRI_VERIFIERS + [("d", Location(25, 0))]
         provider = FlakyA(dict(verifiers), true_loc, target_inflation_ms=5.0)
         result = verify_location(
-            make_ip(asserted), verifiers, provider, self.cfg(max_triangles=4), NOW
+            make_ip(asserted), VerifierLayout(verifiers), provider, self.cfg(max_triangles=4), NOW
         )
         assert result.veri_passed is False
         assert result.reason is Reason.ALL_TRIANGLES_REJECTED
@@ -1080,7 +1164,8 @@ class TestVerifyLocation:
             asserted = destination_point(centre, rng.uniform(0, 360), rng.uniform(0, 300))
             provider = IdealProvider(dict(verifiers), asserted, target_inflation_ms=5.0)
             result = verify_location(
-                make_ip(asserted), verifiers, provider, self.cfg(max_triangles=10), NOW
+                make_ip(asserted), VerifierLayout(verifiers), provider,
+                self.cfg(max_triangles=10), NOW,
             )
             if result.veri_passed:
                 assert point_in_circle(asserted, result.region)
@@ -1105,8 +1190,12 @@ class TestVerifyLocation:
 
         concurrent = ConcurrentProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
         sequential = IdealProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
-        a = verify_location(make_ip(server), TRI_VERIFIERS, concurrent, self.cfg(), NOW)
-        b = verify_location(make_ip(server), TRI_VERIFIERS, sequential, self.cfg(), NOW)
+        a = verify_location(
+            make_ip(server), VerifierLayout(TRI_VERIFIERS), concurrent, self.cfg(), NOW
+        )
+        b = verify_location(
+            make_ip(server), VerifierLayout(TRI_VERIFIERS), sequential, self.cfg(), NOW
+        )
         assert a == b
 
     def test_concurrent_provider_gets_all_nine_measurements_at_once(self):
@@ -1126,8 +1215,12 @@ class TestVerifyLocation:
 
         concurrent = FanOutProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
         sequential = IdealProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
-        a = verify_location(make_ip(server), TRI_VERIFIERS, concurrent, self.cfg(), NOW)
-        b = verify_location(make_ip(server), TRI_VERIFIERS, sequential, self.cfg(), NOW)
+        a = verify_location(
+            make_ip(server), VerifierLayout(TRI_VERIFIERS), concurrent, self.cfg(), NOW
+        )
+        b = verify_location(
+            make_ip(server), VerifierLayout(TRI_VERIFIERS), sequential, self.cfg(), NOW
+        )
         assert a == b
 
     def test_lambda_correction_applied_to_target_edges_only(self):
@@ -1143,7 +1236,7 @@ class TestVerifyLocation:
         # pure geodesic delays and the truthful server must be accepted
         provider = Recorder(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
         result = verify_location(
-            make_ip(server), TRI_VERIFIERS, provider, self.cfg(lambda_ms=5.0), NOW
+            make_ip(server), VerifierLayout(TRI_VERIFIERS), provider, self.cfg(lambda_ms=5.0), NOW
         )
         assert result.veri_passed is True
         target_edges = [pair for pair in seen if pair[1] == TARGET]
@@ -1161,7 +1254,7 @@ class TestVerifyLocation:
             def measure(self, verifier_id, endpoint_id, probes, timeout):
                 return self.ms
 
-        triangle = enumerate_triangles(TRI_VERIFIERS, Location(0, 0))[0]
+        triangle = enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(0, 0))[0]
         ids = triangle.verifier_ids
         edges = [(v, e) for v in ids for e in (TARGET,) + tuple(w for w in ids if w != v)]
         cfg = self.cfg(lambda_ms=5.0)
@@ -1170,7 +1263,7 @@ class TestVerifyLocation:
             assert rtts == {e: target_ms if e[1] == TARGET else peer_ms for e in edges}
 
     def test_measured_triangle_is_none_when_any_edge_fails(self):
-        triangle = enumerate_triangles(TRI_VERIFIERS, Location(0, 0))[0]
+        triangle = enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(0, 0))[0]
         for missing in (("b", TARGET), ("b", "c")):
             class OneFails(IdealProvider):
                 def measure(self, verifier_id, endpoint_id, probes, timeout):
