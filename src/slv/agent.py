@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .geo import _checked_number
 from .verify import MAX_PROBES, MAX_TIMEOUT_S, TARGET, format_timestamp, utc_now
 
 log = logging.getLogger(__name__)
@@ -48,11 +49,19 @@ class ProtocolError(ValueError):
     """A request or response does not follow the wire protocol."""
 
 
+def _checked(name: str, value, low, high, **kind) -> None:
+    """_checked_number, raising ProtocolError."""
+    try:
+        _checked_number(name, value, low, high, **kind)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
+
+
 def _check_limits(probes: int, timeout: float) -> None:
-    if not 1 <= probes <= MAX_PROBES:
-        raise ProtocolError(f"probes must be in [1, {MAX_PROBES}]")
-    if not 0 < timeout <= MAX_TIMEOUT_S:
-        raise ProtocolError(f"timeout must be a number in (0, {MAX_TIMEOUT_S}]")
+    """Raise ProtocolError unless an agent accepts probes and timeout: the
+    limits that VerifyConfig keeps to."""
+    _checked("probes", probes, 1, MAX_PROBES, integer=True)
+    _checked("timeout", timeout, 0, MAX_TIMEOUT_S, above=True)
 
 
 def _check_address(host: str, port: int, what: str) -> None:
@@ -60,8 +69,7 @@ def _check_address(host: str, port: int, what: str) -> None:
         ipaddress.ip_address(host)
     except ValueError as exc:
         raise ProtocolError(f"{what} host is not a valid IP address: {host!r}") from exc
-    if not 1 <= int(port) <= 65535:
-        raise ProtocolError(f"{what} port out of range: {port}")
+    _checked(f"{what} port", port, 1, 65535, integer=True)
 
 
 @dataclass(frozen=True)
@@ -140,18 +148,18 @@ class MeasureRequest:
                 PeerSpec(
                     verifier_id=str(p["verifier_id"]),
                     host=str(p["host"]),
-                    port=int(p.get("port", DEFAULT_AGENT_PORT)),
+                    port=p.get("port", DEFAULT_AGENT_PORT),
                 )
                 for p in data.get("peers", [])
             )
             return cls(
                 request_id=str(data.get("request_id", "")),
-                target=(str(target["host"]), int(target.get("port", 80))) if target else None,
+                target=(str(target["host"]), target.get("port", 80)) if target else None,
                 peers=peers,
-                probes=int(data.get("probes", default_probes)),
-                timeout=float(data.get("timeout", default_timeout)),
+                probes=data.get("probes", default_probes),
+                timeout=data.get("timeout", default_timeout),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed request: {exc}") from exc
 
 
@@ -178,10 +186,9 @@ class MeasureResponse:
         for eid, value in data["rtts"].items():
             if value == FAILED:
                 rtts[eid] = None
-            elif isinstance(value, (int, float)) and math.isfinite(value) and value >= 0:
-                rtts[eid] = float(value)
             else:
-                raise ProtocolError(f"RTT for {eid} is not a finite number >= 0: {value!r}")
+                _checked(f"RTT for {eid}", value, 0, math.inf)
+                rtts[eid] = float(value)
         return cls(
             request_id=str(data.get("request_id", "")),
             rtts=rtts,

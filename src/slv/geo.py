@@ -9,6 +9,7 @@ inside.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,27 +24,56 @@ SPEED_OF_LIGHT_KM_S = 299792.458
 # Scalar triple products below this magnitude count as "on the edge".
 _EDGE_EPS = 1e-12
 
+# Triples of unit vectors whose det (a x b).c is below this magnitude bound
+# no area. A small triangle's det is about twice its area in steradians, so
+# below the bound it covers about 1.6 km^2 on the earth at most, a few km^2
+# when its sides are thousands of km long. The bound is 8 * _EDGE_EPS /
+# verify._HULL_MARGIN: the sign test's tolerance, which applies to
+# unnormalized products, then cannot carry a point beyond the verifiers'
+# hull (see the comment above verify._HULL_MARGIN).
+_MIN_DET = 8e-8
+
 
 class AntipodalPointsError(ValueError):
     """An operation is undefined for (nearly) antipodal points."""
 
 
 class DegenerateTriangleError(ValueError):
-    """Three points lie on a single great circle and bound no area."""
+    """Three points bound no area: |det| < _MIN_DET, as when they lie on
+    one great circle."""
+
+
+def _checked_number(name: str, value, low, high=math.inf, *, above=False, integer=False) -> None:
+    """Raise ValueError, naming name and value, unless value is a finite
+    number that a float can hold (an int when integer; a bool never counts)
+    with low <= value <= high, or low < value <= high when above."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)) or not (
+        (low < value if above else low <= value) and value <= high
+        and abs(value) <= sys.float_info.max
+    ):
+        kind = "an integer" if integer else "a finite number"
+        lower = f" > {low}" if above else f" >= {low}" if low > -math.inf else ""
+        upper = f" and <= {high}" if high < math.inf else ""
+        raise ValueError(f"{name} must be {kind}{lower}{upper}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class Location:
     """A point on the sphere.
 
-    Latitude must be within [-90, 90]; longitude is normalized into
-    [-180, 180) on construction.
+    Both must be numbers, an int or a float but never a bool, and are kept
+    as floats. Latitude must be within [-90, 90]; longitude is normalized
+    into [-180, 180) on construction.
     """
 
     lat: float
     lon: float
 
     def __post_init__(self) -> None:
+        if type(self.lat) is not float or type(self.lon) is not float:
+            _checked_number("lat", self.lat, -90.0, 90.0)
+            _checked_number("lon", self.lon, -math.inf)
+            object.__setattr__(self, "lat", float(self.lat))
         if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
             raise ValueError(f"non-finite coordinates ({self.lat}, {self.lon})")
         if not -90.0 <= self.lat <= 90.0:
@@ -55,36 +85,35 @@ class Location:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Location":
-        return cls(lat=float(data["lat"]), lon=float(data["lon"]))
+        return cls(lat=data["lat"], lon=data["lon"])
 
 
 @dataclass(frozen=True)
 class Circle:
-    """A geodesic disc: all points within `radius` km of `centre`."""
+    """A geodesic disc: all points within `radius` km of `centre`. The
+    radius must be a number in (0, MAX_DISTANCE_KM] and is kept as a float."""
 
     centre: Location
     radius: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.radius <= MAX_DISTANCE_KM):
-            raise ValueError(
-                f"radius must be in (0, {MAX_DISTANCE_KM:.1f}] km, got {self.radius}"
-            )
+        _checked_number("radius", self.radius, 0.0, MAX_DISTANCE_KM, above=True)
+        object.__setattr__(self, "radius", float(self.radius))
 
     def to_dict(self) -> dict:
         return {"centre": self.centre.to_dict(), "radius": self.radius}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Circle":
-        return cls(centre=Location.from_dict(data["centre"]), radius=float(data["radius"]))
+        return cls(centre=Location.from_dict(data["centre"]), radius=data["radius"])
 
 
 @dataclass(frozen=True)
 class Triangle:
     """Three verifier positions spanning a spherical triangle.
 
-    Vertices must be pairwise distinct and must not lie on a single great
-    circle.
+    Vertices must be pairwise distinct and must bound an area: the rule of
+    spherical_containment refuses every triple with |det| < _MIN_DET.
     """
 
     vertices: tuple[Location, Location, Location]
@@ -98,8 +127,8 @@ class Triangle:
         a, b, c = self.vertices
         if a == b or b == c or a == c:
             raise DegenerateTriangleError("triangle vertices must be pairwise distinct")
-        if abs(_triple_products(*map(_unit, self.vertices))[0]) < _EDGE_EPS:
-            raise DegenerateTriangleError("triangle vertices lie on one great circle")
+        if abs(_triple_products(*map(_unit, self.vertices))[0]) < _MIN_DET:
+            raise DegenerateTriangleError("triangle vertices bound no area")
 
 
 def _unit(loc: Location) -> tuple[float, float, float]:
@@ -187,12 +216,14 @@ def spherical_containment(det: float, pab: float, pbc: float, pac: float) -> Opt
     as on the edge.
 
     Returns:
-        None when |det| < _EDGE_EPS: the vertices lie on one great circle
-        and bound no area. Otherwise whether p is inside or on the boundary.
+        None when |det| < _MIN_DET: the vertices bound no area, whether
+        they lie on one great circle or form a sliver a few km^2 at most,
+        which the edge tolerance would let accept points far beyond its
+        vertices. Otherwise whether p is inside or on the boundary.
     """
-    if det >= _EDGE_EPS:
+    if det >= _MIN_DET:
         return pab >= -_EDGE_EPS and pbc >= -_EDGE_EPS and pac <= _EDGE_EPS
-    if det <= -_EDGE_EPS:
+    if det <= -_MIN_DET:
         return pab <= _EDGE_EPS and pbc <= _EDGE_EPS and pac >= -_EDGE_EPS
     return None
 
@@ -221,11 +252,11 @@ def point_in_spherical_triangle(p: Location, t: Triangle) -> bool:
     by the rule of spherical_containment.
 
     Raises:
-        DegenerateTriangleError: when the vertices lie on one great circle.
+        DegenerateTriangleError: when the vertices bound no area.
     """
     inside = _triple_contains(_triple_products(*map(_unit, t.vertices)), _unit(p))
     if inside is None:
-        raise DegenerateTriangleError("triangle vertices lie on one great circle")
+        raise DegenerateTriangleError("triangle vertices bound no area")
     return inside
 
 

@@ -37,7 +37,7 @@ from .agent import (
     ProtocolError,
     new_request_id,
 )
-from .geo import Circle, Location, great_circle_distance
+from .geo import Circle, Location, _checked_number, great_circle_distance
 from .verify import (
     TARGET,
     IPInfo,
@@ -45,7 +45,7 @@ from .verify import (
     VerificationResult,
     VerifierLayout,
     VerifyConfig,
-    _checked_number,
+    _checked_bool,
     format_timestamp,
     parse_timestamp,
     utc_now,
@@ -272,7 +272,7 @@ class HttpLocator:
         except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
             raise ProviderUnavailableError(f"assertion provider failed: {exc}") from exc
         try:
-            return Location(float(body["lat"]), float(body["lon"]))
+            return Location(body["lat"], body["lon"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ProviderUnavailableError(
                 f"assertion provider returned an unusable body for {ip}: {exc}"
@@ -346,7 +346,7 @@ class CacheEntry:
             ip=data["ip"],
             asserted_loc=Location.from_dict(data["asserted_loc"]),
             when_veri=parse_timestamp(data["when_veri"]),
-            veri_passed=bool(data["veri_passed"]),
+            veri_passed=_checked_bool("veri_passed", data["veri_passed"]),
             region=Circle.from_dict(data["region"]) if data.get("region") else None,
             expires_at=parse_timestamp(data["expires_at"]),
             reason=Reason(data["reason"]) if data.get("reason") else None,

@@ -16,7 +16,7 @@ from datetime import datetime
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .geo import Circle, Location, point_in_circle
+from .geo import Circle, Location, _checked_number, point_in_circle
 from .verify import IPInfo, VerificationResult, format_timestamp, parse_timestamp
 
 DEFAULT_RMAX = 3
@@ -56,8 +56,7 @@ class PinEntry:
     def __post_init__(self) -> None:
         if not self.name or self.name != self.name.lower():
             raise ValueError(f"domain name must be non-empty lowercase: {self.name!r}")
-        if self.rmax < 1:
-            raise ValueError("rmax must be >= 1")
+        _checked_number("rmax", self.rmax, 1, integer=True)
         if len(self.ver_regs) > self.rmax:
             raise ValueError(f"{len(self.ver_regs)} regions exceed rmax={self.rmax}")
         values = [ip.value for ip in self.ips]
@@ -80,7 +79,7 @@ class PinEntry:
             name=str(data["name"]),
             ips=[IPInfo.from_dict(ip) for ip in data.get("ips", [])],
             ver_regs=[Circle.from_dict(reg) for reg in data.get("ver_regs", [])],
-            rmax=int(data.get("rmax", DEFAULT_RMAX)),
+            rmax=data.get("rmax", DEFAULT_RMAX),
             when_veri=parse_timestamp(data["when_veri"]) if data.get("when_veri") else None,
             when_pin=parse_timestamp(data["when_pin"]) if data.get("when_pin") else None,
         )

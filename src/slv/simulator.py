@@ -13,7 +13,13 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import Optional
 
-from .geo import Location, destination_point, great_circle_distance, min_rtt_for_distance
+from .geo import (
+    Location,
+    _checked_number,
+    destination_point,
+    great_circle_distance,
+    min_rtt_for_distance,
+)
 from .verify import (
     TARGET,
     IPInfo,
@@ -21,7 +27,6 @@ from .verify import (
     VerifierInput,
     VerifierLayout,
     VerifyConfig,
-    _checked_number,
     verify_location,
 )
 
@@ -138,6 +143,13 @@ class SimServer:
         )
 
 
+def _verifier_from_dict(data: dict) -> VerifierInput:
+    """The (id, location) of one verifier row that SimScenario.to_dict wrote."""
+    if not isinstance(data["id"], str):
+        raise ValueError(f"verifier id must be a string, got {data['id']!r}")
+    return data["id"], Location.from_dict(data)
+
+
 @dataclass
 class SimScenario:
     """A verifier deployment plus a population of servers to verify."""
@@ -163,10 +175,7 @@ class SimScenario:
         of any other shape or with invalid values."""
         try:
             return cls(
-                verifiers=[
-                    (str(v["id"]), Location(float(v["lat"]), float(v["lon"])))
-                    for v in data["verifiers"]
-                ],
+                verifiers=[_verifier_from_dict(v) for v in data["verifiers"]],
                 servers=[SimServer.from_dict(s) for s in data["servers"]],
                 model=DelayModel.from_dict(data.get("model", {})),
                 cfg=VerifyConfig.from_dict(data.get("cfg", {})),

@@ -23,6 +23,7 @@ from .geo import (
     MAX_DISTANCE_KM,
     _EDGE_EPS,
     _Triple,
+    _checked_number,
     _cross,
     _dot,
     _normalized,
@@ -49,17 +50,12 @@ MAX_PROBES = 16
 MAX_TIMEOUT_S = 30.0
 
 
-def _checked_number(name: str, value, low, high=math.inf, *, above=False, integer=False) -> None:
-    """Raise ValueError, naming name and value, unless value is a finite
-    number (an int when integer; a bool never counts) with
-    low <= value <= high, or low < value <= high when above."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)) or not (
-        (low < value if above else low <= value) and value <= high and value < math.inf
-    ):
-        kind = "an integer" if integer else "a finite number"
-        lower = f"> {low}" if above else f">= {low}"
-        upper = f" and <= {high}" if high < math.inf else ""
-        raise ValueError(f"{name} must be {kind} {lower}{upper}, got {value!r}")
+def _checked_bool(name: str, value) -> bool:
+    """value, which must be a bool; raises ValueError naming name and value
+    for anything else, such as the JSON string "false"."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def utc_now() -> datetime:
@@ -143,7 +139,7 @@ class VerificationResult:
         reason = data.get("reason")
         return cls(
             ip=IPInfo.from_dict(data["ip"]),
-            veri_passed=bool(data["veri_passed"]),
+            veri_passed=_checked_bool("veri_passed", data["veri_passed"]),
             region=Circle.from_dict(region) if region else None,
             when_veri=parse_timestamp(data["when_veri"]),
             reason=Reason(reason) if reason else None,
@@ -325,15 +321,14 @@ def enumerate_triangles(
     spherical triangle contains `asserted` (boundary inclusive), ordered
     by ascending perimeter with ties broken by the lexicographic
     verifier-id triple: exactly the head of the full, sorted list.
-    Combinations whose vertices lie on one great circle bound no area and
-    are skipped. An empty list means the point is in no triangle (no
-    coverage). `layout` is the deployment's VerifierLayout, shared by
-    every point searched against it.
+    Combinations that bound no area (|det| < geo._MIN_DET) are skipped.
+    An empty list means the point is in no triangle (no coverage).
+    `layout` is the deployment's VerifierLayout, shared by every point
+    searched against it.
 
-    A point that the layout's hull rules out (beyond a hull edge by more
-    than _HULL_MARGIN and in none of its thin triples) gets [] at once,
-    without testing a triple; that is exact, see the comment above
-    _HULL_MARGIN.
+    A point beyond a hull edge of the layout by more than _HULL_MARGIN
+    gets [] at once, without testing a triple; that is exact, see the
+    comment above _HULL_MARGIN.
 
     Verifiers are visited in ascending great-circle distance from
     `asserted`, ordered by one dot product each, and each one closes the
@@ -354,7 +349,7 @@ def enumerate_triangles(
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
     up = px, py, pz = _unit(asserted)
-    if layout._beyond_hull(up) is False:
+    if layout._beyond_hull(up):
         return []
     units = layout._units
     n = len(units)
@@ -479,28 +474,27 @@ def enumerate_triangles(
 #   The search then finds a containing triple too.
 # - False only when p lies outside some hull edge, with inward unit normal
 #   n and n.u >= -_EDGE_EPS checked for every verifier u at build time, by
-#   more than _HULL_MARGIN (n.p < -_HULL_MARGIN), and no triple of the
-#   layout's thin list passes. Proof that no other triple passes: let the
-#   test accept p in (a, b, c) with computed det D' >= _EDGE_EPS (the case
-#   D' <= -_EDGE_EPS is the same with all signs flipped). The exact
-#   coefficients A = (b x c).p, B = (c x a).p, C = (a x b).p are then
-#   >= -_EDGE_EPS - r, with r ~1e-16 the rounding of a triple product of
-#   unit vectors, and the identity D p = A a + B b + C c (exact for any
-#   vectors, D the exact det) dotted with n gives
+#   more than _HULL_MARGIN (n.p < -_HULL_MARGIN). Proof that no triple
+#   passes: let the test accept p in (a, b, c) with computed det
+#   D' >= _MIN_DET (the case D' <= -_MIN_DET is the same with all signs
+#   flipped). The exact coefficients A = (b x c).p, B = (c x a).p,
+#   C = (a x b).p are then >= -_EDGE_EPS - r, with r ~1e-16 the rounding
+#   of a triple product of unit vectors, and the identity
+#   D p = A a + B b + C c (exact for any vectors, D the exact det) dotted
+#   with n gives
 #       D (n.p) = A (n.a) + B (n.b) + C (n.c).
 #   A term with a negative coefficient is at least -(_EDGE_EPS + r), as
 #   n.u <= 1; one with a non-negative coefficient is at least about
 #   -_EDGE_EPS, as the coefficient is at most |b x c| <= 1 and
 #   n.u >= -_EDGE_EPS. So D (n.p) > -4 _EDGE_EPS, while
 #   n.p < -_HULL_MARGIN + r; hence D < 4 _EDGE_EPS / (_HULL_MARGIN - r),
-#   and D' < _THIN_DET with a factor of 2 to spare. The test's
-#   tolerance applies to the unnormalized products, so it is not a
-#   distance: a thin triple, with D' just above _EDGE_EPS, accepts points
-#   along its near great circle up to about its own length beyond its
-#   vertices, far outside the hull. That is why every triple with
-#   _EDGE_EPS <= |D'| < _THIN_DET is found once per layout (see
-#   _thin_triples) and tested on each such p, and why no margin alone
-#   could make False exact.
+#   and D' < _MIN_DET = 8 _EDGE_EPS / _HULL_MARGIN with a factor of 2 to
+#   spare, against the assumption. The test's tolerance applies to the
+#   unnormalized products, so it is not a distance: a sliver with D' just
+#   above _EDGE_EPS would accept points along its near great circle up to
+#   about its own length beyond its vertices, far outside the hull. The
+#   rule's degeneracy bound _MIN_DET refuses every such sliver, so the
+#   hull edge alone decides False.
 # The same False lets enumerate_triangles return [] for p before it tests
 # a triple: no triple passes, so the full sorted list is empty too.
 # Everything else falls back to enumerate_triangles(layout, p, 1): points
@@ -510,7 +504,6 @@ def enumerate_triangles(
 # search returns the head of the sorted list of every containing triple,
 # each tested with the floats above, so it is empty iff no triple passes.
 _HULL_MARGIN = 1e-4  # about 640 m on the earth's surface
-_THIN_DET = 8.0 * _EDGE_EPS / _HULL_MARGIN
 
 
 def _triple(units, i: int, j: int, k: int) -> _Triple:
@@ -580,75 +573,25 @@ def _hull_edges(units) -> tuple[list[tuple[float, float, float]], list[tuple[tup
     ]
 
 
-def _thin_triples(units) -> list[_Triple]:
-    """Every triple whose computed det D' has _EDGE_EPS <= |D'| < _THIN_DET.
-
-    For unit a, b, c, with s_b, s_c the sines of the arcs ab, ac and
-    psi_b, psi_c the bearings of b and c seen from a,
-        (a x b).c = s_b s_c sin(psi_c - psi_b).
-    When s_b <= s_c, |D'| < _THIN_DET thus needs |sin(psi_c - psi_b)| below
-    about w = _THIN_DET / s_b**2, and c within pi * w of b in the doubled
-    bearing 2 psi (which puts c on either side of a at the same place);
-    twice that reach leaves ample room for rounding. Each triple is looked
-    for from its lowest index a, within the reach of whichever of b and c
-    has the smaller sine. Seen from a, the doubled bearings are sorted, and
-    a point within reach of another is within reach of the neighbour on
-    its side too, so only neighbours closer than the larger reach of the
-    two start a walk.
-    """
-    n = len(units)
-    tau = math.tau
-    found: set[tuple[int, int, int]] = set()
-    for a in range(n - 2):
-        (x1, y1, z1), (x2, y2, z2) = _tangent_basis(units[a])
-        rows = sorted(
-            (2.0 * math.atan2(y, x) % tau, math.hypot(x, y), b)
-            for b, x, y in (
-                (b, u[0] * x1 + u[1] * y1 + u[2] * z1, u[0] * x2 + u[1] * y2 + u[2] * z2)
-                for b, u in enumerate(units[a + 1:], a + 1)
-            )
-        )
-        m = len(rows)
-        phis = [row[0] for row in rows]
-        reach = [2.0 * math.pi * _THIN_DET / (s * s) if s > 0.0 else math.inf for _, s, _ in rows]
-        gaps = [later - earlier for earlier, later in zip(phis, phis[1:])]
-        gaps.append(phis[0] + tau - phis[-1])
-        for pos in range(m):
-            nxt = (pos + 1) % m
-            if gaps[pos] > reach[pos] and gaps[pos] > reach[nxt]:
-                continue
-            for start, step in ((pos, 1), (nxt, -1)):
-                phi, b, limit = phis[start], rows[start][2], reach[start]
-                for offset in range(1, m):
-                    other = (start + step * offset) % m
-                    if min((phis[other] - phi) % tau, (phi - phis[other]) % tau) > limit:
-                        break
-                    found.add(tuple(sorted((a, b, rows[other][2]))))
-    triples = (_triple(units, *t) for t in found)
-    return [t for t in triples if _EDGE_EPS <= abs(t[0]) < _THIN_DET]
-
-
 class VerifierLayout:
     """One verifier deployment, indexed once and shared by every point
     searched or tested against it.
 
     Built whole: the constructor validates the verifiers (at least 3,
     unique ids), takes their unit vectors and builds the hull that
-    covers() and the triangle search decide on. It fills on first use, at
-    most once per verifier pair (so at most n(n - 1)/2 entries each), the
-    pair's cross product and arc for the search's side bound and its
-    haversine length for perimeters, and, on the first point beyond the
-    hull, the layout's thin triples. Every such value is the float a fresh
-    search computes. Threads may share a layout: each memo entry is
-    written whole, and two threads that fill the same entry store the
-    same value.
+    covers() and the triangle search decide on; nothing else is built
+    later. It fills on first use, at most once per verifier pair (so at
+    most n(n - 1)/2 entries each), the pair's cross product and arc for
+    the search's side bound and its haversine length for perimeters.
+    Every such value is the float a fresh search computes. Threads may
+    share a layout: each memo entry is written whole, and two threads
+    that fill the same entry store the same value.
 
     covers(point) agrees with a test of every triple under the
     containment rule of enumerate_triangles on every input, and costs O(h)
-    for h hull verifiers plus the layout's (rare) thin triples, instead of
-    up to C(n, 3) tests. See the comment above _HULL_MARGIN for why the
-    hull decides exactly, and when it falls back to the search with
-    limit 1.
+    for h hull verifiers instead of up to C(n, 3) tests. See the comment
+    above _HULL_MARGIN for why the hull decides exactly, and when it falls
+    back to the search with limit 1.
     """
 
     def __init__(self, verifiers: Sequence[VerifierInput]) -> None:
@@ -661,10 +604,8 @@ class VerifierLayout:
         self._lengths: dict[int, float] = {}
         # Inward unit normals of the hull edges and (boundary ray to the
         # next fan vertex, fan triple) per fan triangle, both empty when
-        # the hull is not checked; the thin triples, found when the first
-        # point beyond the hull needs them.
+        # the hull is not checked.
         self._normals, self._fan = _hull_edges(self._units)
-        self._thin: Optional[list[_Triple]] = None
 
     def _length(self, i: int, j: int) -> float:
         """Haversine length in km of the side between verifiers i < j."""
@@ -674,24 +615,20 @@ class VerifierLayout:
             d = self._lengths[key] = great_circle_distance(self._locs[i], self._locs[j])
         return d
 
-    def _beyond_hull(self, up) -> Optional[bool]:
-        """For unit vector up beyond a hull edge by more than _HULL_MARGIN,
-        whether some verifier triangle contains it (only a thin triple
-        can); None for every other point."""
-        for normal in self._normals:
-            if _dot(normal, up) < -_HULL_MARGIN:
-                if self._thin is None:
-                    self._thin = _thin_triples(self._units)
-                return any(_triple_contains(t, up) for t in self._thin)
-        return None
+    def _beyond_hull(self, up) -> bool:
+        """Whether unit vector up lies beyond a hull edge by more than
+        _HULL_MARGIN, so that no verifier triangle contains it."""
+        return any(_dot(normal, up) < -_HULL_MARGIN for normal in self._normals)
 
     def covers(self, point: Location) -> bool:
         """Whether at least one verifier triangle contains the point
-        (boundary inclusive; triples on one great circle contain nothing)."""
+        (boundary inclusive; triples that bound no area contain nothing).
+        False at once for a point beyond a hull edge by more than
+        _HULL_MARGIN, True when its fan triangle contains it, and the
+        search's answer otherwise."""
         up = _unit(point)
-        beyond = self._beyond_hull(up)
-        if beyond is not None:
-            return beyond
+        if self._beyond_hull(up):
+            return False
         fan = self._fan
         if fan:
             f = 0

@@ -208,6 +208,32 @@ class TestMeasureRequestValidation:
         with pytest.raises(ProtocolError):
             MeasureRequest.from_wire({**MeasureRequest(**self.good()).to_wire(), "probes": math.inf})
 
+    def test_boolean_probes_are_refused(self):
+        with pytest.raises(ProtocolError, match="probes must be an integer"):
+            MeasureRequest(**self.good(probes=True))
+
+    @pytest.mark.parametrize("path, value, named", [
+        (("probes",), 2.9, "probes"),
+        (("probes",), True, "probes"),
+        (("probes",), "3", "probes"),
+        (("timeout",), "5", "timeout"),
+        (("timeout",), False, "timeout"),
+        (("target", "port"), "80", "target port"),
+        (("target", "port"), 80.9, "target port"),
+        (("target", "port"), True, "target port"),
+        (("peers", 0, "port"), "7708", "peer v2 port"),
+        (("peers", 0, "port"), 7708.5, "peer v2 port"),
+    ])
+    def test_wire_values_are_read_as_written(self, path, value, named):
+        wire = MeasureRequest(**self.good()).to_wire()
+        target = wire
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ProtocolError, match=f"{named} must be") as err:
+            MeasureRequest.from_wire(wire)
+        assert f"got {value!r}" in str(err.value)
+
     def test_wire_round_trip(self):
         req = MeasureRequest(**self.good())
         assert MeasureRequest.from_wire(req.to_wire()) == req
@@ -270,6 +296,7 @@ class TestMeasureRequestValidation:
         {"request_id": "r", "rtts": {"target": None}},
         {"request_id": "r", "rtts": {"target": math.nan}},
         {"request_id": "r", "rtts": {"target": math.inf}},
+        {"request_id": "r", "rtts": {"target": True}},
     ])
     def test_response_rejects_malformed(self, reply):
         with pytest.raises(ProtocolError):

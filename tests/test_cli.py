@@ -146,6 +146,24 @@ class TestCmdVerify:
         assert code == cli.EXIT_ERROR
         assert "404" in capsys.readouterr().err
 
+    def test_string_veri_passed_is_an_unusable_result(self, tmp_path, capsys, monkeypatch):
+        # bool("false") is True: read loosely, this reply would be pinned
+        body = {
+            "ip": IPInfo(value="9.9.9.9", loc=INSIDE).to_dict(), "veri_passed": "false",
+            "region": Circle(INSIDE, 100.0).to_dict(), "when_veri": "2026-08-09T12:00:00Z",
+            "reason": None,
+        }
+        monkeypatch.setattr(cli, "_http_get_json", lambda url: (200, body))
+        store_path = tmp_path / "pins.json"
+        code = run_cli(
+            "verify", "9.9.9.9", "--manager-url", "http://127.0.0.1:1",
+            "--pin-store", str(store_path),
+        )
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "manager returned an unusable result" in err and "veri_passed" in err
+        assert not store_path.exists()
+
     def test_unresolvable_host(self, tmp_path, capsys):
         code = run_cli(
             "verify", "host.invalid.",

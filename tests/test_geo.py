@@ -67,6 +67,23 @@ class TestLocation:
         assert Location.from_dict(loc.to_dict()) == loc
 
 
+    @pytest.mark.parametrize("data, key", [
+        ({"lat": True, "lon": 10.0}, "lat"),
+        ({"lat": 1.0, "lon": "10"}, "lon"),
+        ({"lat": None, "lon": 10.0}, "lat"),
+        ({"lat": 1.0, "lon": [10.0]}, "lon"),
+        ({"lat": "1", "lon": "10"}, "lat"),
+        ({"lat": 1.0, "lon": 10**400}, "lon"),  # past what a float holds
+    ])
+    def test_from_dict_takes_numbers_only(self, data, key):
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number") as err:
+            Location.from_dict(data)
+        assert f"got {data[key]!r}" in str(err.value)
+        loc = Location.from_dict({"lat": 1, "lon": 10})
+        assert type(loc.lat) is float and type(loc.lon) is float
+        assert loc.to_dict() == {"lat": 1.0, "lon": 10.0}
+
+
 class TestCircle:
     def test_rejects_non_positive_radius(self):
         with pytest.raises(ValueError):
@@ -78,6 +95,19 @@ class TestCircle:
         with pytest.raises(ValueError):
             Circle(Location(0, 0), MAX_DISTANCE_KM + 1)
         Circle(Location(0, 0), MAX_DISTANCE_KM)  # boundary is fine
+
+
+    @pytest.mark.parametrize("data, key", [
+        ({"centre": {"lat": 1.0, "lon": 2.0}, "radius": True}, "radius"),
+        ({"centre": {"lat": 1.0, "lon": 2.0}, "radius": "5"}, "radius"),
+        ({"centre": {"lat": 1.0, "lon": 2.0}, "radius": None}, "radius"),
+        ({"centre": {"lat": False, "lon": 2.0}, "radius": 5.0}, "lat"),
+    ])
+    def test_from_dict_takes_numbers_only(self, data, key):
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
+            Circle.from_dict(data)
+        circle = Circle.from_dict({"centre": {"lat": 1.0, "lon": 2.0}, "radius": 5})
+        assert type(circle.radius) is float and circle.to_dict()["radius"] == 5.0
 
 
 class TestTriangle:

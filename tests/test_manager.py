@@ -313,6 +313,21 @@ class TestHttpLocator:
         finally:
             server.shutdown()
 
+    @pytest.mark.parametrize("body, key", [
+        (b'{"lat": true, "lon": 10}', "lat"),
+        (b'{"lat": 1, "lon": "10"}', "lon"),
+        (b'{"lat": null, "lon": 10}', "lat"),
+    ])
+    def test_coordinates_must_be_numbers(self, body, key):
+        server = run_geo_service(body=body)
+        try:
+            host, port = server.server_address[:2]
+            locator = HttpLocator(f"http://{host}:{port}/geo/{{ip}}")
+            with pytest.raises(ProviderUnavailableError, match=f"{key} must be a finite number"):
+                locator.locate("1.2.3.4")
+        finally:
+            server.shutdown()
+
     def test_template_must_mention_ip(self):
         with pytest.raises(ValueError):
             HttpLocator("http://example.net/geo")
@@ -424,6 +439,27 @@ class TestVerificationCache:
         reopened.close()
         with sqlite3.connect(path) as db:
             assert db.execute("SELECT ip FROM verifications").fetchall() == [("2.2.2.2",)]
+
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("veri_passed", "false", "veri_passed"),
+        ("veri_passed", 1, "veri_passed"),
+        ("asserted_loc", {"lat": True, "lon": 1.0}, "lat"),
+        ("asserted_loc", {"lat": 0.0, "lon": "1"}, "lon"),
+        ("region", {"centre": {"lat": 0.0, "lon": 1.0}, "radius": True}, "radius"),
+    ])
+    def test_rows_are_read_as_written_or_refused_at_start(self, tmp_path, key, value, named):
+        path = tmp_path / "cache.sqlite"
+        cache = VerificationCache(path)
+        cache.put(entry("1.1.1.1", utc_now() + timedelta(hours=1)))
+        cache.close()
+        with sqlite3.connect(path) as db:
+            (blob,) = db.execute("SELECT data FROM verifications").fetchone()
+            db.execute("UPDATE verifications SET data = ?",
+                       (json.dumps({**json.loads(blob), key: value}),))
+        db.close()
+        with pytest.raises(ValueError, match=f"{named} must be"):
+            VerificationCache(path)
 
 
 class CountingFactory:

@@ -258,3 +258,15 @@ class TestStorePersistence:
         path.write_text('{"name": "x"}')
         with pytest.raises(CorruptStoreError):
             load_store(path)
+
+    @pytest.mark.parametrize("rmax", [2.9, True, "3", 0, None])
+    def test_rmax_is_read_as_written(self, tmp_path, rmax):
+        path = tmp_path / "pins.json"
+        store = {}
+        evaluate_pin(store, "a.example", passed_result(), NOW)
+        persist_store(store, path)
+        entries = json.loads(path.read_text())
+        entries[0]["rmax"] = rmax
+        path.write_text(json.dumps(entries))
+        with pytest.raises(CorruptStoreError, match="rmax must be an integer >= 1"):
+            load_store(path)

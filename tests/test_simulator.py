@@ -177,6 +177,25 @@ class TestScenarioTypes:
             SimScenario.load(path)
         assert f"got {shown}" in str(err.value)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("verifiers", 0, "lat"), True, "lat must be a finite number"),
+        (("verifiers", 1, "lon"), "10", "lon must be a finite number"),
+        (("verifiers", 2, "id"), 7, "verifier id must be a string"),
+        (("servers", 0, "asserted_loc", "lat"), "45", "lat must be a finite number"),
+        (("servers", 1, "true_loc", "lon"), False, "lon must be a finite number"),
+    ])
+    def test_coordinates_and_ids_are_read_as_written(self, tmp_path, path, value, message):
+        data = generate_scenario(5, 1, 1, 1, bounds=BOUNDS, cfg=quick_cfg(), seed=3).to_dict()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match=re.escape(message)) as err:
+            SimScenario.load(scenario_path)
+        assert f"got {value!r}" in str(err.value)
+
     def test_integral_float_seed_is_kept_as_an_integer(self):
         assert DelayModel.from_dict({"seed": 7.0}).seed == 7
         assert type(DelayModel(seed=7.0).seed) is int

@@ -11,6 +11,7 @@ import pytest
 import slv.verify
 from conftest import IdealProvider
 from slv.geo import (
+    _MIN_DET,
     AntipodalPointsError,
     Circle,
     DegenerateTriangleError,
@@ -29,8 +30,8 @@ from slv.geo import (
 from slv.simulator import RegionBounds, SimDelayProvider, generate_scenario, run_experiment
 from slv.verify import (
     _EDGE_EPS,
+    _HULL_MARGIN,
     _STOP_SLACK_KM,
-    _THIN_DET,
     MAX_PROBES,
     MAX_TIMEOUT_S,
     TARGET,
@@ -485,42 +486,30 @@ class TestVerifierLayout:
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
 
-    def test_hull_is_built_at_construction_and_thin_triples_beyond_it(self, monkeypatch):
-        # The hull is part of a built layout; the thin triples wait for
-        # the first point beyond it, which may never come.
-        built = {"hull": [], "thin": []}
-        hull, thin = slv.verify._hull, slv.verify._thin_triples
+    def test_hull_is_built_at_construction_and_nothing_later(self, monkeypatch):
+        # The hull is part of a built layout; points searched or tested
+        # later, beyond the hull included, fill the pair memo only.
+        built = []
+        hull = slv.verify._hull
 
         def counting_hull(units):
-            built["hull"].append(len(units))
+            built.append(len(units))
             return hull(units)
 
-        def counting_thin(units):
-            built["thin"].append(len(units))
-            return thin(units)
-
         monkeypatch.setattr(slv.verify, "_hull", counting_hull)
-        monkeypatch.setattr(slv.verify, "_thin_triples", counting_thin)
         verifiers, points = self._box_layout(random.Random(8), 20)
         layout = VerifierLayout(verifiers)
-        assert built == {"hull": [20], "thin": []}
+        assert built == [20]
         assert layout._normals and layout._fan
-
-        def beyond(p: Location) -> bool:
-            up = _unit(p)
-            return any(_dot(n, up) < -slv.verify._HULL_MARGIN for n in layout._normals)
-
-        inside = [p for p in points if not beyond(p)]
-        outside = [p for p in points if beyond(p)]
-        assert inside and outside
-        for p in inside:
+        state = dict(vars(layout))
+        outside = [p for p in points if layout._beyond_hull(_unit(p))]
+        assert outside and len(outside) < len(points)
+        for p in points:
             assert enumerate_triangles(layout, p, 4) == oracle(verifiers, p)[:4]
             assert layout.covers(p) == covered_by_oracle(verifiers, p)
-        assert built == {"hull": [20], "thin": []}
-        for p in outside:
-            assert enumerate_triangles(layout, p, 4) == oracle(verifiers, p)[:4]
-            assert layout.covers(p) == covered_by_oracle(verifiers, p)
-        assert built == {"hull": [20], "thin": [20]}
+        assert built == [20]
+        assert vars(layout).keys() == state.keys()
+        assert all(vars(layout)[key] is value for key, value in state.items())
 
     def test_run_experiment_searches_one_layout(self, monkeypatch):
         scenario = generate_scenario(
@@ -730,33 +719,46 @@ class TestCoverage:
         ]
         return verifiers, ua, _unit(c)
 
-    def test_thin_triples_decide_points_far_outside_the_hull(self, monkeypatch):
-        # The sign test's tolerance is on unnormalized triple products, so a
-        # triple with a det just above _EDGE_EPS accepts points along its
-        # great circle far beyond its vertices, outside the hull. Only the
-        # layout's thin triples can do that, and covers tests them.
+    def test_degeneracy_bound_keeps_the_hull_exact(self):
+        # The proof above _HULL_MARGIN: a triple that passes the sign test
+        # for a point beyond a hull edge by more than the margin has a det
+        # below 4 * _EDGE_EPS / _HULL_MARGIN, half of this bound.
+        assert _MIN_DET >= 8 * _EDGE_EPS / _HULL_MARGIN
+
+    def test_slivers_contain_no_point_far_outside_the_hull(self, monkeypatch):
+        # The sign test's tolerance is on unnormalized triple products, so
+        # a sliver with a det just above _EDGE_EPS would accept points
+        # along its great circle far beyond its vertices, outside the hull.
+        # The rule refuses every such sliver, so the hull decides alone.
         rng = random.Random(9)
-        calls = _scan_calls(monkeypatch)
-        accepted = 0
+        tests = TestSearchConsultsTheHull._containment_calls(monkeypatch)
+        cfg = VerifyConfig(probes_per_measurement=1, measurement_timeout=1.0)
         for _ in range(20):
             verifiers, ua, uc = self._thin_layout(rng, rng.uniform(1.0, 4.0) * _EDGE_EPS)
+            locs = dict(verifiers)
+            with pytest.raises(DegenerateTriangleError, match="bound no area"):
+                Triangle((locs["a"], locs["b"], locs["c"]), ("a", "b", "c"))
             coverage = VerifierLayout(verifiers)
             for beyond in (0.05, 0.2, 0.3, 0.6):
                 p = _mix((-beyond, ua), (1.0 + beyond, uc))
-                expected = covered_by_oracle(verifiers, p)
-                accepted += expected
-                assert coverage.covers(p) == expected, (verifiers, p)
-        assert accepted > 20  # many of them hundreds of km outside the hull
-        assert not calls
+                assert not coverage.covers(p), (verifiers, p)
+                assert not covered_by_oracle(verifiers, p), (verifiers, p)
+                assert enumerate_triangles(coverage, p, 4) == [], (verifiers, p)
+                provider = IdealProvider(locs, p)
+                result = verify_location(make_ip(p), coverage, provider, cfg, NOW)
+                assert result.reason is Reason.NO_COVERAGE and provider.calls == 0
+        assert tests == []
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
-    def test_thin_triples_are_all_found(self, seed):
+    def test_sliver_rich_layouts_match_the_oracle(self, seed):
         # Layouts near one great circle, with near-duplicate verifiers,
-        # hold triples with every det from 0 to well above _THIN_DET.
+        # hold triples with every det from 0 to well above _MIN_DET; both
+        # answers match the oracle inside the hull, in the margin band
+        # around it and far away.
         rng = random.Random(seed)
-        thin = 0
+        slivers = 0
         for _ in range(4):
-            verifiers, _, _ = self._thin_layout(rng, rng.uniform(1.0, 1e5) * _EDGE_EPS)
+            verifiers, ua, uc = self._thin_layout(rng, rng.uniform(1.0, 1e5) * _EDGE_EPS)
             for _ in range(4):
                 t = rng.uniform(0.0, 1.0)
                 off = rng.choice([0.0, 1e-11, 1e-9, 1e-7])
@@ -766,17 +768,24 @@ class TestCoverage:
             twin = rng.choice(verifiers)[1]
             verifiers.append(("twin", Location(twin.lat + 1e-7, twin.lon)))
             units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
-            expected = set()
-            for i, j, k in combinations(range(len(units)), 3):
-                det = _dot(_cross(units[i], units[j]), units[k])
-                if _EDGE_EPS <= abs(det) < _THIN_DET:
-                    expected.add((i, j, k))
-            got = {slv.verify._triple(units, i, j, k)[0] for i, j, k in expected}
-            found = slv.verify._thin_triples(units)
-            assert {t[0] for t in found} == got
-            assert len(found) == len(expected)
-            thin += len(found)
-        assert thin >= 4
+            slivers += sum(
+                _EDGE_EPS <= abs(_dot(_cross(units[i], units[j]), units[k])) < _MIN_DET
+                for i, j, k in combinations(range(len(units)), 3)
+            )
+            hull = slv.verify._hull(units)
+            assert hull is not None
+            inside = [_mix(*((rng.uniform(0.1, 1.0), u) for u in rng.sample(units, 3)))
+                      for _ in range(4)]
+            inside += [_mix((1.0 - t, ua), (t, uc), (rng.choice([0.0, 1e-12, -1e-9]), (0, 0, 1)))
+                       for t in (rng.uniform(0.0, 1.0) for _ in range(4))]
+            far = [Location(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                            rng.uniform(-180.0, 180.0)) for _ in range(4)]
+            points = inside + [p for _, p in _hull_band(units, hull)] + far
+            layout = VerifierLayout(verifiers)
+            for p in points:
+                assert layout.covers(p) == covered_by_oracle(verifiers, p), (verifiers, p)
+            TestSearchConsultsTheHull._check(layout, verifiers, points)
+        assert slivers >= 4
 
     def test_scan_fallbacks_are_rare(self, monkeypatch):
         # A hull that silently stops deciding sends every point to the scan.
@@ -882,8 +891,8 @@ class TestSearchConsultsTheHull:
             for offset, p in band:
                 beyond = layout._beyond_hull(_unit(p))
                 # only points outward by more than the margin are decided
-                assert (beyond is None) == (offset > -1.0), (offset, verifiers, p)
-            ruled_out += sum(layout._beyond_hull(_unit(p)) is False for p in far)
+                assert beyond == (offset < -1.0), (offset, verifiers, p)
+            ruled_out += sum(layout._beyond_hull(_unit(p)) for p in far)
             self._check(layout, verifiers, inside + far + [p for _, p in band])
         assert ruled_out > 0
 
@@ -1000,6 +1009,16 @@ class TestMessageTypes:
         )
         for result in (positive, negative):
             assert VerificationResult.from_dict(result.to_dict()) == result
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_veri_passed_must_be_a_json_boolean(self, value):
+        data = VerificationResult(
+            ip=IPInfo(value="1.2.3.4", loc=Location(45.0, -75.0)), veri_passed=False,
+            region=None, when_veri=NOW, reason=Reason.ALL_TRIANGLES_REJECTED,
+        ).to_dict()
+        data["veri_passed"] = value
+        with pytest.raises(ValueError, match="veri_passed must be true or false"):
+            VerificationResult.from_dict(data)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
