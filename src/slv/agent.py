@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .geo import _checked_number
-from .verify import MAX_PROBES, MAX_TIMEOUT_S, TARGET, format_timestamp, utc_now
+from .verify import MAX_PROBES, MAX_TIMEOUT_S, TARGET, _checked_text, format_timestamp, utc_now
 
 log = logging.getLogger(__name__)
 
@@ -49,10 +49,11 @@ class ProtocolError(ValueError):
     """A request or response does not follow the wire protocol."""
 
 
-def _checked(name: str, value, low, high, **kind) -> None:
-    """_checked_number, raising ProtocolError."""
+def _checked(check, name: str, value, *limits, **kind) -> None:
+    """check(name, value, *limits, **kind), such as _checked_number or
+    _checked_text, raising ProtocolError for its ValueError."""
     try:
-        _checked_number(name, value, low, high, **kind)
+        check(name, value, *limits, **kind)
     except ValueError as exc:
         raise ProtocolError(str(exc)) from None
 
@@ -60,16 +61,17 @@ def _checked(name: str, value, low, high, **kind) -> None:
 def _check_limits(probes: int, timeout: float) -> None:
     """Raise ProtocolError unless an agent accepts probes and timeout: the
     limits that VerifyConfig keeps to."""
-    _checked("probes", probes, 1, MAX_PROBES, integer=True)
-    _checked("timeout", timeout, 0, MAX_TIMEOUT_S, above=True)
+    _checked(_checked_number, "probes", probes, 1, MAX_PROBES, integer=True)
+    _checked(_checked_number, "timeout", timeout, 0, MAX_TIMEOUT_S, above=True)
 
 
 def _check_address(host: str, port: int, what: str) -> None:
+    _checked(_checked_text, f"{what} host", host)
     try:
         ipaddress.ip_address(host)
     except ValueError as exc:
         raise ProtocolError(f"{what} host is not a valid IP address: {host!r}") from exc
-    _checked(f"{what} port", port, 1, 65535, integer=True)
+    _checked(_checked_number, f"{what} port", port, 1, 65535, integer=True)
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,7 @@ class MeasureRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "peers", tuple(self.peers))
+        _checked(_checked_text, "request_id", self.request_id)
         if not self.request_id:
             raise ProtocolError("request_id must be non-empty")
         if self.target is None and not self.peers:
@@ -108,13 +111,14 @@ class MeasureRequest:
             raise ProtocolError(f"request names more than {MAX_PEERS} peers")
         if self.target is not None:
             _check_address(self.target[0], self.target[1], "target")
-        ids = [TARGET] + [p.verifier_id for p in self.peers]
-        if len(set(ids)) != len(ids):
-            raise ProtocolError("duplicate endpoint ids in request")
         for peer in self.peers:
+            _checked(_checked_text, "peer verifier_id", peer.verifier_id)
             if not peer.verifier_id:
                 raise ProtocolError("peer verifier_id must be non-empty")
             _check_address(peer.host, peer.port, f"peer {peer.verifier_id}")
+        ids = [TARGET] + [p.verifier_id for p in self.peers]
+        if len(set(ids)) != len(ids):
+            raise ProtocolError("duplicate endpoint ids in request")
         _check_limits(self.probes, self.timeout)
 
     def to_wire(self) -> dict:
@@ -146,15 +150,15 @@ class MeasureRequest:
             target = data.get("target")
             peers = tuple(
                 PeerSpec(
-                    verifier_id=str(p["verifier_id"]),
-                    host=str(p["host"]),
+                    verifier_id=p["verifier_id"],
+                    host=p["host"],
                     port=p.get("port", DEFAULT_AGENT_PORT),
                 )
                 for p in data.get("peers", [])
             )
             return cls(
-                request_id=str(data.get("request_id", "")),
-                target=(str(target["host"]), target.get("port", 80)) if target else None,
+                request_id=data.get("request_id", ""),
+                target=(target["host"], target.get("port", 80)) if target else None,
                 peers=peers,
                 probes=data.get("probes", default_probes),
                 timeout=data.get("timeout", default_timeout),
@@ -170,6 +174,10 @@ class MeasureResponse:
     request_id: str
     rtts: dict[str, Optional[float]]
     verifier_clock: str = field(default_factory=lambda: format_timestamp(utc_now()))
+
+    def __post_init__(self) -> None:
+        _checked(_checked_text, "request_id", self.request_id)
+        _checked(_checked_text, "verifier_clock", self.verifier_clock)
 
     def to_wire(self) -> dict:
         return {
@@ -187,12 +195,12 @@ class MeasureResponse:
             if value == FAILED:
                 rtts[eid] = None
             else:
-                _checked(f"RTT for {eid}", value, 0, math.inf)
+                _checked(_checked_number, f"RTT for {eid}", value, 0, math.inf)
                 rtts[eid] = float(value)
         return cls(
-            request_id=str(data.get("request_id", "")),
+            request_id=data.get("request_id", ""),
             rtts=rtts,
-            verifier_clock=str(data.get("verifier_clock", "")),
+            verifier_clock=data.get("verifier_clock", ""),
         )
 
 
@@ -257,8 +265,9 @@ def handle_measure_request(req: MeasureRequest) -> MeasureResponse:
     """Measure the target and every peer of one request.
 
     The target goes through the port 80 to 443 fallback, peers do not.
-    Several endpoints are measured concurrently with each other, a single
-    one inline; probes within one endpoint stay sequential. The response
+    Several endpoints are all measured at once, one thread each (at most
+    MAX_PEERS + 1), a single one inline; probes within one endpoint stay
+    sequential, so a request takes one endpoint's probe round. The response
     has one entry per requested endpoint, preserving the request id. No
     correction of any kind is applied here; the agent reports raw minima.
     """
@@ -272,7 +281,7 @@ def handle_measure_request(req: MeasureRequest) -> MeasureResponse:
     if len(jobs) == 1:
         values = [run(jobs[0])]
     else:
-        with ThreadPoolExecutor(max_workers=min(len(jobs), 8)) as pool:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
             values = list(pool.map(run, jobs))
     rtts = {endpoint_id: value for (endpoint_id, _, _), value in zip(jobs, values)}
     return MeasureResponse(request_id=req.request_id, rtts=rtts)
@@ -374,8 +383,9 @@ class AgentConnection:
         that do not follow the protocol (including agent-side error
         replies).
         """
-        # Worst case the agent probes every endpoint sequentially with full
-        # timeouts; give it headroom beyond that.
+        # The agent measures every endpoint at once, so worst case one
+        # endpoint's probes all run to their full timeouts; give it
+        # headroom beyond that.
         deadline = req.probes * (req.timeout + PROBE_SPACING_S) + 5.0
         payload = json.dumps(req.to_wire()).encode() + b"\n"
         with self._lock:

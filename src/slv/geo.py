@@ -112,8 +112,9 @@ class Circle:
 class Triangle:
     """Three verifier positions spanning a spherical triangle.
 
-    Vertices must be pairwise distinct and must bound an area: the rule of
-    spherical_containment refuses every triple with |det| < _MIN_DET.
+    Vertices must bound an area: the rule of spherical_containment refuses
+    every triple with |det| < _MIN_DET, coincident vertices (det 0)
+    included.
     """
 
     vertices: tuple[Location, Location, Location]
@@ -124,9 +125,6 @@ class Triangle:
         object.__setattr__(self, "verifier_ids", tuple(self.verifier_ids))
         if len(self.vertices) != 3 or len(self.verifier_ids) != 3:
             raise ValueError("a triangle takes exactly 3 vertices and 3 verifier ids")
-        a, b, c = self.vertices
-        if a == b or b == c or a == c:
-            raise DegenerateTriangleError("triangle vertices must be pairwise distinct")
         if abs(_triple_products(*map(_unit, self.vertices))[0]) < _MIN_DET:
             raise DegenerateTriangleError("triangle vertices bound no area")
 

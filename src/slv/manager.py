@@ -46,6 +46,7 @@ from .verify import (
     VerifierLayout,
     VerifyConfig,
     _checked_bool,
+    _checked_text,
     format_timestamp,
     parse_timestamp,
     utc_now,
@@ -343,7 +344,7 @@ class CacheEntry:
     @classmethod
     def from_dict(cls, data: dict) -> "CacheEntry":
         return cls(
-            ip=data["ip"],
+            ip=_checked_text("ip", data["ip"]),
             asserted_loc=Location.from_dict(data["asserted_loc"]),
             when_veri=parse_timestamp(data["when_veri"]),
             veri_passed=_checked_bool("veri_passed", data["veri_passed"]),
@@ -615,7 +616,6 @@ class ManagerService:
         locator: Locator,
         provider_factory,
         cfg: Optional[ManagerConfig] = None,
-        cache: Optional[VerificationCache] = None,
         pool: Optional[AgentPool] = None,
     ) -> None:
         if len(registry) < 3:
@@ -627,7 +627,7 @@ class ManagerService:
         self._locator = locator
         self._provider_factory = provider_factory
         self._cfg = cfg or ManagerConfig()
-        self._cache = cache if cache is not None else VerificationCache(self._cfg.cache_path)
+        self._cache = VerificationCache(self._cfg.cache_path)
         self._pool = pool
         self._flight_lock = threading.Lock()
         self._inflight: dict[str, Future] = {}

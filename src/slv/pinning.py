@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from .geo import Circle, Location, _checked_number, point_in_circle
-from .verify import IPInfo, VerificationResult, format_timestamp, parse_timestamp
+from .verify import IPInfo, VerificationResult, _checked_text, format_timestamp, parse_timestamp
 
 DEFAULT_RMAX = 3
 
@@ -54,7 +54,7 @@ class PinEntry:
     when_pin: Optional[datetime] = None
 
     def __post_init__(self) -> None:
-        if not self.name or self.name != self.name.lower():
+        if not _checked_text("name", self.name) or self.name != self.name.lower():
             raise ValueError(f"domain name must be non-empty lowercase: {self.name!r}")
         _checked_number("rmax", self.rmax, 1, integer=True)
         if len(self.ver_regs) > self.rmax:
@@ -76,7 +76,7 @@ class PinEntry:
     @classmethod
     def from_dict(cls, data: dict) -> "PinEntry":
         return cls(
-            name=str(data["name"]),
+            name=data["name"],
             ips=[IPInfo.from_dict(ip) for ip in data.get("ips", [])],
             ver_regs=[Circle.from_dict(reg) for reg in data.get("ver_regs", [])],
             rmax=data.get("rmax", DEFAULT_RMAX),

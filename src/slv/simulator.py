@@ -27,6 +27,7 @@ from .verify import (
     VerifierInput,
     VerifierLayout,
     VerifyConfig,
+    _checked_text,
     verify_location,
 )
 
@@ -72,7 +73,7 @@ class Adversary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Adversary":
-        return cls(kind=str(data["type"]), extra_ms=data.get("extra_ms", 0.0))
+        return cls(kind=data["type"], extra_ms=data.get("extra_ms", 0.0))
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,7 @@ class SimServer:
 
 def _verifier_from_dict(data: dict) -> VerifierInput:
     """The (id, location) of one verifier row that SimScenario.to_dict wrote."""
-    if not isinstance(data["id"], str):
-        raise ValueError(f"verifier id must be a string, got {data['id']!r}")
-    return data["id"], Location.from_dict(data)
+    return _checked_text("verifier id", data["id"]), Location.from_dict(data)
 
 
 @dataclass

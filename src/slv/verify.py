@@ -32,7 +32,6 @@ from .geo import (
     _unit,
     Circle,
     Location,
-    Triangle,
     geodesic_midpoint,
     great_circle_distance,
     point_in_circle,
@@ -55,6 +54,14 @@ def _checked_bool(name: str, value) -> bool:
     for anything else, such as the JSON string "false"."""
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _checked_text(name: str, value) -> str:
+    """value, which must be a str; raises ValueError naming name and value
+    for anything else, such as the JSON number 7."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
     return value
 
 
@@ -91,6 +98,7 @@ class IPInfo:
     loc: Location
 
     def __post_init__(self) -> None:
+        _checked_text("ip value", self.value)
         try:
             ipaddress.ip_address(self.value)
         except ValueError as exc:
@@ -101,7 +109,7 @@ class IPInfo:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IPInfo":
-        return cls(value=str(data["value"]), loc=Location.from_dict(data["loc"]))
+        return cls(value=data["value"], loc=Location.from_dict(data["loc"]))
 
 
 @dataclass(frozen=True)
@@ -314,8 +322,9 @@ def _arc_km(u, cross, v) -> float:
 
 def enumerate_triangles(
     layout: VerifierLayout, asserted: Location, limit: Optional[int] = None
-) -> list[Triangle]:
-    """The smallest verifier triangles containing the asserted location.
+) -> list[tuple[str, str, str]]:
+    """The smallest verifier triangles containing the asserted location,
+    as verifier-id triples, each in id order.
 
     Returns the first `limit` (all when None) 3-combinations whose
     spherical triangle contains `asserted` (boundary inclusive), ordered
@@ -342,9 +351,8 @@ def enumerate_triangles(
     least that long). Both bounds are tested before containment, and a
     new pair whose d(a, b) is already too long by its dot product is
     dropped before its cross product is looked up. Distances to the point
-    are computed only for the verifiers visited, the cross product, arc
-    and perimeter side of a pair once per layout, and Triangle objects
-    only for the result.
+    are computed only for the verifiers visited, and the cross product,
+    arc and perimeter side of a pair once per layout.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -444,14 +452,8 @@ def enumerate_triangles(
         visited.append(m)
         reach.append(reach_m)
 
-    locs, ordered = layout._locs, layout._ordered
-    return [
-        Triangle(
-            vertices=(locs[i], locs[j], locs[k]),
-            verifier_ids=(ordered[i][0], ordered[j][0], ordered[k][0]),
-        )
-        for _, i, j, k in best
-    ]
+    ids = layout._ids
+    return [(ids[i], ids[j], ids[k]) for _, i, j, k in best]
 
 
 # Coverage: is a point in some verifier triangle? The sign test accepts p
@@ -578,9 +580,10 @@ class VerifierLayout:
     searched or tested against it.
 
     Built whole: the constructor validates the verifiers (at least 3,
-    unique ids), takes their unit vectors and builds the hull that
-    covers() and the triangle search decide on; nothing else is built
-    later. It fills on first use, at most once per verifier pair (so at
+    unique ids), maps each id to its location (verify_location reads a
+    found triangle's vertices there), takes their unit vectors and builds
+    the hull that covers() and the triangle search decide on; nothing
+    else is built later. It fills on first use, at most once per verifier pair (so at
     most n(n - 1)/2 entries each), the pair's cross product and arc for
     the search's side bound and its haversine length for perimeters.
     Every such value is the float a fresh search computes. Threads may
@@ -595,8 +598,10 @@ class VerifierLayout:
     """
 
     def __init__(self, verifiers: Sequence[VerifierInput]) -> None:
-        self._ordered = _validated(verifiers)
-        self._locs = [loc for _, loc in self._ordered]
+        # Location by verifier id, in id order: the order of every index.
+        self._loc_of = dict(_validated(verifiers))
+        self._ids = list(self._loc_of)
+        self._locs = list(self._loc_of.values())
         self._units = [_unit(loc) for loc in self._locs]
         # (cross(u_i, u_j), arc in km) and haversine length of pair i < j,
         # keyed by i * n + j.
@@ -640,16 +645,15 @@ class VerifierLayout:
 
 
 def _measure_triangle(
-    triangle: Triangle, delays: DelayProvider, cfg: VerifyConfig
+    ids: tuple[str, str, str], delays: DelayProvider, cfg: VerifyConfig
 ) -> Optional[dict[tuple[str, str], float]]:
-    """The 9 RTTs of one triangle in ms, keyed by (verifier id, endpoint
-    id) where the endpoint is another verifier or TARGET; None when any
-    measurement fails. Each RTT is clamped at zero, and target RTTs are
-    then last-mile corrected.
+    """The 9 RTTs in ms of the triangle of verifier ids `ids`, keyed by
+    (verifier id, endpoint id) where the endpoint is another verifier or
+    TARGET; None when any measurement fails. Each RTT is clamped at zero,
+    and target RTTs are then last-mile corrected.
 
     A concurrent provider gets all 9 measurements at once, so a live
     triangle costs one probe round of wall time rather than three."""
-    ids = triangle.verifier_ids
     edges = [(v, e) for v in ids for e in (TARGET,) + tuple(w for w in ids if w != v)]
     probes, timeout = cfg.probes_per_measurement, cfg.measurement_timeout
     if getattr(delays, "supports_concurrent_measure", False):
@@ -700,18 +704,17 @@ def verify_location(
             when_veri=now, reason=Reason.NO_COVERAGE,
         )
 
+    loc_of = layout._loc_of
     any_complete = False
-    for triangle in triangles:
-        rtts = _measure_triangle(triangle, delays, cfg)
+    for ids in triangles:
+        rtts = _measure_triangle(ids, delays, cfg)
         if rtts is None:
             continue
         any_complete = True
-        ids = triangle.verifier_ids
-        locs = dict(zip(ids, triangle.vertices))
         for a, b in ((ids[0], ids[1]), (ids[0], ids[2]), (ids[1], ids[2])):
             if not thales_accept(rtts[a, TARGET], rtts[b, TARGET], rtts[a, b], rtts[b, a]):
                 continue
-            region = circle_of_pair(locs[a], locs[b])
+            region = circle_of_pair(loc_of[a], loc_of[b])
             if point_in_circle(asserted_ip.loc, region):
                 return VerificationResult(
                     ip=asserted_ip, veri_passed=True, region=region, when_veri=now,

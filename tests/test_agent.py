@@ -234,6 +234,33 @@ class TestMeasureRequestValidation:
             MeasureRequest.from_wire(wire)
         assert f"got {value!r}" in str(err.value)
 
+    @pytest.mark.parametrize("path, value, named", [
+        (("request_id",), 5, "request_id"),
+        (("target", "host"), 2130706433, "target host"),
+        (("peers", 0, "verifier_id"), 3, "peer verifier_id"),
+        (("peers", 0, "host"), 2130706433, "peer v2 host"),
+    ])
+    def test_wire_text_fields_must_be_strings(self, path, value, named):
+        # str() would read 5 as "5"; ip_address reads 2130706433 as 127.0.0.1
+        wire = MeasureRequest(**self.good()).to_wire()
+        target = wire
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ProtocolError, match=f"{named} must be a string, got {value!r}"):
+            MeasureRequest.from_wire(wire)
+
+    @pytest.mark.parametrize("overrides, named", [
+        (dict(request_id=7), "request_id"),
+        (dict(target=(2130706433, 80)), "target host"),
+        (dict(peers=(PeerSpec(3, "127.0.0.1", 7708),)), "peer verifier_id"),
+        (dict(request_id=7, peers=(PeerSpec(3, "127.0.0.1", 7708),)), "request_id"),
+        (dict(peers=(PeerSpec("v2", 2130706433, 7708),)), "peer v2 host"),
+    ])
+    def test_constructor_text_fields_must_be_strings(self, overrides, named):
+        with pytest.raises(ProtocolError, match=f"{named} must be a string"):
+            MeasureRequest(**self.good(**overrides))
+
     def test_wire_round_trip(self):
         req = MeasureRequest(**self.good())
         assert MeasureRequest.from_wire(req.to_wire()) == req
@@ -282,6 +309,14 @@ class TestMeasureRequestValidation:
         wire = resp.to_wire()
         assert wire["rtts"]["v2"] == FAILED
         assert MeasureResponse.from_wire(wire).rtts == {"target": 3.25, "v2": None}
+
+    @pytest.mark.parametrize("field, value", [("request_id", 5), ("verifier_clock", 12)])
+    def test_response_text_fields_must_be_strings(self, field, value):
+        wire = {**MeasureResponse(request_id="r", rtts={TARGET: 1.0}).to_wire(), field: value}
+        with pytest.raises(ProtocolError, match=f"{field} must be a string, got {value!r}"):
+            MeasureResponse.from_wire(wire)
+        with pytest.raises(ProtocolError, match=f"{field} must be a string"):
+            MeasureResponse(**{"request_id": "r", "rtts": {}, field: value})
 
     def test_response_rejects_negative(self):
         with pytest.raises(ProtocolError):
@@ -349,6 +384,23 @@ class TestHandleMeasureRequest:
         resp = handle_measure_request(req)
         assert resp.rtts == {"v2": 2.5}
         assert threads == [threading.current_thread()]
+
+
+    def test_every_endpoint_is_measured_at_once(self, monkeypatch):
+        # Each probe waits until a target and MAX_PEERS peers are all being
+        # probed, which one round of concurrent connects reaches and a
+        # smaller pool never does.
+        barrier = threading.Barrier(MAX_PEERS + 1, timeout=5)
+
+        def connect(address, timeout):
+            barrier.wait()
+            return 1.5
+
+        fake_probes(monkeypatch, connect)
+        peers = tuple(PeerSpec(f"v{i}", "127.0.0.1", 1000 + i) for i in range(MAX_PEERS))
+        req = MeasureRequest(request_id="r5", target=("127.0.0.1", 80), peers=peers, probes=1)
+        resp = handle_measure_request(req)
+        assert resp.rtts == {TARGET: 1.5, **{peer.verifier_id: 1.5 for peer in peers}}
 
 
 @pytest.fixture
@@ -451,6 +503,22 @@ class TestAgentServer:
                 reply = json.loads(reader.readline())
                 assert reply["request_id"] == "big" and "error" in reply
             sock.sendall(json.dumps(good.to_wire()).encode() + b"\n")
+            assert json.loads(reader.readline())["request_id"] == "ok"
+
+    def test_non_string_text_fields_get_error_reply_and_keep_the_connection(
+        self, agent, tcp_listener
+    ):
+        good = MeasureRequest(request_id="ok", target=tcp_listener.address, probes=1,
+                              timeout=1.0, peers=(PeerSpec("v2", *tcp_listener.address),))
+        with socket.create_connection(agent.bound_address, timeout=5) as sock:
+            reader = sock.makefile("rb")
+            wire = good.to_wire()
+            for bad in ({**wire, "request_id": 5},
+                        {**wire, "peers": [{**wire["peers"][0], "verifier_id": 3}]}):
+                sock.sendall(json.dumps(bad).encode() + b"\n")
+                reply = json.loads(reader.readline())
+                assert "must be a string" in reply["error"]
+            sock.sendall(json.dumps(wire).encode() + b"\n")
             assert json.loads(reader.readline())["request_id"] == "ok"
 
     def test_agent_error_reply_raises_protocol_error(self, agent):

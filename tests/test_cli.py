@@ -164,6 +164,25 @@ class TestCmdVerify:
         assert "manager returned an unusable result" in err and "veri_passed" in err
         assert not store_path.exists()
 
+    @pytest.mark.parametrize("value", [5, 16843009])
+    def test_non_string_ip_is_an_unusable_result(self, tmp_path, capsys, monkeypatch, value):
+        # str(5) is "5", and ip_address(16843009) is 1.1.1.1
+        body = {
+            "ip": {"value": value, "loc": INSIDE.to_dict()}, "veri_passed": True,
+            "region": Circle(INSIDE, 100.0).to_dict(), "when_veri": "2026-08-09T12:00:00Z",
+            "reason": None,
+        }
+        monkeypatch.setattr(cli, "_http_get_json", lambda url: (200, body))
+        store_path = tmp_path / "pins.json"
+        code = run_cli(
+            "verify", "9.9.9.9", "--manager-url", "http://127.0.0.1:1",
+            "--pin-store", str(store_path),
+        )
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "manager returned an unusable result" in err and "ip value must be" in err
+        assert not store_path.exists()
+
     def test_unresolvable_host(self, tmp_path, capsys):
         code = run_cli(
             "verify", "host.invalid.",

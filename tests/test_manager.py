@@ -461,6 +461,21 @@ class TestVerificationCache:
         with pytest.raises(ValueError, match=f"{named} must be"):
             VerificationCache(path)
 
+    @pytest.mark.parametrize("ip", [5, 16843009, None])
+    def test_non_string_ip_rows_are_refused_at_start(self, tmp_path, ip):
+        # ip_address(16843009) is 1.1.1.1: the row must not load as an address
+        path = tmp_path / "cache.sqlite"
+        cache = VerificationCache(path)
+        cache.put(entry("1.1.1.1", utc_now() + timedelta(hours=1)))
+        cache.close()
+        with sqlite3.connect(path) as db:
+            (blob,) = db.execute("SELECT data FROM verifications").fetchone()
+            db.execute("UPDATE verifications SET data = ?",
+                       (json.dumps({**json.loads(blob), "ip": ip}),))
+        db.close()
+        with pytest.raises(ValueError, match=f"ip must be a string, got {ip!r}"):
+            VerificationCache(path)
+
 
 class CountingFactory:
     """Provider factory whose created providers share one call counter."""
@@ -618,7 +633,7 @@ class TestManagerService:
         for ip in ("9.9.9.9", "8.8.8.8"):
             assert service.handle_verify_request(ip, now=NOW).veri_passed is True
         assert len(seen) == 2 and seen[0] is seen[1]
-        assert list(seen[0]._ordered) == sorted(registry.verifier_inputs())
+        assert list(seen[0]._loc_of.items()) == sorted(registry.verifier_inputs())
 
     def test_deterministic_for_fixed_inputs(self, tmp_path):
         service_a, _ = make_service(tmp_path)

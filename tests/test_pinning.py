@@ -65,6 +65,13 @@ class TestPinEntry:
         with pytest.raises(ValueError):
             PinEntry(name="")
 
+    @pytest.mark.parametrize("name", [7, None, 1.5])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ValueError, match=f"name must be a string, got {name!r}"):
+            PinEntry(name=name)
+        with pytest.raises(ValueError, match=f"name must be a string, got {name!r}"):
+            PinEntry.from_dict({"name": name})
+
     def test_rejects_region_overflow(self):
         with pytest.raises(ValueError):
             PinEntry(name="example.com", rmax=1,
@@ -257,6 +264,18 @@ class TestStorePersistence:
         path = tmp_path / "pins.json"
         path.write_text('{"name": "x"}')
         with pytest.raises(CorruptStoreError):
+            load_store(path)
+
+    @pytest.mark.parametrize("name", [7, None])
+    def test_non_string_name_is_a_corrupt_store(self, tmp_path, name):
+        path = tmp_path / "pins.json"
+        store = {}
+        evaluate_pin(store, "a.example", passed_result(), NOW)
+        persist_store(store, path)
+        entries = json.loads(path.read_text())
+        entries[0]["name"] = name
+        path.write_text(json.dumps(entries))
+        with pytest.raises(CorruptStoreError, match="name must be a string"):
             load_store(path)
 
     @pytest.mark.parametrize("rmax", [2.9, True, "3", 0, None])

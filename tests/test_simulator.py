@@ -153,6 +153,17 @@ class TestScenarioTypes:
             Adversary(ADVERSARY_FALSE_ASSERTION, extra_ms=3)
         Adversary(ADVERSARY_RELAY, extra_ms=3)
 
+    @pytest.mark.parametrize("kind", [7, None, True])
+    def test_adversary_type_is_read_as_written(self, tmp_path, kind):
+        with pytest.raises(ValueError, match=f"unknown adversary kind: {kind!r}"):
+            Adversary.from_dict({"type": kind})
+        data = generate_scenario(5, 1, 1, 1, bounds=BOUNDS, cfg=quick_cfg(), seed=3).to_dict()
+        data["servers"][1]["adversary"]["type"] = kind
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match="unknown adversary kind"):
+            SimScenario.load(path)
+
     @pytest.mark.parametrize("section, key, value, shown", [
         ("model", "jitter_ms", math.nan, "nan"),
         ("model", "circuitousness", math.inf, "inf"),

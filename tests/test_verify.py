@@ -162,8 +162,7 @@ class TestCircleOfPair:
 class TestEnumerateTriangles:
     def test_single_containing_combination(self):
         triangles = enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(0, 0))
-        assert len(triangles) == 1
-        assert triangles[0].verifier_ids == ("a", "b", "c")
+        assert triangles == [("a", "b", "c")]
 
     def test_point_far_outside(self):
         assert enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(50, 50)) == []
@@ -172,11 +171,12 @@ class TestEnumerateTriangles:
         verifiers = TRI_VERIFIERS + [("d", Location(25, 0))]
         triangles = enumerate_triangles(VerifierLayout(verifiers), Location(0, 0))
         assert len(triangles) >= 2
-        perimeters = [perimeter(t) for t in triangles]
+        locs = dict(verifiers)
+        perimeters = [perimeter(Triangle(tuple(locs[v] for v in t), t)) for t in triangles]
         assert perimeters == sorted(perimeters)
-        assert triangles[0].verifier_ids == ("a", "b", "c")
+        assert triangles[0] == ("a", "b", "c")
         # the wider triangle through d comes later
-        assert any(t.verifier_ids == ("b", "c", "d") for t in triangles[1:])
+        assert ("b", "c", "d") in triangles[1:]
 
     def test_deterministic(self):
         verifiers = TRI_VERIFIERS + [("d", Location(25, 0)), ("e", Location(-25, 3))]
@@ -202,7 +202,7 @@ class TestEnumerateTriangles:
                     continue
                 if point_in_spherical_triangle(p, t):
                     expected.add(t.verifier_ids)
-            enumerated = {t.verifier_ids for t in enumerate_triangles(VerifierLayout(verifiers), p)}
+            enumerated = set(enumerate_triangles(VerifierLayout(verifiers), p))
             assert enumerated == expected
 
     def test_skips_degenerate_combinations(self):
@@ -214,7 +214,7 @@ class TestEnumerateTriangles:
             ("e", Location(-10, 10)),
         ]
         triangles = enumerate_triangles(VerifierLayout(verifiers), Location(0, 10))
-        assert all(t.verifier_ids != ("a", "b", "c") for t in triangles)
+        assert ("a", "b", "c") not in triangles
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
@@ -327,15 +327,15 @@ class TestTopKMatchesOracle:
                 assert coverage.covers(p) == bool(full), (kind, verifiers, p)
                 for k in (1, 2, 4, 7, None):
                     found = enumerate_triangles(VerifierLayout(verifiers), p, k)
-                    got = [t.verifier_ids for t in found]
-                    assert got == full[:k], (kind, k, verifiers, p)
+                    assert found == full[:k], (kind, k, verifiers, p)
 
     def test_returns_equal_triangles(self):
         rng = random.Random(6)
         verifiers, points = _instance(rng, "uniform")
         for p in points:
-            assert enumerate_triangles(VerifierLayout(verifiers), p) == oracle(verifiers, p)
-            assert enumerate_triangles(VerifierLayout(verifiers), p, 4) == oracle(verifiers, p)[:4]
+            full = [t.verifier_ids for t in oracle(verifiers, p)]
+            assert enumerate_triangles(VerifierLayout(verifiers), p) == full
+            assert enumerate_triangles(VerifierLayout(verifiers), p, 4) == full[:4]
 
     def test_pruning_bounds_containment_tests(self, monkeypatch):
         # Without the side bound the search makes ~1150 containment tests
@@ -369,7 +369,7 @@ class TestTopKMatchesOracle:
 
         def exhaustive(layout, asserted, limit=None):
             calls.append(limit)
-            return oracle(layout._ordered, asserted)[:limit]
+            return [t.verifier_ids for t in oracle(list(layout._loc_of.items()), asserted)][:limit]
 
         monkeypatch.setattr(slv.verify, "enumerate_triangles", exhaustive)
         assert run_experiment(scenario).to_dict() == searched
@@ -410,7 +410,7 @@ class TestVerifierLayout:
         fresh list per point and, for the first oracle_points, the oracle."""
         fresh = {}
         for index, p in enumerate(points):
-            full = oracle(verifiers, p) if index < oracle_points else None
+            full = [t.verifier_ids for t in oracle(verifiers, p)] if index < oracle_points else None
             for k in limits:
                 fresh[index, k] = enumerate_triangles(VerifierLayout(verifiers), p, k)
                 assert full is None or fresh[index, k] == full[:k], (k, verifiers, p)
@@ -505,7 +505,7 @@ class TestVerifierLayout:
         outside = [p for p in points if layout._beyond_hull(_unit(p))]
         assert outside and len(outside) < len(points)
         for p in points:
-            assert enumerate_triangles(layout, p, 4) == oracle(verifiers, p)[:4]
+            assert enumerate_triangles(layout, p, 4) == [t.verifier_ids for t in oracle(verifiers, p)][:4]
             assert layout.covers(p) == covered_by_oracle(verifiers, p)
         assert built == [20]
         assert vars(layout).keys() == state.keys()
@@ -868,7 +868,7 @@ class TestSearchConsultsTheHull:
     @staticmethod
     def _check(layout, verifiers, points) -> None:
         for p in points:
-            full = oracle(verifiers, p)
+            full = [t.verifier_ids for t in oracle(verifiers, p)]
             for k in (1, 4, None):
                 assert enumerate_triangles(layout, p, k) == full[:k], (k, verifiers, p)
 
@@ -986,6 +986,14 @@ class TestMessageTypes:
             IPInfo(value="not-an-ip", loc=Location(0, 0))
         IPInfo(value="255.255.255.255", loc=Location(0, 0))
         IPInfo(value="2001:db8::1", loc=Location(0, 0))
+
+    @pytest.mark.parametrize("value", [5, 16843009, None])
+    def test_ipinfo_value_must_be_a_string(self, value):
+        # ip_address(16843009) is 1.1.1.1, and str() would make "5" of 5
+        with pytest.raises(ValueError, match=f"ip value must be a string, got {value!r}"):
+            IPInfo(value=value, loc=Location(0, 0))
+        with pytest.raises(ValueError, match=f"ip value must be a string, got {value!r}"):
+            IPInfo.from_dict({"value": value, "loc": {"lat": 0.0, "lon": 0.0}})
 
     def test_result_requires_region_iff_passed(self):
         ip = IPInfo(value="1.2.3.4", loc=Location(0, 0))
@@ -1263,6 +1271,38 @@ class TestVerifyLocation:
         assert len(target_edges) == 3
         assert len(pair_edges) == 6
 
+    def test_verification_builds_no_triangle(self, monkeypatch):
+        # The search hands back id triples and the loop reads positions
+        # from the layout: two triangles are walked (the first fails its
+        # measurements), yet no Triangle is built or validated.
+        built = []
+        post_init = Triangle.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Triangle, "__post_init__", counting)
+
+        class NoA(IdealProvider):
+            def measure(self, verifier_id, endpoint_id, probes, timeout):
+                if "a" in (verifier_id, endpoint_id):
+                    return None
+                return super().measure(verifier_id, endpoint_id, probes, timeout)
+
+        server = Location(0, 0)
+        verifiers = TRI_VERIFIERS + [("d", Location(25, 0))]
+        layout = VerifierLayout(verifiers)
+        assert enumerate_triangles(layout, server, 4) == [("a", "b", "c"), ("b", "c", "d")]
+        provider = NoA(dict(verifiers), server, target_inflation_ms=5.0)
+        result = verify_location(make_ip(server), layout, provider, self.cfg(), NOW)
+        locs = dict(verifiers)
+        assert result == VerificationResult(
+            ip=make_ip(server), veri_passed=True,
+            region=circle_of_pair(locs["b"], locs["d"]), when_veri=NOW,
+        )
+        assert built == []
+
     def test_measured_triangle_is_clamped_then_corrected(self):
         # raw RTTs of -3, 2 and 9 ms on every edge kind: each is clamped at
         # zero once, and lambda then comes off the target edges only
@@ -1273,12 +1313,11 @@ class TestVerifyLocation:
             def measure(self, verifier_id, endpoint_id, probes, timeout):
                 return self.ms
 
-        triangle = enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(0, 0))[0]
-        ids = triangle.verifier_ids
+        ids = enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(0, 0))[0]
         edges = [(v, e) for v in ids for e in (TARGET,) + tuple(w for w in ids if w != v)]
         cfg = self.cfg(lambda_ms=5.0)
         for raw, target_ms, peer_ms in ((-3.0, 0.0, 0.0), (2.0, 0.0, 2.0), (9.0, 4.0, 9.0)):
-            rtts = slv.verify._measure_triangle(triangle, Fixed(raw), cfg)
+            rtts = slv.verify._measure_triangle(ids, Fixed(raw), cfg)
             assert rtts == {e: target_ms if e[1] == TARGET else peer_ms for e in edges}
 
     def test_measured_triangle_is_none_when_any_edge_fails(self):
