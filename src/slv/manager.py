@@ -46,6 +46,7 @@ from .verify import (
     VerifierLayout,
     VerifyConfig,
     _checked_bool,
+    _checked_keys,
     _checked_text,
     format_timestamp,
     parse_timestamp,
@@ -455,6 +456,12 @@ class LocatorConfig:
         raise ValueError(f"unknown locator provider: {self.provider!r}")
 
 
+# The top-level keys of a manager config file that set the ManagerConfig
+# field of the same name; the others are registry, locator and the keys of
+# VerifyConfig.
+_PLAIN_KEYS = ("cache_ttl", "agent_port", "target_port", "listen_host", "listen_port", "cache_path")
+
+
 @dataclass
 class ManagerConfig:
     """Manager settings; see ManagerConfig.from_file for the JSON keys."""
@@ -491,8 +498,9 @@ class ManagerConfig:
         listen_port, cache_path.
 
         Raises:
-            ValueError: naming the file, when it is not such a JSON object
-                or holds an invalid value.
+            ValueError: naming the file, when it is not such a JSON object,
+                holds an invalid value or a key not listed above (naming
+                the key).
         """
         try:
             with open(path, encoding="utf-8") as fh:
@@ -500,16 +508,17 @@ class ManagerConfig:
             locator = data.get("locator", {}) if isinstance(data, dict) else None
             if not isinstance(locator, dict):
                 raise TypeError("expected a JSON object, with an object as its locator")
+            _checked_keys("the config", data, {
+                "registry", "locator", *_PLAIN_KEYS, *(f.name for f in fields(VerifyConfig)),
+            })
+            _checked_keys("locator", locator, {f.name for f in fields(LocatorConfig)})
             return cls(
                 registry_path=data["registry"],
                 verify=VerifyConfig.from_dict(data),
                 locator=LocatorConfig(**{
                     f.name: locator[f.name] for f in fields(LocatorConfig) if f.name in locator
                 }),
-                **{key: data[key] for key in (
-                    "cache_ttl", "agent_port", "target_port", "listen_host", "listen_port",
-                    "cache_path",
-                ) if key in data},
+                **{key: data[key] for key in _PLAIN_KEYS if key in data},
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc

@@ -27,6 +27,7 @@ from .verify import (
     VerifierInput,
     VerifierLayout,
     VerifyConfig,
+    _checked_keys,
     _checked_text,
     verify_location,
 )
@@ -171,13 +172,18 @@ class SimScenario:
     @classmethod
     def from_dict(cls, data: dict) -> "SimScenario":
         """The scenario that to_dict wrote; raises ScenarioError for data
-        of any other shape or with invalid values."""
+        of any other shape, with invalid values, or with a key to_dict does
+        not write at the top level or in model or cfg (naming the key)."""
         try:
+            model, cfg = data.get("model", {}), data.get("cfg", {})
+            _checked_keys("the scenario", data, {f.name for f in fields(cls)})
+            _checked_keys("model", model, {f.name for f in fields(DelayModel)})
+            _checked_keys("cfg", cfg, {f.name for f in fields(VerifyConfig)})
             return cls(
                 verifiers=[_verifier_from_dict(v) for v in data["verifiers"]],
                 servers=[SimServer.from_dict(s) for s in data["servers"]],
-                model=DelayModel.from_dict(data.get("model", {})),
-                cfg=VerifyConfig.from_dict(data.get("cfg", {})),
+                model=DelayModel.from_dict(model),
+                cfg=VerifyConfig.from_dict(cfg),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc

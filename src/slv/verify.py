@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ipaddress
 import math
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -63,6 +63,18 @@ def _checked_text(name: str, value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
     return value
+
+
+def _checked_keys(name: str, data, known) -> None:
+    """Raises ValueError naming the first key of the JSON object `data`
+    (called `name` in the message) that is not in `known`, so a
+    misspelled key is refused instead of silently keeping its default."""
+    if isinstance(data, dict):
+        for key in data:
+            if key not in known:
+                raise ValueError(
+                    f"unknown key {key!r} in {name}; known keys: {', '.join(sorted(known))}"
+                )
 
 
 def utc_now() -> datetime:
@@ -313,6 +325,34 @@ _STOP_SLACK_KM = 1.0
 # the same.
 _ROOM_COS_SLACK = 1e-9
 
+# Why a triple is tested only when the directions of its vertices seen
+# from p leave no gap wider than a half-turn. Write each unit vector as
+#     u = cos(r)*p + sin(r)*(cos(t)*e1 + sin(t)*e2),
+# r its distance from p in radians, t its azimuth about p and
+# (e1, e2) = _tangent_basis(p), so e1 x e2 = p. Then
+#     (a x b).p = sin(r_a)*sin(r_b)*sin(t_b - t_a).
+# Let the sign test accept p in (a, b, c) with det >= _MIN_DET (det <=
+# -_MIN_DET is the same for (a, c, b)). The exact (a x b).p, (b x c).p and
+# (c x a).p are then each >= -e, e = _EDGE_EPS + r with r ~1e-16 the
+# rounding of a triple product. If sin(r) >= _NEAR_SIN for all three
+# vertices, each turn t_b - t_a, t_c - t_b, t_a - t_c, taken in
+# [-k, 2*pi - k), lies in [-k, pi + k] with k = asin(e / _NEAR_SIN**2)
+# ~1e-8. The turns sum to a multiple of 2*pi, so to 0 or 2*pi:
+# - At 0 each turn lies in [-k, 2k], so each of the three products is at
+#   most 2k in size. With A = (b x c).p, B = (c x a).p, C = (a x b).p the
+#   identity det*p = A*a + B*b + C*c (see the comment above _HULL_MARGIN)
+#   gives |det| <= |A| + |B| + |C| <= 6k < _MIN_DET - r: impossible.
+# - At 2*pi at most one turn is negative. The gaps between the three
+#   azimuths in circular order are then the three turns, or that turn's
+#   size and its sum with each of the others: none exceeds pi + k.
+# The azimuths of such vertices are computed to ~1e-14 radians, the
+# rounding of the unit vectors included, so a triple whose computed gaps
+# leave one wider than pi + _AZIMUTH_SLACK fails the sign test and need
+# not be tested. A verifier with sin(r) < _NEAR_SIN, within ~64 km of p or
+# of its antipode, has no usable azimuth and is tested in every triple.
+_NEAR_SIN = 0.01
+_AZIMUTH_SLACK = 1e-7
+
 
 def _arc_km(u, cross, v) -> float:
     """Great-circle distance in km between unit vectors u and v, given
@@ -345,14 +385,25 @@ def enumerate_triangles(
     Two bounds cut the work once the top k is full, each against the k-th
     best perimeter plus a small slack: the search stops when twice the
     next verifier's distance exceeds it (every vertex of a containing
-    triangle lies within half its perimeter of the point), and a verifier
-    pair (a, b) is dropped, or never formed, when d(a, b) + d(a, p) +
-    d(b, p) exceeds it (every containing triangle with side (a, b) is at
-    least that long). Both bounds are tested before containment, and a
-    new pair whose d(a, b) is already too long by its dot product is
-    dropped before its cross product is looked up. Distances to the point
-    are computed only for the verifiers visited, and the cross product,
-    arc and perimeter side of a pair once per layout.
+    triangle lies within half its perimeter of the point), and a triple
+    is skipped when one of its sides (a, b) has d(a, b) + d(a, p) +
+    d(b, p) above it (every containing triangle with side (a, b) is at
+    least that long). A new pair whose d(a, b) is already too long by its
+    dot product is dropped before its cross product is looked up.
+
+    Each visited verifier gets its azimuth about the point, and a triple
+    is tested only when its three azimuths leave no gap wider than a
+    half-turn, which every triple passing the containment test does (see
+    the comment above _NEAR_SIN). The visited verifiers whose pair with
+    the new one meets the side bound are sorted by their turn from its
+    azimuth, and the pairs among them that can close such a triple are
+    found by bisection. So a point near the hull edge, which lies only in
+    long triangles, no longer tests every triple of the many verifiers it
+    visits, and a point just outside the hull tests none. A verifier
+    within ~64 km of the point or of its antipode has no usable azimuth
+    and is tested in every triple. Distances to the point and azimuths are
+    computed only for the verifiers visited, and the cross product, arc
+    and perimeter side of a pair once per layout.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -364,24 +415,41 @@ def enumerate_triangles(
     crosses = layout._crosses
     length = layout._length
     cosines = [u[0] * px + u[1] * py + u[2] * pz for u in units]
+    (e1x, e1y, e1z), (e2x, e2y, e2z) = _tangent_basis(up)
+    # as locals, for the loops below
+    cos, atan2, sqrt, inf, tau = math.cos, math.atan2, math.sqrt, math.inf, math.tau
+    max_room, radius, cos_slack = MAX_DISTANCE_KM, EARTH_RADIUS_KM, _ROOM_COS_SLACK
+    # the widest gap between two vertices' turns, and the least turn of
+    # the last of three, as a key for bisect on (turn, position)
+    widest = math.pi + _AZIMUTH_SLACK
+    least_last = (math.pi - _AZIMUTH_SLACK,)
 
     # Every triple is tested as (i, j, k) with i < j < k in id order, and
     # every pair's cross product as (i, j), i < j, so each float the test
     # sees is computed exactly as a scan of all triples would compute it.
     best: list[tuple[float, int, int, int]] = []
-    # The k-th best perimeter plus slack once the top k is full, and its
-    # value when the pairs were last filtered against it.
-    cutoff = pruned_at = math.inf
+    cutoff = math.inf  # the k-th best perimeter plus slack once the top k is full
     visited: list[int] = []
     reach: list[float] = []  # distance to the point, by visit position
-    # (a, b, position of a, position of b, cross(a, b), its side of p,
-    # side bound), a < b
-    pairs: list[tuple[int, int, int, int, tuple[float, float, float], float, float]] = []
+    azimuth: list[Optional[float]] = []  # about the point, None when near
+    near: list[int] = []  # visit positions of the near verifiers
+    # By visit position t, the row of t: cross product, its side of p and
+    # side bound of t with each earlier position s < t.
+    rows: list[list] = []
+    sides: list[list[float]] = []
+    bounds: list[list[float]] = []
     for m in sorted(range(n), key=cosines.__getitem__, reverse=True):
-        um = units[m]
-        reach_m = _arc_km(um, _cross(um, up), up)
+        um = ux, uy, uz = units[m]
+        # the float _arc_km(um, _cross(um, up), up) gives, with sin_r =
+        # |um x up| kept for the near test
+        cx, cy, cz = uy * pz - uz * py, uz * px - ux * pz, ux * py - uy * px
+        sin_r = sqrt(cx * cx + cy * cy + cz * cz)
+        reach_m = radius * atan2(sin_r, cosines[m])
         if 2.0 * reach_m > cutoff:
             break
+        azimuth_m = atan2(
+            ux * e2x + uy * e2y + uz * e2z, ux * e1x + uy * e1y + uz * e1z
+        ) if sin_r >= _NEAR_SIN else None
         # Cross product, its side of p and the side bound of m with each
         # visited verifier, by visit position; a pair whose bound cannot
         # be met gets an infinite one. room is what the pair's side may
@@ -393,28 +461,60 @@ def enumerate_triangles(
         row_bound: list[float] = []
         for x, reach_x in zip(visited, reach):
             room = room_m - reach_x
-            ux = units[x]
+            vx = units[x]
             if room < 0.0 or (
-                room < MAX_DISTANCE_KM
-                and ux[0] * um[0] + ux[1] * um[1] + ux[2] * um[2]
-                < math.cos(room / EARTH_RADIUS_KM) - _ROOM_COS_SLACK
+                room < max_room
+                and vx[0] * ux + vx[1] * uy + vx[2] * uz < cos(room / radius) - cos_slack
             ):
                 row.append(None)
                 row_side.append(0.0)
-                row_bound.append(math.inf)
+                row_bound.append(inf)
                 continue
             key = x * n + m if x < m else m * n + x
             pair = crosses.get(key)
             if pair is None:
-                cross = _cross(ux, um) if x < m else _cross(um, ux)
-                pair = crosses[key] = (cross, _arc_km(ux, cross, um))
+                cross = _cross(vx, um) if x < m else _cross(um, vx)
+                pair = crosses[key] = (cross, _arc_km(vx, cross, um))
             cross = pair[0]
             row.append(cross)
             row_side.append(cross[0] * px + cross[1] * py + cross[2] * pz)
             row_bound.append(pair[1] + reach_x + reach_m)
-        for a, b, pa, pb, ab, side_ab, _ in pairs:
-            if row_bound[pa] > cutoff or row_bound[pb] > cutoff:
+        # The visited pairs (s, t), s < t, whose triple with m may contain
+        # p: both live, their side with m within the bound, and leaving
+        # no gap over a half-turn. With the live verifiers in order of
+        # their turn phi from m's azimuth, that is phi_s <= pi + slack and
+        # phi_t in [max(phi_s, pi - slack), phi_s + pi + slack]; a near
+        # verifier pairs with every live one, and a near m with all pairs.
+        live = [s for s, bound in enumerate(row_bound) if bound <= cutoff]
+        if azimuth_m is None:
+            pairs = [(s, t) for i, t in enumerate(live) for s in live[:i]]
+        else:
+            turns = sorted([
+                ((azimuth[s] - azimuth_m) % tau, s) for s in live if azimuth[s] is not None
+            ])
+            first_last = bisect_left(turns, least_last)
+            pairs = []
+            for i, (phi_s, s) in enumerate(turns):
+                if phi_s > widest:
+                    break
+                # n is past every position, so the slice ends after the
+                # last turn within phi_s + widest
+                for _, t in turns[max(i + 1, first_last):bisect_right(turns, (phi_s + widest, n))]:
+                    pairs.append((s, t) if s < t else (t, s))
+            for s in near:
+                if row_bound[s] <= cutoff:
+                    for t in live:
+                        if t > s or (t < s and azimuth[t] is not None):
+                            pairs.append((s, t) if s < t else (t, s))
+        for s, t in pairs:
+            # m's side bound with s and with t, then the pair's own, on
+            # the k-th best perimeter as it stands
+            if row_bound[s] > cutoff or row_bound[t] > cutoff or bounds[t][s] > cutoff:
                 continue
+            ab, side_ab = rows[t][s], sides[t][s]
+            a, b, pa, pb = visited[s], visited[t], s, t
+            if a > b:
+                a, b, pa, pb = b, a, t, s
             if m > b:  # (a, b, m)
                 i, j, k = a, b, m
                 ij, uk = ab, um
@@ -439,18 +539,14 @@ def enumerate_triangles(
             insort(best, key)
             if len(best) == limit:
                 cutoff = best[-1][0] + _STOP_SLACK_KM
-        if cutoff < pruned_at:
-            pairs = [pair for pair in pairs if pair[-1] <= cutoff]
-            pruned_at = cutoff
-        t = len(visited)
-        pairs.extend(
-            (x, m, s, t, row[s], row_side[s], bound) if x < m
-            else (m, x, t, s, row[s], row_side[s], bound)
-            for s, (x, bound) in enumerate(zip(visited, row_bound))
-            if bound <= cutoff
-        )
+        if azimuth_m is None:
+            near.append(len(visited))
         visited.append(m)
         reach.append(reach_m)
+        azimuth.append(azimuth_m)
+        rows.append(row)
+        sides.append(row_side)
+        bounds.append(row_bound)
 
     ids = layout._ids
     return [(ids[i], ids[j], ids[k]) for _, i, j, k in best]
@@ -515,10 +611,15 @@ def _triple(units, i: int, j: int, k: int) -> _Triple:
     return _triple_products(units[i], units[j], units[k])
 
 
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
 def _tangent_basis(u) -> tuple[tuple, tuple]:
     """Orthonormal e1, e2 perpendicular to unit u, with e1 x e2 = u."""
-    axis = min(range(3), key=lambda i: abs(u[i]))
-    e1 = _normalized(_cross(u, tuple(float(i == axis) for i in range(3))))
+    ax, ay, az = abs(u[0]), abs(u[1]), abs(u[2])
+    # the first axis along which u is shortest
+    axis = 0 if ax <= ay and ax <= az else 1 if ay <= az else 2
+    e1 = _normalized(_cross(u, _AXES[axis]))
     return e1, _cross(u, e1)
 
 

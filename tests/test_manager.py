@@ -1059,6 +1059,11 @@ class TestHttpFrontEnd:
         service = StubService()
         server = front(service)
         assert api_get(server, "/verify?ip=9.9.9.9")[0] == 200
+        # the reply is sent before its handler goes back to idle; until it
+        # has, the next connection would start a second handler
+        deadline = time.monotonic() + 5
+        while len(server._idle) != 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
         with socket.create_connection(server.bound_address, timeout=10) as sock:
             sock.settimeout(0.1)
             if trickle:
@@ -1252,6 +1257,36 @@ class TestManagerConfig:
         cfg = ManagerConfig(registry_path="x", agent_port=1, target_port=65535, listen_port=0)
         assert (cfg.agent_port, cfg.target_port, cfg.listen_port) == (1, 65535, 0)
         assert ManagerConfig(registry_path="x", agent_port=65535, listen_port=65535)
+
+    @pytest.mark.parametrize("data, key", [
+        ({"probes": 3}, "probes"),
+        ({"probes_per_measurement": 3, "max_triangle": 2}, "max_triangle"),
+        ({"listen-port": 80}, "listen-port"),
+        ({"verify": {"lambda_ms": 4}}, "verify"),
+        ({"locator": {"provider": "static_table", "pth": "t.csv"}}, "pth"),
+        ({"locator": {"timeout_s": 2}}, "timeout_s"),
+    ])
+    def test_unknown_key_is_refused_naming_file_and_key(self, tmp_path, data, key):
+        # a misspelled key used to keep its default silently: "probes": 3 ran with 5
+        config_path = tmp_path / "manager.json"
+        config_path.write_text(json.dumps({"registry": "r", **data}))
+        with pytest.raises(ValueError) as err:
+            ManagerConfig.from_file(config_path)
+        assert str(config_path) in str(err.value) and f"unknown key {key!r}" in str(err.value)
+
+    def test_every_documented_key_loads(self, tmp_path):
+        # the README's example, every other key and the http locator's keys
+        config_path = tmp_path / "manager.json"
+        config_path.write_text(json.dumps({
+            "registry": "verifiers.csv", "cache_ttl": 14400, "lambda_ms": 5.0,
+            "probes_per_measurement": 5, "max_triangles": 4, "measurement_timeout": 10.0,
+            "locator": {"provider": "http_service", "path": None,
+                        "url_template": "https://geo.example/{ip}", "timeout": 2.0},
+            "agent_port": 7707, "listen_host": "127.0.0.1", "listen_port": 7700,
+            "target_port": 80, "cache_path": "cache.sqlite",
+        }))
+        cfg = ManagerConfig.from_file(config_path)
+        assert (cfg.agent_port, cfg.cache_path, cfg.locator.timeout) == (7707, "cache.sqlite", 2.0)
 
     def test_keys_left_out_keep_the_defaults(self, tmp_path):
         config_path = tmp_path / "manager.json"

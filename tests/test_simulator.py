@@ -207,6 +207,19 @@ class TestScenarioTypes:
             SimScenario.load(scenario_path)
         assert f"got {value!r}" in str(err.value)
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "verifier"), (None, "model_"), ("model", "jiter_ms"), ("model", "Seed"),
+        ("cfg", "max_triangle"), ("cfg", "probes"),
+    ])
+    def test_unknown_keys_are_scenario_errors_naming_the_key(self, tmp_path, section, key):
+        # a misspelled key used to keep its default silently
+        data = generate_scenario(5, 1, 1, 1, bounds=BOUNDS, cfg=quick_cfg(), seed=3).to_dict()
+        (data if section is None else data[section])[key] = 8
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match=re.escape(f"unknown key {key!r}")):
+            SimScenario.load(path)
+
     def test_integral_float_seed_is_kept_as_an_integer(self):
         assert DelayModel.from_dict({"seed": 7.0}).seed == 7
         assert type(DelayModel(seed=7.0).seed) is int

@@ -339,8 +339,9 @@ class TestTopKMatchesOracle:
 
     def test_pruning_bounds_containment_tests(self, monkeypatch):
         # Without the side bound the search makes ~1150 containment tests
-        # per point on this layout, with it ~230; a bound that silently
-        # stops pruning lands far above the limit.
+        # per point on this layout, with it ~230, and with the azimuth
+        # index as well ~17; a bound or an index that silently stops
+        # pruning lands far above the limit.
         scenario = generate_scenario(
             40, 64, 0, 0,
             bounds=RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0),
@@ -356,7 +357,7 @@ class TestTopKMatchesOracle:
         monkeypatch.setattr(slv.verify, "spherical_containment", counting)
         for server in scenario.servers:
             assert enumerate_triangles(VerifierLayout(scenario.verifiers), server.asserted_loc, 4)
-        assert calls / len(scenario.servers) < 500
+        assert calls / len(scenario.servers) < 60
 
     def test_simulator_verdicts_identical(self, monkeypatch):
         scenario = generate_scenario(
@@ -978,6 +979,130 @@ class TestStopBound:
                     great_circle_distance(a, c) + great_circle_distance(c, b) + tol_km
                 )
                 assert total >= great_circle_distance(a, b) + reach[x] + reach[y] - tol_km
+
+
+class TestAzimuthIndex:
+    """The search tests a triple only when the azimuths of its vertices
+    about the point leave no gap over a half-turn, and a near verifier in
+    every triple; it still returns the oracle's head."""
+
+    NORTH_AMERICA = RegionBounds(lat_min=25.0, lat_max=50.0, lon_min=-125.0, lon_max=-70.0)
+
+    @staticmethod
+    def _far(p: Location, vertices) -> bool:
+        up = _unit(p)
+        return all(
+            math.sqrt(_dot(c, c)) >= slv.verify._NEAR_SIN
+            for c in (_cross(_unit(v), up) for v in vertices)
+        )
+
+    @staticmethod
+    def _widest_gap(p: Location, vertices) -> float:
+        e1, e2 = slv.verify._tangent_basis(_unit(p))
+        turns = sorted(
+            math.atan2(_dot(_unit(v), e2), _dot(_unit(v), e1)) % math.tau for v in vertices
+        )
+        return max(b - a for a, b in zip(turns, turns[1:] + [turns[0] + math.tau]))
+
+    def test_containing_triples_leave_no_gap_over_a_half_turn(self):
+        checked = 0
+        for vertices, p in TestStopBound()._inside_points(47):
+            if self._far(p, vertices):
+                checked += 1
+                assert self._widest_gap(p, vertices) <= math.pi + slv.verify._AZIMUTH_SLACK
+        assert checked > 1000
+
+    def test_points_the_edge_tolerance_lets_in_leave_no_wider_gap(self):
+        # the middle of each edge, moved outward until the sign test is
+        # about to refuse it: the widest gap is then a little over pi
+        rng = random.Random(49)
+        checked = 0
+        for _ in range(2000):
+            vertices = [TestStopBound._straddling(rng) for _ in range(3)]
+            units = [_unit(v) for v in vertices]
+            det = _dot(_cross(units[0], units[1]), units[2])
+            if abs(det) < _MIN_DET:
+                continue
+            for x, y in combinations(range(3), 2):
+                (z,) = {0, 1, 2} - {x, y}
+                normal = _cross(units[x], units[y])
+                if _dot(normal, units[z]) < 0:
+                    normal = [-c for c in normal]  # towards the opposite vertex
+                mid = [a + b for a, b in zip(units[x], units[y])]
+                out = 0.9 * _EDGE_EPS / _dot(normal, normal)
+                p = _location([m / math.sqrt(_dot(mid, mid)) - out * c
+                               for m, c in zip(mid, normal)])
+                t = Triangle(tuple(vertices), ("a", "b", "c"))
+                if not point_in_spherical_triangle(p, t) or not self._far(p, vertices):
+                    continue
+                checked += 1
+                gap = self._widest_gap(p, vertices)
+                assert math.pi - 1e-6 < gap <= math.pi + slv.verify._AZIMUTH_SLACK
+        assert checked > 1000
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_oracle_head_near_a_verifier(self, seed):
+        # 60 m from a verifier it is near (no azimuth), 70 km away not
+        assert math.sin(0.06 / 6371.0) < slv.verify._NEAR_SIN < math.sin(70.0 / 6371.0)
+        rng = random.Random(seed)
+        verifiers = [(f"v{i:02d}", Location(rng.uniform(30.0, 57.0), rng.uniform(-118.0, -70.0)))
+                     for i in range(30)]
+        layout = VerifierLayout(verifiers)
+        for _, loc in rng.sample(verifiers, 4):
+            for km in (0.0, 1e-5, 1e-3, 0.06, 70.0):  # 0 m, 1 cm, 1 m, 60 m, 70 km
+                p = destination_point(loc, rng.uniform(0.0, 360.0), km) if km else loc
+                full = [t.verifier_ids for t in oracle(verifiers, p)]
+                for k in (1, 4, None):
+                    assert enumerate_triangles(layout, p, k) == full[:k], (km, k, verifiers, p)
+
+    def test_oracle_head_with_a_verifier_antipodal_to_the_point(self):
+        rng = random.Random(3)
+        verifiers = [(f"v{i:02d}", Location(rng.uniform(30.0, 57.0), rng.uniform(-118.0, -70.0)))
+                     for i in range(16)]
+        p = Location(42.0, -95.0)
+        for km in (0.0, 1e-3, 0.06, 70.0):
+            w = Location(-42.0, 85.0)  # the antipode of p
+            w = destination_point(w, rng.uniform(0.0, 360.0), km) if km else w
+            with_w = verifiers + [("w", w)]
+            layout = VerifierLayout(with_w)
+            assert layout._normals == []  # beyond a hemisphere: the search decides
+            for q in (p, destination_point(p, 30.0, 0.05), destination_point(p, 200.0, 100.0)):
+                full = [t.verifier_ids for t in oracle(with_w, q)]
+                for k in (1, 4, None):
+                    assert enumerate_triangles(layout, q, k) == full[:k], (km, k, q)
+
+    def _layout_160(self):
+        """The seeded 160-verifier layout of tools/search_cost.py."""
+        scenario = generate_scenario(160, 0, 0, 0, bounds=self.NORTH_AMERICA, seed=11)
+        return scenario.verifiers, VerifierLayout(scenario.verifiers)
+
+    def test_containment_tests_per_covered_point_at_160_verifiers(self, monkeypatch):
+        # 200 covered points drawn up to the hull edge: ~30 tests each,
+        # against ~12,000 (and up to ~350,000) without the index
+        _, layout = self._layout_160()
+        rng = random.Random(11)
+        points = []
+        while len(points) < 200:
+            p = Location(rng.uniform(22.5, 52.5), rng.uniform(-130.5, -64.5))
+            if layout.covers(p):
+                points.append(p)
+        calls = TestSearchConsultsTheHull._containment_calls(monkeypatch)
+        for p in points:
+            assert len(enumerate_triangles(layout, p, 4)) == 4
+        assert len(calls) / len(points) <= 50
+
+    def test_band_points_test_no_triple(self, monkeypatch):
+        # outside a hull edge by less than the margin: the hull cannot
+        # rule them out, but their verifiers all lie within a half-turn
+        verifiers, layout = self._layout_160()
+        units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
+        band = [p for offset, p in _hull_band(units, slv.verify._hull(units)) if -1.0 < offset < 0.0]
+        assert band and not any(layout._beyond_hull(_unit(p)) for p in band)
+        calls = TestSearchConsultsTheHull._containment_calls(monkeypatch)
+        for p in band:
+            assert enumerate_triangles(layout, p, 4) == []
+            assert enumerate_triangles(layout, p) == []
+        assert calls == []
 
 
 class TestMessageTypes:
