@@ -39,6 +39,14 @@ PROBE_SPACING_S = 0.05
 # Seconds AgentConnection waits to establish its connection to an agent.
 CONNECT_TIMEOUT_S = 5.0
 
+# Seconds a reply may take beyond the agent's worst case of one endpoint's
+# probes all running to their full timeouts (see reply_deadline).
+REPLY_HEADROOM_S = 5.0
+
+# Socket timeout in seconds of a read or write made once its reply deadline
+# has passed: enough to take a reply that has already arrived.
+_LATE_READ_S = 0.001
+
 # Most peers one request may name. Together with MAX_PROBES and
 # MAX_TIMEOUT_S this bounds the connections and the time one request can
 # make an agent spend, so an agent cannot be used as a scanning relay.
@@ -352,6 +360,9 @@ class AgentConnection:
     stale connection fails. One request is in flight per connection;
     concurrent requests to one agent need several connections (see
     manager.AgentPool), which the agent serves each on its own thread.
+    request() sends and waits in one call; send() and receive() are its two
+    halves, so that one thread can have requests in flight on several
+    connections at once.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -359,6 +370,9 @@ class AgentConnection:
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._reader = None
+        # The request send() wrote last, and whether it has reconnected.
+        self._payload = b""
+        self._retried = False
 
     def _connect(self) -> None:
         self._sock = socket.create_connection(self._address, timeout=CONNECT_TIMEOUT_S)
@@ -377,32 +391,56 @@ class AgentConnection:
             self._drop()
 
     def request(self, req: MeasureRequest) -> MeasureResponse:
-        """Send one request and wait for its response.
+        """Send one request and wait for its response, by its reply_deadline.
 
         Raises OSError on connection trouble and ProtocolError on replies
         that do not follow the protocol (including agent-side error
         replies).
         """
-        # The agent measures every endpoint at once, so worst case one
-        # endpoint's probes all run to their full timeouts; give it
-        # headroom beyond that.
-        deadline = req.probes * (req.timeout + PROBE_SPACING_S) + 5.0
-        payload = json.dumps(req.to_wire()).encode() + b"\n"
         with self._lock:
-            for retry in (False, True):
-                if self._sock is None:
-                    self._connect()
-                try:
-                    self._sock.settimeout(deadline)
-                    self._sock.sendall(payload)
-                    line = self._reader.readline()
-                    if line:
-                        break
-                    raise ConnectionError("agent closed the connection")
-                except OSError:
-                    self._drop()
-                    if retry:
-                        raise
+            deadline = reply_deadline(req.probes, req.timeout)
+            self.send(req, deadline)
+            return self.receive(req, deadline)
+
+    def send(self, req: MeasureRequest, deadline: float) -> None:
+        """First half of request(): write req, connecting first when no
+        connection is open, and reconnecting once when the write fails.
+        The caller then reads the reply with receive(req, deadline); until
+        it has, the connection is the caller's alone (AgentPool.take hands
+        out connections that way). Raises OSError."""
+        self._payload = json.dumps(req.to_wire()).encode() + b"\n"
+        self._retried = False
+        try:
+            self._write(deadline)
+        except OSError:
+            self._retried = True
+            self._write(deadline)
+
+    def receive(self, req: MeasureRequest, deadline: float) -> MeasureResponse:
+        """Second half of request(): read the reply to req, which send()
+        wrote, by the monotonic time deadline. When the agent has closed or
+        reset a stale connection and send() has not reconnected yet, this
+        reconnects once and writes req again; a reply that is late is not
+        asked for again. Raises as request() does, and closes the
+        connection on OSError."""
+        while True:
+            try:
+                # A reply already here is read even after the deadline, so
+                # one slow agent does not fail the replies read after its own.
+                self._sock.settimeout(max(deadline - time.monotonic(), _LATE_READ_S))
+                line = self._reader.readline()
+                if line:
+                    break
+                raise ConnectionError("agent closed the connection")
+            except TimeoutError:
+                self._drop()
+                raise
+            except OSError:
+                self._drop()
+                if self._retried:
+                    raise
+            self._retried = True
+            self._write(deadline)
         try:
             data = json.loads(line)
         except ValueError as exc:
@@ -415,6 +453,26 @@ class AgentConnection:
                 f"response id {response.request_id!r} does not match request {req.request_id!r}"
             )
         return response
+
+    def _write(self, deadline: float) -> None:
+        """Write the request send() holds, connecting first if need be;
+        closes the connection and raises OSError when that fails."""
+        try:
+            if self._sock is None:
+                self._connect()
+            self._sock.settimeout(max(deadline - time.monotonic(), _LATE_READ_S))
+            self._sock.sendall(self._payload)
+        except OSError:
+            self._drop()
+            raise
+
+
+def reply_deadline(probes: int, timeout: float) -> float:
+    """Monotonic time by which the reply to a request of probes and timeout,
+    sent now, is due. The agent measures every endpoint at once, so worst
+    case one endpoint's probes all run to their full timeouts; the reply
+    gets REPLY_HEADROOM_S beyond that."""
+    return time.monotonic() + probes * (timeout + PROBE_SPACING_S) + REPLY_HEADROOM_S
 
 
 def new_request_id() -> str:

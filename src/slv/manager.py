@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Iterator, Optional, Protocol
+from typing import Iterator, Optional, Protocol, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from .agent import (
@@ -36,10 +36,12 @@ from .agent import (
     PeerSpec,
     ProtocolError,
     new_request_id,
+    reply_deadline,
 )
 from .geo import Circle, Location, _checked_number, great_circle_distance
 from .verify import (
     TARGET,
+    DelayProvider,
     IPInfo,
     Reason,
     VerificationResult,
@@ -528,10 +530,10 @@ class AgentPool:
     """Persistent agent connections, shared across verifications.
 
     A connection carries one request at a time, so an agent gets several:
-    a request takes an idle connection of its agent or opens a new one, and
-    gives it back once answered. The connections per agent are therefore
-    bounded by the peak number of concurrent requests to it. A connection
-    whose request failed is closed instead of given back.
+    take() hands out an idle connection of an agent or opens a new one, and
+    give_back() returns it once its reply is read. The connections per
+    agent are therefore bounded by the peak number of requests in flight to
+    it. A connection whose request failed is closed instead of given back.
     """
 
     def __init__(self) -> None:
@@ -539,29 +541,39 @@ class AgentPool:
         self._idle: dict[str, list[AgentConnection]] = {}
         self._closed = False
 
+    def take(self, record: VerifierRecord) -> AgentConnection:
+        """A connection to the record's agent for the caller alone: an idle
+        one, or a new one that connects on its first send."""
+        with self._lock:
+            idle = self._idle.get(record.verifier_id)
+            if idle:
+                return idle.pop()
+        return AgentConnection(record.host, record.port)
+
+    def give_back(self, record: VerifierRecord, conn: AgentConnection) -> None:
+        """Make conn, whose reply has been read, idle again; close it when
+        the pool is closed."""
+        with self._lock:
+            if not self._closed:
+                self._idle.setdefault(record.verifier_id, []).append(conn)
+                return
+        conn.close()
+
     def request(self, record: VerifierRecord, req: MeasureRequest) -> MeasureResponse:
         """Send one request to the record's agent; raises as
         AgentConnection.request does."""
-        with self._lock:
-            idle = self._idle.get(record.verifier_id)
-            conn = idle.pop() if idle else None
-        if conn is None:
-            conn = AgentConnection(record.host, record.port)
+        conn = self.take(record)
         try:
             response = conn.request(req)
         except BaseException:
             conn.close()
             raise
-        with self._lock:
-            if not self._closed:
-                self._idle.setdefault(record.verifier_id, []).append(conn)
-                return response
-        conn.close()
+        self.give_back(record, conn)
         return response
 
     def close(self) -> None:
-        """Close every idle connection; one in use is closed when its
-        request ends."""
+        """Close every idle connection; one in use is closed when it is
+        given back."""
         with self._lock:
             self._closed = True
             for idle in self._idle.values():
@@ -570,16 +582,14 @@ class AgentPool:
             self._idle.clear()
 
 
-class LiveDelayProvider:
+class LiveDelayProvider(DelayProvider):
     """DelayProvider that instructs verifier agents over the wire.
 
-    One instance per verification target. Peer endpoints are measured
-    against the peer agent's own listener (a guaranteed listener), targets
-    against the configured target port. Failures surface as None, as the
-    engine expects.
+    One instance per verification target. Each edge is one wire request:
+    peer endpoints are measured against the peer agent's own listener (a
+    guaranteed listener), targets against the configured target port.
+    Failures surface as None, as the engine expects.
     """
-
-    supports_concurrent_measure = True
 
     def __init__(
         self, registry: VerifierRegistry, target_host: str, target_port: int, pool: AgentPool
@@ -591,21 +601,62 @@ class LiveDelayProvider:
     def measure(
         self, verifier_id: str, endpoint_id: str, probes: int, timeout: float
     ) -> Optional[float]:
-        if endpoint_id == TARGET:
-            target, peers = self._target, ()
-        else:
-            peer = self._registry.by_id(endpoint_id)
-            target, peers = None, (PeerSpec(endpoint_id, peer.host, peer.port),)
-        request = MeasureRequest(
-            request_id=new_request_id(), target=target, peers=peers,
-            probes=probes, timeout=timeout,
-        )
+        return self.measure_edges([(verifier_id, endpoint_id)], probes, timeout)[0]
+
+    def measure_edges(
+        self, edges: Sequence[tuple[str, str]], probes: int, timeout: float
+    ) -> list[Optional[float]]:
+        """Every edge at once, from the calling thread: one request per edge
+        on a pooled connection of its own, all sent before any reply is
+        read, then the replies read in order by one deadline, that of a
+        single request. A failed edge is None and its connection is
+        closed; the others go back to the pool. An agent that could not be
+        reached is not tried again for its later edges."""
+        requests = []
+        for verifier_id, endpoint_id in edges:
+            if endpoint_id == TARGET:
+                target, peers = self._target, ()
+            else:
+                peer = self._registry.by_id(endpoint_id)
+                target, peers = None, (PeerSpec(endpoint_id, peer.host, peer.port),)
+            requests.append((self._registry.by_id(verifier_id), MeasureRequest(
+                request_id=new_request_id(), target=target, peers=peers,
+                probes=probes, timeout=timeout,
+            )))
+        deadline = reply_deadline(probes, timeout)
+        conns: list[Optional[AgentConnection]] = [None] * len(edges)
+        errors: list[Optional[Exception]] = [None] * len(edges)
+        unreachable: dict[str, OSError] = {}
         try:
-            response = self._pool.request(self._registry.by_id(verifier_id), request)
-        except (OSError, ProtocolError) as exc:
-            log.warning("measurement via %s for %s failed: %s", verifier_id, endpoint_id, exc)
-            return None
-        return response.rtts.get(endpoint_id)
+            for i, ((record, request), (verifier_id, _)) in enumerate(zip(requests, edges)):
+                errors[i] = unreachable.get(verifier_id)
+                if errors[i] is None:
+                    conns[i] = self._pool.take(record)
+                    try:
+                        conns[i].send(request, deadline)
+                    except OSError as exc:
+                        errors[i] = unreachable[verifier_id] = exc
+
+            measured: list[Optional[float]] = []
+            for i, ((record, request), (verifier_id, endpoint_id)) in enumerate(zip(requests, edges)):
+                if errors[i] is None:
+                    try:
+                        response = conns[i].receive(request, deadline)
+                    except (OSError, ProtocolError) as exc:
+                        errors[i] = exc
+                    else:
+                        self._pool.give_back(record, conns[i])
+                        conns[i] = None
+                        measured.append(response.rtts.get(endpoint_id))
+                        continue
+                log.warning("measurement via %s for %s failed: %s",
+                            verifier_id, endpoint_id, errors[i])
+                measured.append(None)
+            return measured
+        finally:
+            for conn in conns:
+                if conn is not None:
+                    conn.close()
 
 
 class ManagerService:

@@ -22,6 +22,7 @@ from .geo import (
 )
 from .verify import (
     TARGET,
+    DelayProvider,
     IPInfo,
     Reason,
     VerifierInput,
@@ -217,7 +218,7 @@ def simulated_rtt(
     return rtt + rng.uniform(0.0, model.jitter_ms)
 
 
-class SimDelayProvider:
+class SimDelayProvider(DelayProvider):
     """DelayProvider backed by scenario geography instead of sockets.
 
     Target RTTs reflect the server's true location (not the asserted one),

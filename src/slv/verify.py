@@ -12,11 +12,13 @@ from __future__ import annotations
 import ipaddress
 import math
 from bisect import bisect_left, bisect_right, insort
-from concurrent.futures import ThreadPoolExecutor
+# Not used here; bench/layers.py patches slv.verify.ThreadPoolExecutor by
+# name, so the name stays importable.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 from .geo import (
     EARTH_RADIUS_KM,
@@ -206,21 +208,28 @@ class VerifyConfig:
         return cls(**known)
 
 
-class DelayProvider(Protocol):
+class DelayProvider:
     """Source of raw (uncorrected) RTT measurements.
 
     The engine clamps each returned RTT at zero and applies the last-mile
-    correction to target RTTs; a provider does neither. Implementations
-    may set `supports_concurrent_measure = True` to let the engine take
-    all 9 measurements of a triangle (3 verifiers times the target and 2
-    peers) at once; they must then tolerate 9 concurrent calls.
+    correction to target RTTs; a provider does neither. The engine calls
+    measure_edges once per triangle, with its 9 edges (3 verifiers times
+    the target and 2 peers). A provider implements measure; one that can
+    take many edges at once also overrides measure_edges.
     """
 
     def measure(
         self, verifier_id: str, endpoint_id: str, probes: int, timeout: float
     ) -> Optional[float]:
         """Minimum RTT in ms from a verifier to an endpoint, or None on failure."""
-        ...
+        raise NotImplementedError
+
+    def measure_edges(
+        self, edges: Sequence[tuple[str, str]], probes: int, timeout: float
+    ) -> list[Optional[float]]:
+        """measure() of every (verifier id, endpoint id) edge, in order: by
+        default one call after another on the calling thread."""
+        return [self.measure(v, e, probes, timeout) for v, e in edges]
 
 
 def apply_lastmile_correction(rtt_ms: float, lambda_ms: float) -> float:
@@ -666,8 +675,14 @@ def _hull_edges(units) -> tuple[list[tuple[float, float, float]], list[tuple[tup
     normals = []
     for h, nxt in zip(hull, hull[1:] + hull[:1]):
         normal = _normalized(_cross(units[h], units[nxt]))
-        if normal is None or any(_dot(normal, u) < -_EDGE_EPS for u in units):
+        if normal is None:
             return [], []
+        # _dot(normal, u) for every verifier u, inlined: the same products
+        # summed in the same order, without a call per verifier.
+        nx, ny, nz = normal
+        for x, y, z in units:
+            if nx * x + ny * y + nz * z < -_EDGE_EPS:
+                return [], []
         normals.append(normal)
     h0 = hull[0]
     return normals, [
@@ -753,16 +768,13 @@ def _measure_triangle(
     TARGET; None when any measurement fails. Each RTT is clamped at zero,
     and target RTTs are then last-mile corrected.
 
-    A concurrent provider gets all 9 measurements at once, so a live
-    triangle costs one probe round of wall time rather than three."""
+    All 9 edges go to the provider in one measure_edges call, verifier by
+    verifier, each to the target and then to its peers in id order, so a
+    live provider can put them all in flight at once and a triangle costs
+    one probe round of wall time rather than nine."""
     edges = [(v, e) for v in ids for e in (TARGET,) + tuple(w for w in ids if w != v)]
-    probes, timeout = cfg.probes_per_measurement, cfg.measurement_timeout
-    if getattr(delays, "supports_concurrent_measure", False):
-        with ThreadPoolExecutor(max_workers=len(edges)) as pool:
-            futures = [pool.submit(delays.measure, v, e, probes, timeout) for v, e in edges]
-        measured = [future.result() for future in futures]
-    else:
-        measured = [delays.measure(v, e, probes, timeout) for v, e in edges]
+    measured = delays.measure_edges(
+        edges, cfg.probes_per_measurement, cfg.measurement_timeout)
 
     rtts = {}
     for edge, ms in zip(edges, measured):

@@ -9,10 +9,10 @@ import threading
 import pytest
 
 from slv.geo import Location, great_circle_distance, min_rtt_for_distance
-from slv.verify import TARGET
+from slv.verify import TARGET, DelayProvider
 
 
-class IdealProvider:
+class IdealProvider(DelayProvider):
     """Noise-free delays: exactly the physical minimum for the true
     geodesic distance, plus a fixed inflation on target edges."""
 

@@ -41,7 +41,15 @@ from slv.manager import (
     VerifierRecord,
     load_verifier_registry,
 )
-from slv.verify import IPInfo, Reason, VerificationResult, VerifyConfig, utc_now
+from slv.verify import (
+    IPInfo,
+    Reason,
+    VerificationResult,
+    VerifierLayout,
+    VerifyConfig,
+    utc_now,
+    verify_location,
+)
 
 NOW = datetime(2026, 8, 9, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -1474,6 +1482,122 @@ class TestAgentPool:
         pool.request(record, probe_request(tcp_listener.address, "after-close"))
         assert counting_agent.accepted == 3
         pool.close()
+
+
+def live_registry(tmp_path, ports):
+    """The triangle of REGISTRY_ROWS, with its agents on loopback ports."""
+    rows = [(f"127.0.0.1:{port}", lat, lon) for port, (_, lat, lon) in zip(ports, REGISTRY_ROWS)]
+    return load_verifier_registry(write_registry(tmp_path, rows))
+
+
+def verify_live(registry, pool, target, cfg):
+    provider = LiveDelayProvider(registry, target[0], target[1], pool)
+    layout = VerifierLayout(registry.verifier_inputs())
+    return verify_location(IPInfo("127.0.0.1", INSIDE), layout, provider, cfg, NOW)
+
+
+def idle_connections(pool) -> dict:
+    return {vid: len(conns) for vid, conns in pool._idle.items() if conns}
+
+
+@pytest.fixture
+def three_agents():
+    agents = [CountingAgent() for _ in range(3)]
+    for agent in agents:
+        agent.serve_in_background()
+    yield agents
+    for agent in agents:
+        agent.kill()
+
+
+class _HungAgentHandler(socketserver.StreamRequestHandler):
+    """Reads a request and never answers it; counts the requests, and the
+    connections that the manager then closes."""
+
+    def handle(self):
+        if self.rfile.readline():
+            with self.server.lock:
+                self.server.requests += 1
+            self.rfile.readline()  # returns at EOF: the manager closed
+            with self.server.lock:
+                self.server.closed += 1
+
+
+class TestLiveFanOut:
+    CFG = VerifyConfig(probes_per_measurement=1, measurement_timeout=1.0)
+
+    def test_nine_requests_in_flight_together_from_the_verifying_thread(
+        self, three_agents, tcp_listener, tmp_path, monkeypatch
+    ):
+        registry = live_registry(tmp_path, [a.bound_address[1] for a in three_agents])
+        pool = AgentPool()
+        # the first verification leaves one idle connection per edge
+        assert verify_live(registry, pool, tcp_listener.address, self.CFG).veri_passed is True
+        assert idle_connections(pool) == {"v1": 3, "v2": 3, "v3": 3}
+
+        wire = []
+        handle = slv.agent.handle_measure_request
+        monkeypatch.setattr(slv.agent, "handle_measure_request",
+                            lambda req: wire.append(req) or handle(req))
+        # each request makes one probe connect, and the barrier opens only
+        # if all 9 requests are being handled at once
+        in_flight = threading.Barrier(9, timeout=5.0)
+        connect = slv.agent._tcp_connect_ms
+
+        def together(address, timeout):
+            in_flight.wait()
+            return connect(address, timeout)
+
+        monkeypatch.setattr(slv.agent, "_tcp_connect_ms", together)
+        verifying = threading.current_thread()
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            if threading.current_thread() is verifying:
+                started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        try:
+            result = verify_live(registry, pool, tcp_listener.address, self.CFG)
+        finally:
+            monkeypatch.undo()
+            pool.close()
+        assert result.veri_passed is True
+        assert len(wire) == 9
+        assert started == []
+        assert sum(a.accepted for a in three_agents) == 9 + 2 * 6  # pool, then peer probes
+
+    def test_hung_agent_costs_one_reply_deadline(
+        self, three_agents, tcp_listener, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(slv.agent, "REPLY_HEADROOM_S", 0.5)
+        budget = 1 * (0.5 + slv.agent.PROBE_SPACING_S) + 0.5
+        hung = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _HungAgentHandler)
+        hung.daemon_threads = True
+        hung.lock, hung.requests, hung.closed = threading.Lock(), 0, 0
+        threading.Thread(target=hung.serve_forever, daemon=True).start()
+        ports = [hung.server_address[1]] + [a.bound_address[1] for a in three_agents[1:]]
+        registry = live_registry(tmp_path, ports)
+        pool = AgentPool()
+        cfg = VerifyConfig(probes_per_measurement=1, measurement_timeout=0.5)
+        try:
+            began = time.monotonic()
+            result = verify_live(registry, pool, tcp_listener.address, cfg)
+            elapsed = time.monotonic() - began
+            deadline = time.monotonic() + 5.0
+            while hung.closed < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert result.reason is Reason.MEASUREMENT_FAILURE
+            # one deadline for the triangle; one per edge of v1 would be 3
+            assert budget <= elapsed < 2 * budget
+            assert (hung.requests, hung.closed) == (3, 3)
+            assert idle_connections(pool) == {"v2": 3, "v3": 3}
+        finally:
+            pool.close()
+            hung.shutdown()
+            hung.server_close()
 
 
 def test_service_close_closes_pooled_agent_connections(counting_agent, tcp_listener, tmp_path):

@@ -35,6 +35,7 @@ from slv.verify import (
     MAX_PROBES,
     MAX_TIMEOUT_S,
     TARGET,
+    DelayProvider,
     IPInfo,
     Reason,
     VerificationResult,
@@ -511,6 +512,40 @@ class TestVerifierLayout:
         assert built == [20]
         assert vars(layout).keys() == state.keys()
         assert all(vars(layout)[key] is value for key, value in state.items())
+
+    def test_hull_edges_match_a_dot_call_per_verifier(self):
+        # _hull_edges inlines _dot; the reference below calls it per
+        # verifier and hull edge, and the normals must be the same floats.
+        def reference_normals(units):
+            hull = slv.verify._hull(units)
+            if hull is None:
+                return []
+            normals = []
+            for h, nxt in zip(hull, hull[1:] + hull[:1]):
+                normal = slv.verify._normalized(_cross(units[h], units[nxt]))
+                if normal is None or any(_dot(normal, u) < -_EDGE_EPS for u in units):
+                    return []
+                normals.append(normal)
+            return normals
+
+        rng = random.Random(17)
+        layouts = [self._box_layout(rng, rng.randint(3, 60))[0] for _ in range(40)]
+        for kind in TestCoverage.BOXES:
+            layouts += [[(f"v{i:02d}", TestCoverage._draw(rng, TestCoverage.BOXES[kind]))
+                         for i in range(rng.randint(3, 30))] for _ in range(5)]
+        # verifiers on hull edges, and layouts wider than a hemisphere
+        layouts.append([(f"m{i}", Location(lat, -90.0)) for i, lat in enumerate(range(0, 40, 5))]
+                       + [("e", Location(20.0, -80.0))])
+        layouts += [[(f"w{i}", Location(rng.uniform(-90, 90), rng.uniform(-180, 180)))
+                     for i in range(12)] for _ in range(5)]
+        checked = 0
+        for verifiers in layouts:
+            units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
+            normals, fan = slv.verify._hull_edges(units)
+            assert normals == reference_normals(units)
+            assert bool(fan) == bool(normals)
+            checked += bool(normals)
+        assert 0 < checked < len(layouts)
 
     def test_run_experiment_searches_one_layout(self, monkeypatch):
         scenario = generate_scenario(
@@ -1250,7 +1285,7 @@ class TestVerifyLocation:
         assert provider.calls == 0
 
     def test_measurement_failure(self):
-        class DeadProvider:
+        class DeadProvider(DelayProvider):
             def measure(self, verifier_id, endpoint_id, probes, timeout):
                 return None
 
@@ -1324,56 +1359,57 @@ class TestVerifyLocation:
             else:
                 assert result.region is None
 
-    def test_concurrent_provider_gets_parallel_calls_same_result(self):
-        import threading
-
+    def test_measured_triangle_is_one_measure_edges_call_in_edge_order(self):
         server = Location(0, 0)
+        batches = []
 
-        class ConcurrentProvider(IdealProvider):
-            # the engine may fan out over the triangle's three verifiers;
-            # the barrier only opens if all three measure at the same time
-            supports_concurrent_measure = True
-            barrier = threading.Barrier(3, timeout=10.0)
+        class Batching(IdealProvider):
+            # answers whole triangles itself; measure() is never reached
+            def measure_edges(self, edges, probes, timeout):
+                batches.append((list(edges), probes, timeout))
+                return [IdealProvider.measure(self, v, e, probes, timeout) for v, e in edges]
 
             def measure(self, verifier_id, endpoint_id, probes, timeout):
-                if endpoint_id == TARGET:
-                    self.barrier.wait()
-                return super().measure(verifier_id, endpoint_id, probes, timeout)
+                raise AssertionError("measure called edge by edge")
 
-        concurrent = ConcurrentProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
-        sequential = IdealProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
-        a = verify_location(
-            make_ip(server), VerifierLayout(TRI_VERIFIERS), concurrent, self.cfg(), NOW
-        )
+        cfg = self.cfg(probes_per_measurement=4, measurement_timeout=2.5)
+        batching = Batching(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
+        a = verify_location(make_ip(server), VerifierLayout(TRI_VERIFIERS), batching, cfg, NOW)
         b = verify_location(
-            make_ip(server), VerifierLayout(TRI_VERIFIERS), sequential, self.cfg(), NOW
+            make_ip(server), VerifierLayout(TRI_VERIFIERS),
+            IdealProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0), cfg, NOW,
         )
-        assert a == b
+        assert a == b and a.veri_passed is True
+        assert batches == [([
+            ("a", TARGET), ("a", "b"), ("a", "c"),
+            ("b", TARGET), ("b", "a"), ("b", "c"),
+            ("c", TARGET), ("c", "a"), ("c", "b"),
+        ], 4, 2.5)]
 
-    def test_concurrent_provider_gets_all_nine_measurements_at_once(self):
-        import threading
-
+    def test_provider_with_measure_only_gets_nine_calls_in_edge_order(self):
         server = Location(0, 0)
+        seen = []
 
-        class FanOutProvider(IdealProvider):
-            # the barrier opens only if all 9 measurements of the triangle
-            # (3 verifiers x target and 2 peers) are in flight together
-            supports_concurrent_measure = True
-            barrier = threading.Barrier(9, timeout=10.0)
-
+        class Recorder(IdealProvider):
             def measure(self, verifier_id, endpoint_id, probes, timeout):
-                self.barrier.wait()
+                seen.append((verifier_id, endpoint_id, threading.current_thread()))
                 return super().measure(verifier_id, endpoint_id, probes, timeout)
 
-        concurrent = FanOutProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
-        sequential = IdealProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
+        recorder = Recorder(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0)
         a = verify_location(
-            make_ip(server), VerifierLayout(TRI_VERIFIERS), concurrent, self.cfg(), NOW
+            make_ip(server), VerifierLayout(TRI_VERIFIERS), recorder, self.cfg(), NOW
         )
         b = verify_location(
-            make_ip(server), VerifierLayout(TRI_VERIFIERS), sequential, self.cfg(), NOW
+            make_ip(server), VerifierLayout(TRI_VERIFIERS),
+            IdealProvider(dict(TRI_VERIFIERS), server, target_inflation_ms=5.0), self.cfg(), NOW,
         )
-        assert a == b
+        assert a == b and a.veri_passed is True
+        assert [(v, e) for v, e, _ in seen] == [
+            ("a", TARGET), ("a", "b"), ("a", "c"),
+            ("b", TARGET), ("b", "a"), ("b", "c"),
+            ("c", TARGET), ("c", "a"), ("c", "b"),
+        ]
+        assert {thread for _, _, thread in seen} == {threading.current_thread()}
 
     def test_lambda_correction_applied_to_target_edges_only(self):
         server = Location(0, 0)
@@ -1431,7 +1467,7 @@ class TestVerifyLocation:
     def test_measured_triangle_is_clamped_then_corrected(self):
         # raw RTTs of -3, 2 and 9 ms on every edge kind: each is clamped at
         # zero once, and lambda then comes off the target edges only
-        class Fixed:
+        class Fixed(DelayProvider):
             def __init__(self, ms):
                 self.ms = ms
 
