@@ -8,10 +8,13 @@ protocol is one JSON object per line over a persistent TCP connection.
 
 from __future__ import annotations
 
+import errno
 import ipaddress
 import json
 import logging
 import math
+import os
+import selectors
 import socket
 import socketserver
 import threading
@@ -357,12 +360,13 @@ class AgentConnection:
     """Manager-side end of the wire protocol.
 
     Keeps one persistent connection to an agent, reconnecting once when a
-    stale connection fails. One request is in flight per connection;
-    concurrent requests to one agent need several connections (see
-    manager.AgentPool), which the agent serves each on its own thread.
-    request() sends and waits in one call; send() and receive() are its two
-    halves, so that one thread can have requests in flight on several
-    connections at once.
+    connection that was open before the request fails (the agent closed or
+    reset it). One request is in flight per connection; concurrent requests
+    to one agent need several connections (see manager.AgentPool), which
+    the agent serves each on its own thread. request() sends and waits in
+    one call; open(), send() and receive() are its parts, so that one
+    thread can open several connections, and then have a request in
+    flight on each, at once.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -370,15 +374,31 @@ class AgentConnection:
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._reader = None
-        # The request send() wrote last, and whether it has reconnected.
+        # Monotonic time by which a handshake _connect began must be done;
+        # None once it is, or when no connection is open.
+        self._connect_by: Optional[float] = None
+        # The request send() wrote last, and whether a failure of it is
+        # final: its connection was opened for it, at first or again.
         self._payload = b""
         self._retried = False
 
     def _connect(self) -> None:
-        self._sock = socket.create_connection(self._address, timeout=CONNECT_TIMEOUT_S)
-        self._reader = self._sock.makefile("rb")
+        """Begin the handshake of a new connection without waiting for it;
+        the next _write() waits for it until CONNECT_TIMEOUT_S from now.
+        Raises OSError when it fails at once."""
+        family, kind, proto, _, address = socket.getaddrinfo(
+            *self._address, type=socket.SOCK_STREAM)[0]
+        sock = socket.socket(family, kind, proto)
+        sock.setblocking(False)
+        err = sock.connect_ex(address)
+        if err not in (0, errno.EINPROGRESS):
+            sock.close()
+            raise OSError(err, os.strerror(err))
+        self._sock, self._reader = sock, sock.makefile("rb")
+        self._connect_by = time.monotonic() + CONNECT_TIMEOUT_S
 
     def _drop(self) -> None:
+        self._connect_by = None
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -402,27 +422,41 @@ class AgentConnection:
             self.send(req, deadline)
             return self.receive(req, deadline)
 
+    def open(self) -> None:
+        """Begin opening a connection when none is open, without waiting
+        for the handshake; send() waits for it. A caller that opens several
+        connections before it sends on any waits about one handshake for
+        all of them. Raises OSError."""
+        if self._sock is None:
+            self._connect()
+
     def send(self, req: MeasureRequest, deadline: float) -> None:
-        """First half of request(): write req, connecting first when no
-        connection is open, and reconnecting once when the write fails.
-        The caller then reads the reply with receive(req, deadline); until
-        it has, the connection is the caller's alone (AgentPool.take hands
-        out connections that way). Raises OSError."""
+        """First part of request(): write req, opening the connection first
+        when none is open. A connection that was open before fails the
+        write when the agent has closed it, so it is opened again once;
+        a connection opened for req is not. The caller then reads the
+        reply with receive(req, deadline); until it has, the connection is
+        the caller's alone (AgentPool.take hands out connections that way).
+        Raises OSError."""
         self._payload = json.dumps(req.to_wire()).encode() + b"\n"
-        self._retried = False
+        self.open()
+        self._retried = self._connect_by is not None
         try:
             self._write(deadline)
         except OSError:
+            if self._retried:
+                raise
             self._retried = True
+            self._connect()
             self._write(deadline)
 
     def receive(self, req: MeasureRequest, deadline: float) -> MeasureResponse:
-        """Second half of request(): read the reply to req, which send()
+        """Second part of request(): read the reply to req, which send()
         wrote, by the monotonic time deadline. When the agent has closed or
-        reset a stale connection and send() has not reconnected yet, this
-        reconnects once and writes req again; a reply that is late is not
-        asked for again. Raises as request() does, and closes the
-        connection on OSError."""
+        reset a connection that was open before req and send() has not
+        reconnected, this reconnects once and writes req again; a reply
+        that is late is not asked for again. Raises as request() does, and
+        closes the connection on OSError."""
         while True:
             try:
                 # A reply already here is read even after the deadline, so
@@ -440,6 +474,7 @@ class AgentConnection:
                 if self._retried:
                     raise
             self._retried = True
+            self._connect()
             self._write(deadline)
         try:
             data = json.loads(line)
@@ -455,11 +490,20 @@ class AgentConnection:
         return response
 
     def _write(self, deadline: float) -> None:
-        """Write the request send() holds, connecting first if need be;
-        closes the connection and raises OSError when that fails."""
+        """Write the request send() holds on the open connection, first
+        waiting for its handshake if that is not done; closes the
+        connection and raises OSError when either fails."""
         try:
-            if self._sock is None:
-                self._connect()
+            if self._connect_by is not None:
+                with selectors.DefaultSelector() as selector:
+                    selector.register(self._sock, selectors.EVENT_WRITE)
+                    ready = selector.select(max(self._connect_by - time.monotonic(), 0.0))
+                if not ready:
+                    raise TimeoutError("timed out connecting to the agent")
+                err = self._sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                if err:
+                    raise OSError(err, os.strerror(err))
+                self._connect_by = None
             self._sock.settimeout(max(deadline - time.monotonic(), _LATE_READ_S))
             self._sock.sendall(self._payload)
         except OSError:

@@ -32,7 +32,6 @@ from .agent import (
     DEFAULT_AGENT_PORT,
     AgentConnection,
     MeasureRequest,
-    MeasureResponse,
     PeerSpec,
     ProtocolError,
     new_request_id,
@@ -543,7 +542,7 @@ class AgentPool:
 
     def take(self, record: VerifierRecord) -> AgentConnection:
         """A connection to the record's agent for the caller alone: an idle
-        one, or a new one that connects on its first send."""
+        one, or a new one that connects on its first open or send."""
         with self._lock:
             idle = self._idle.get(record.verifier_id)
             if idle:
@@ -558,18 +557,6 @@ class AgentPool:
                 self._idle.setdefault(record.verifier_id, []).append(conn)
                 return
         conn.close()
-
-    def request(self, record: VerifierRecord, req: MeasureRequest) -> MeasureResponse:
-        """Send one request to the record's agent; raises as
-        AgentConnection.request does."""
-        conn = self.take(record)
-        try:
-            response = conn.request(req)
-        except BaseException:
-            conn.close()
-            raise
-        self.give_back(record, conn)
-        return response
 
     def close(self) -> None:
         """Close every idle connection; one in use is closed when it is
@@ -607,11 +594,13 @@ class LiveDelayProvider(DelayProvider):
         self, edges: Sequence[tuple[str, str]], probes: int, timeout: float
     ) -> list[Optional[float]]:
         """Every edge at once, from the calling thread: one request per edge
-        on a pooled connection of its own, all sent before any reply is
-        read, then the replies read in order by one deadline, that of a
-        single request. A failed edge is None and its connection is
-        closed; the others go back to the pool. An agent that could not be
-        reached is not tried again for its later edges."""
+        on a pooled connection of its own. The connections not yet open all
+        begin their handshakes first; then every request is sent before
+        any reply is read, and the replies are read in order by one
+        deadline, that of a single request. A failed edge is None and its
+        connection is closed; the others go back to the pool. A request
+        that cannot be sent ends the sending: the edges after it are None
+        too, as the engine gives up a triangle at its first failed edge."""
         requests = []
         for verifier_id, endpoint_id in edges:
             if endpoint_id == TARGET:
@@ -624,34 +613,31 @@ class LiveDelayProvider(DelayProvider):
                 probes=probes, timeout=timeout,
             )))
         deadline = reply_deadline(probes, timeout)
-        conns: list[Optional[AgentConnection]] = [None] * len(edges)
-        errors: list[Optional[Exception]] = [None] * len(edges)
-        unreachable: dict[str, OSError] = {}
+        conns: list[Optional[AgentConnection]] = [self._pool.take(r) for r, _ in requests]
+        sent, unsent = 0, None
         try:
-            for i, ((record, request), (verifier_id, _)) in enumerate(zip(requests, edges)):
-                errors[i] = unreachable.get(verifier_id)
-                if errors[i] is None:
-                    conns[i] = self._pool.take(record)
-                    try:
-                        conns[i].send(request, deadline)
-                    except OSError as exc:
-                        errors[i] = unreachable[verifier_id] = exc
+            try:
+                for i, conn in enumerate(conns):
+                    conn.open()
+                for i, (conn, (_, request)) in enumerate(zip(conns, requests)):
+                    conn.send(request, deadline)
+                    sent = i + 1
+            except OSError as exc:
+                unsent = (i, exc)  # i is the edge that failed, in either loop
 
-            measured: list[Optional[float]] = []
-            for i, ((record, request), (verifier_id, endpoint_id)) in enumerate(zip(requests, edges)):
-                if errors[i] is None:
-                    try:
-                        response = conns[i].receive(request, deadline)
-                    except (OSError, ProtocolError) as exc:
-                        errors[i] = exc
-                    else:
-                        self._pool.give_back(record, conns[i])
-                        conns[i] = None
-                        measured.append(response.rtts.get(endpoint_id))
-                        continue
-                log.warning("measurement via %s for %s failed: %s",
-                            verifier_id, endpoint_id, errors[i])
-                measured.append(None)
+            measured: list[Optional[float]] = [None] * len(edges)
+            for i, (record, request) in enumerate(requests[:sent]):
+                try:
+                    response = conns[i].receive(request, deadline)
+                except (OSError, ProtocolError) as exc:
+                    log.warning("measurement via %s for %s failed: %s", *edges[i], exc)
+                else:
+                    self._pool.give_back(record, conns[i])
+                    conns[i] = None
+                    measured[i] = response.rtts.get(edges[i][1])
+            if unsent is not None:
+                i, exc = unsent
+                log.warning("measurement via %s for %s failed: %s", *edges[i], exc)
             return measured
         finally:
             for conn in conns:

@@ -7,6 +7,7 @@ import re
 import socket
 import socketserver
 import sqlite3
+import struct
 import threading
 import time
 import urllib.error
@@ -20,7 +21,7 @@ import slv.agent
 import slv.manager
 import slv.verify
 from conftest import IdealProvider, free_port
-from slv.agent import AgentServer, MeasureRequest, ProtocolError
+from slv.agent import AgentConnection, AgentServer, MeasureRequest, ProtocolError
 from slv.geo import Circle, Location, destination_point
 from slv.manager import (
     AgentPool,
@@ -39,9 +40,11 @@ from slv.manager import (
     UnknownAddressError,
     VerificationCache,
     VerifierRecord,
+    VerifierRegistry,
     load_verifier_registry,
 )
 from slv.verify import (
+    TARGET,
     IPInfo,
     Reason,
     VerificationResult,
@@ -1347,6 +1350,16 @@ class CountingAgent(AgentServer):
             time.sleep(0.01)
         return self.closed >= n
 
+    def reset(self) -> None:
+        """Reset every connection accepted so far (an RST, not a FIN) and
+        keep serving, as an agent behind a middlebox that forgot them."""
+        with self._count_lock:
+            for sock in self._open:
+                sock.shutdown(socket.SHUT_RD)  # wakes the handler, sends nothing
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                sock.close()
+            self._open.clear()
+
     def kill(self) -> None:
         self.shutdown()
         self.server_close()
@@ -1372,8 +1385,10 @@ def agent_record(server) -> VerifierRecord:
     return VerifierRecord("v1", host, port, Location(0, 0))
 
 
-def probe_request(target, request_id: str) -> MeasureRequest:
-    return MeasureRequest(request_id=request_id, target=target, probes=1, timeout=1.0)
+def pooled_provider(server, pool, target) -> LiveDelayProvider:
+    """A provider that measures target through the one agent server, as
+    verifier v1, over connections of pool."""
+    return LiveDelayProvider(VerifierRegistry([agent_record(server)]), *target, pool)
 
 
 def answer_in_pairs(monkeypatch) -> None:
@@ -1389,28 +1404,14 @@ def answer_in_pairs(monkeypatch) -> None:
     monkeypatch.setattr(slv.agent, "handle_measure_request", handle)
 
 
-def request_together(pool, record, target, request_ids) -> dict:
-    responses = {}
-
-    def ask(request_id):
-        responses[request_id] = pool.request(record, probe_request(target, request_id))
-
-    threads = [threading.Thread(target=ask, args=(r,)) for r in request_ids]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=15.0)
-        assert not thread.is_alive()
-    return responses
-
-
 class TestAgentPool:
+    EDGE = ("v1", TARGET)
+
     def test_sequential_requests_reuse_one_connection(self, counting_agent, tcp_listener):
         pool = AgentPool()
-        record = agent_record(counting_agent)
-        for i in range(4):
-            response = pool.request(record, probe_request(tcp_listener.address, f"r{i}"))
-            assert response.request_id == f"r{i}"
+        provider = pooled_provider(counting_agent, pool, tcp_listener.address)
+        for _ in range(4):
+            assert provider.measure(*self.EDGE, 1, 1.0) is not None
         assert counting_agent.accepted == 1
         pool.close()
 
@@ -1419,10 +1420,10 @@ class TestAgentPool:
     ):
         answer_in_pairs(monkeypatch)
         pool = AgentPool()
-        record = agent_record(counting_agent)
-        for pair in (("r0", "r1"), ("r2", "r3")):
-            responses = request_together(pool, record, tcp_listener.address, pair)
-            assert {r: resp.request_id for r, resp in responses.items()} == dict(zip(pair, pair))
+        provider = pooled_provider(counting_agent, pool, tcp_listener.address)
+        for _ in range(2):
+            measured = provider.measure_edges([self.EDGE] * 2, 1, 1.0)
+            assert None not in measured
             # the second pair finds both connections idle and opens none
             assert counting_agent.accepted == 2
         pool.close()
@@ -1431,38 +1432,50 @@ class TestAgentPool:
         self, counting_agent, tcp_listener
     ):
         pool = AgentPool()
-        record = agent_record(counting_agent)
-        pool.request(record, probe_request(tcp_listener.address, "before"))
+        provider = pooled_provider(counting_agent, pool, tcp_listener.address)
+        assert provider.measure(*self.EDGE, 1, 1.0) is not None
         port = counting_agent.bound_address[1]
         counting_agent.kill()
 
         restarted = CountingAgent(port)
         restarted.serve_in_background()
         try:
-            response = pool.request(record, probe_request(tcp_listener.address, "after"))
-            assert response.request_id == "after"
-            assert response.rtts["target"] is not None
+            assert provider.measure(*self.EDGE, 1, 1.0) is not None
             assert restarted.accepted == 1
         finally:
             pool.close()
             restarted.kill()
 
+    def test_idle_connection_reset_by_the_agent_is_replaced(self, counting_agent, tcp_listener):
+        pool = AgentPool()
+        provider = pooled_provider(counting_agent, pool, tcp_listener.address)
+        assert provider.measure(*self.EDGE, 1, 1.0) is not None
+        counting_agent.reset()
+        time.sleep(0.05)  # let the RST arrive, so that the next write fails
+        assert provider.measure(*self.EDGE, 1, 1.0) is not None
+        assert counting_agent.accepted == 2
+        pool.close()
+
     def test_failed_request_does_not_return_its_connection(
-        self, counting_agent, tcp_listener
+        self, counting_agent, tcp_listener, monkeypatch, caplog
     ):
         pool = AgentPool()
-        record = agent_record(counting_agent)
-        pool.request(record, probe_request(tcp_listener.address, "ok"))
+        provider = pooled_provider(counting_agent, pool, tcp_listener.address)
+        assert provider.measure(*self.EDGE, 1, 1.0) is not None
         assert counting_agent.accepted == 1
 
-        bad = probe_request(tcp_listener.address, "bad")
-        # bypass client-side validation so that the agent replies with an error
-        object.__setattr__(bad, "probes", 0)
-        with pytest.raises(ProtocolError):
-            pool.request(record, bad)
+        # send probes 0 past client-side validation, so that the agent
+        # replies with an error
+        to_wire = MeasureRequest.to_wire
+        monkeypatch.setattr(MeasureRequest, "to_wire", lambda req: {**to_wire(req), "probes": 0})
+        with caplog.at_level("WARNING", logger="slv.manager"):
+            assert provider.measure(*self.EDGE, 1, 1.0) is None
+        assert "measurement via v1 for target failed: agent rejected request" in caplog.text
         assert counting_agent.wait_closed(1)
+        assert idle_connections(pool) == {}
 
-        pool.request(record, probe_request(tcp_listener.address, "ok-again"))
+        monkeypatch.undo()
+        assert provider.measure(*self.EDGE, 1, 1.0) is not None
         assert counting_agent.accepted == 2
         pool.close()
 
@@ -1471,15 +1484,15 @@ class TestAgentPool:
     ):
         answer_in_pairs(monkeypatch)
         pool = AgentPool()
-        record = agent_record(counting_agent)
-        request_together(pool, record, tcp_listener.address, ("r0", "r1"))
+        provider = pooled_provider(counting_agent, pool, tcp_listener.address)
+        assert None not in provider.measure_edges([self.EDGE] * 2, 1, 1.0)
         assert counting_agent.accepted == 2
         assert counting_agent.closed == 0
 
         pool.close()
         assert counting_agent.wait_closed(2)
         monkeypatch.undo()
-        pool.request(record, probe_request(tcp_listener.address, "after-close"))
+        assert provider.measure(*self.EDGE, 1, 1.0) is not None
         assert counting_agent.accepted == 3
         pool.close()
 
@@ -1524,7 +1537,10 @@ class _HungAgentHandler(socketserver.StreamRequestHandler):
 
 
 class TestLiveFanOut:
-    CFG = VerifyConfig(probes_per_measurement=1, measurement_timeout=1.0)
+    # A last-mile correction far above any loopback probe, so that a probe
+    # slowed past 5 ms by a busy host cannot reject the triangle: these
+    # tests are about the wire, not the verdict.
+    CFG = VerifyConfig(probes_per_measurement=1, measurement_timeout=1.0, lambda_ms=100.0)
 
     def test_nine_requests_in_flight_together_from_the_verifying_thread(
         self, three_agents, tcp_listener, tmp_path, monkeypatch
@@ -1598,6 +1614,90 @@ class TestLiveFanOut:
             pool.close()
             hung.shutdown()
             hung.server_close()
+
+
+    def test_cold_pool_begins_every_handshake_before_it_waits_for_one(
+        self, three_agents, tcp_listener, tmp_path, monkeypatch
+    ):
+        registry = live_registry(tmp_path, [a.bound_address[1] for a in three_agents])
+        pool = AgentPool()
+        steps = []
+        connect, write = AgentConnection._connect, AgentConnection._write
+        monkeypatch.setattr(AgentConnection, "_connect",
+                            lambda conn: steps.append("connect") or connect(conn))
+        monkeypatch.setattr(AgentConnection, "_write",
+                            lambda conn, deadline: steps.append("write") or write(conn, deadline))
+        try:
+            assert verify_live(registry, pool, tcp_listener.address, self.CFG).veri_passed is True
+        finally:
+            pool.close()
+        # so a cold triangle waits about one handshake, not one per edge
+        assert steps == ["connect"] * 9 + ["write"] * 9
+
+    def test_agent_whose_connect_fails_is_tried_once_per_triangle(
+        self, three_agents, tcp_listener, tmp_path, monkeypatch, caplog
+    ):
+        registry = live_registry(tmp_path, [a.bound_address[1] for a in three_agents])
+        dead = registry.by_id("v2")
+        attempts = []
+        connect = AgentConnection._connect
+
+        def refusing(conn):
+            attempts.append(conn._address)
+            if conn._address == (dead.host, dead.port):
+                raise ConnectionRefusedError("refused")
+            connect(conn)
+
+        monkeypatch.setattr(AgentConnection, "_connect", refusing)
+        wire = []
+        handle = slv.agent.handle_measure_request
+        monkeypatch.setattr(slv.agent, "handle_measure_request",
+                            lambda req: wire.append(req) or handle(req))
+        pool = AgentPool()
+        try:
+            with caplog.at_level("WARNING", logger="slv.manager"):
+                result = verify_live(registry, pool, tcp_listener.address, self.CFG)
+            idle = idle_connections(pool)
+        finally:
+            pool.close()
+        assert result.reason is Reason.MEASUREMENT_FAILURE
+        assert attempts.count((dead.host, dead.port)) == 1
+        # v2's first connection fails to open, so no request goes out
+        assert wire == []
+        assert idle == {}
+        assert caplog.text.count("measurement via") == 1
+        assert "measurement via v2 for target failed: refused" in caplog.text
+
+    def test_silent_agent_costs_one_connect_timeout(
+        self, three_agents, tcp_listener, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(slv.agent, "CONNECT_TIMEOUT_S", 0.3)
+        # A listener whose backlog is full drops further SYNs unanswered,
+        # as a host behind a dropping firewall does.
+        silent = socket.socket()
+        silent.bind(("127.0.0.1", 0))
+        silent.listen(0)
+        filler = socket.create_connection(silent.getsockname())
+        ports = [three_agents[0].bound_address[1], silent.getsockname()[1],
+                 three_agents[2].bound_address[1]]
+        registry = live_registry(tmp_path, ports)
+        pool = AgentPool()
+        # v1's probes of v2 then time out well before v2's connections do
+        cfg = VerifyConfig(probes_per_measurement=1, measurement_timeout=0.1)
+        try:
+            began = time.monotonic()
+            result = verify_live(registry, pool, tcp_listener.address, cfg)
+            elapsed = time.monotonic() - began
+            assert result.reason is Reason.MEASUREMENT_FAILURE
+            # the send on v2's first connection waits out the timeout once,
+            # and the triangle's sending stops there
+            assert 0.3 <= elapsed < 0.6
+            # v1's requests went out before v2's first and were answered
+            assert idle_connections(pool) == {"v1": 3}
+        finally:
+            pool.close()
+            filler.close()
+            silent.close()
 
 
 def test_service_close_closes_pooled_agent_connections(counting_agent, tcp_listener, tmp_path):
