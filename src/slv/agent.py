@@ -227,10 +227,22 @@ def _tcp_connect_ms(address: tuple[str, int], timeout: float) -> float:
     return max(elapsed_ms, 0.0)
 
 
-def _measure_rtt_ex(
-    address: tuple[str, int], probes: int, timeout: float
-) -> tuple[Optional[float], bool]:
-    """Like measure_rtt but also reports whether any probe was refused."""
+def measure_rtt(
+    address: tuple[str, int],
+    probes: int = DEFAULT_PROBES,
+    timeout: float = DEFAULT_TIMEOUT,
+    *,
+    https_fallback: bool = False,
+) -> Optional[float]:
+    """Minimum TCP connect time to `address` in milliseconds.
+
+    Opens `probes` sequential connections, PROBE_SPACING_S apart, times
+    each from initiation to completion with a monotonic clock, and closes
+    without sending any payload. Individual refusals and timeouts are
+    tolerated; the result is None only when no probe succeeds. With
+    https_fallback, port 80 refusing every probe (plain HTTP disabled but
+    the host up) sends the probes to port 443 instead.
+    """
     if probes < 1:
         raise ValueError("probes must be >= 1")
     best: Optional[float] = None
@@ -247,28 +259,8 @@ def _measure_rtt_ex(
             continue
         if best is None or ms < best:
             best = ms
-    return best, refused
-
-
-def measure_rtt(
-    address: tuple[str, int], probes: int = DEFAULT_PROBES, timeout: float = DEFAULT_TIMEOUT
-) -> Optional[float]:
-    """Minimum TCP connect time to `address` in milliseconds.
-
-    Opens `probes` sequential connections, PROBE_SPACING_S apart, times
-    each from initiation to completion with a monotonic clock, and closes
-    without sending any payload. Individual refusals and timeouts are
-    tolerated; the result is None only when no probe succeeds.
-    """
-    return _measure_rtt_ex(address, probes, timeout)[0]
-
-
-def _measure_target(address: tuple[str, int], probes: int, timeout: float) -> Optional[float]:
-    """Measure a target, falling back from port 80 to 443 when every probe
-    was refused (plain HTTP disabled but the host is up)."""
-    best, refused = _measure_rtt_ex(address, probes, timeout)
-    if best is None and refused and address[1] == 80:
-        best = measure_rtt((address[0], 443), probes, timeout)
+    if best is None and refused and https_fallback and address[1] == 80:
+        return measure_rtt((address[0], 443), probes, timeout)
     return best
 
 
@@ -282,12 +274,12 @@ def handle_measure_request(req: MeasureRequest) -> MeasureResponse:
     has one entry per requested endpoint, preserving the request id. No
     correction of any kind is applied here; the agent reports raw minima.
     """
-    jobs = [(TARGET, _measure_target, req.target)] if req.target is not None else []
-    jobs += [(p.verifier_id, measure_rtt, (p.host, p.port)) for p in req.peers]
+    jobs = [(TARGET, req.target, True)] if req.target is not None else []
+    jobs += [(p.verifier_id, (p.host, p.port), False) for p in req.peers]
 
     def run(job) -> Optional[float]:
-        _, measure, address = job
-        return measure(address, req.probes, req.timeout)
+        _, address, fallback = job
+        return measure_rtt(address, req.probes, req.timeout, https_fallback=fallback)
 
     if len(jobs) == 1:
         values = [run(jobs[0])]
@@ -324,14 +316,29 @@ class _AgentHandler(socketserver.StreamRequestHandler):
         self.wfile.flush()
 
 
-class AgentServer(socketserver.ThreadingTCPServer):
+class _Daemon:
+    """What the agent and manager servers add to their socketserver base:
+    an address that can be bound again at once, and serving from a thread."""
+
+    allow_reuse_address = True
+
+    @property
+    def bound_address(self) -> tuple[str, int]:
+        return self.server_address[:2]
+
+    def serve_in_background(self) -> threading.Thread:
+        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        thread.start()
+        return thread
+
+
+class AgentServer(_Daemon, socketserver.ThreadingTCPServer):
     """Measurement daemon serving newline-delimited JSON requests.
 
     Each manager connection is served by its own thread and may carry any
     number of requests; requests on one connection are handled in order.
     """
 
-    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(
@@ -345,15 +352,6 @@ class AgentServer(socketserver.ThreadingTCPServer):
         super().__init__((host, port), _AgentHandler)
         self.default_probes = default_probes
         self.default_timeout = default_timeout
-
-    @property
-    def bound_address(self) -> tuple[str, int]:
-        return self.server_address[:2]
-
-    def serve_in_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 
 
 class AgentConnection:

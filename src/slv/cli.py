@@ -15,7 +15,7 @@ import urllib.error
 import urllib.request
 from urllib.parse import quote
 
-from .agent import DEFAULT_AGENT_PORT, DEFAULT_PROBES, DEFAULT_TIMEOUT, AgentServer, ProtocolError
+from .agent import DEFAULT_AGENT_PORT, AgentServer
 from .manager import DEFAULT_API_PORT, ManagerConfig, ManagerHTTPServer, ManagerService
 from .pinning import (
     DEFAULT_RMAX,
@@ -151,34 +151,29 @@ def cmd_pin(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     domain = args.domain.lower()
+    entry = store.get(domain)
+    if entry is None:
+        return _fail(f"no pin for {domain!r}")
     if args.pin_command == "show":
-        entry = store.get(domain)
-        if entry is None:
-            return _fail(f"no pin for {domain!r}")
         print(json.dumps(entry.to_dict(), indent=2))
         return EXIT_OK
     if args.pin_command == "clear":
-        if store.pop(domain, None) is None:
-            return _fail(f"no pin for {domain!r}")
+        del store[domain]
         persist_store(store, store_path)
         print(f"cleared {domain}")
         return EXIT_OK
-    if args.pin_command == "set-rmax":
-        entry = store.get(domain)
-        if entry is None:
-            return _fail(f"no pin for {domain!r}")
-        if args.n < 1:
-            return _fail("rmax must be >= 1")
-        if args.n < len(entry.ver_regs):
-            return _fail(
-                f"{domain} already has {len(entry.ver_regs)} pinned regions; "
-                f"clear the pin before lowering rmax below that"
-            )
-        entry.rmax = args.n
-        persist_store(store, store_path)
-        print(f"{domain} rmax={args.n}")
-        return EXIT_OK
-    return _fail(f"unknown pin command {args.pin_command!r}")
+    # set-rmax
+    if args.n < 1:
+        return _fail("rmax must be >= 1")
+    if args.n < len(entry.ver_regs):
+        return _fail(
+            f"{domain} already has {len(entry.ver_regs)} pinned regions; "
+            f"clear the pin before lowering rmax below that"
+        )
+    entry.rmax = args.n
+    persist_store(store, store_path)
+    print(f"{domain} rmax={args.n}")
+    return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -202,26 +197,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _serve_until_interrupted(server, banner: str, close=lambda: None) -> int:
+    """Print banner % the server's (host, port), serve until interrupted,
+    then close the listening socket and call close()."""
+    print(banner % server.bound_address, flush=True)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.server_close()
+        close()
+    return EXIT_OK
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     if args.role == "verifier":
         try:
-            server = AgentServer(
-                args.host, args.port, default_probes=args.probes, default_timeout=args.timeout
-            )
-        except ProtocolError as exc:
-            return _fail(f"invalid agent settings: {exc}")
+            server = AgentServer(args.host, args.port)
         except OSError as exc:
             return _fail(f"cannot bind {args.host}:{args.port}: {exc}")
-        host, port = server.bound_address
-        print(f"verifier agent listening on {host}:{port}", flush=True)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.shutdown()
-        return EXIT_OK
+        return _serve_until_interrupted(server, "verifier agent listening on %s:%d")
 
     try:
         cfg = ManagerConfig.from_file(args.config)
@@ -229,18 +226,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server = ManagerHTTPServer(service, cfg.listen_host, cfg.listen_port)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot start manager: {exc}")
-    host, port = server.bound_address
-    print(f"manager listening on http://{host}:{port} "
-          f"({service.registry_size} verifiers)", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
-    return EXIT_OK
+    return _serve_until_interrupted(
+        server, f"manager listening on http://%s:%d ({service.registry_size} verifiers)",
+        service.close)
 
 
 @functools.cache
@@ -295,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_verifier = serve_sub.add_parser("verifier", help="run a verifier agent")
     serve_verifier.add_argument("--host", default="0.0.0.0")
     serve_verifier.add_argument("--port", type=int, default=DEFAULT_AGENT_PORT)
-    serve_verifier.add_argument("--probes", type=int, default=DEFAULT_PROBES)
-    serve_verifier.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
 
     return parser
 

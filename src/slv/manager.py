@@ -34,6 +34,7 @@ from .agent import (
     MeasureRequest,
     PeerSpec,
     ProtocolError,
+    _Daemon,
     new_request_id,
     reply_deadline,
 )
@@ -457,12 +458,6 @@ class LocatorConfig:
         raise ValueError(f"unknown locator provider: {self.provider!r}")
 
 
-# The top-level keys of a manager config file that set the ManagerConfig
-# field of the same name; the others are registry, locator and the keys of
-# VerifyConfig.
-_PLAIN_KEYS = ("cache_ttl", "agent_port", "target_port", "listen_host", "listen_port", "cache_path")
-
-
 @dataclass
 class ManagerConfig:
     """Manager settings; see ManagerConfig.from_file for the JSON keys."""
@@ -523,6 +518,14 @@ class ManagerConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+# The top-level keys of a manager config file that set the ManagerConfig
+# field of the same name; the others are registry, locator and the keys of
+# VerifyConfig.
+_PLAIN_KEYS = tuple(
+    f.name for f in fields(ManagerConfig) if f.name not in ("registry_path", "verify", "locator")
+)
 
 
 class AgentPool:
@@ -830,7 +833,7 @@ def _close_after_error(conn: socket.socket) -> None:
         pass
 
 
-class ManagerHTTPServer(socketserver.TCPServer):
+class ManagerHTTPServer(_Daemon, socketserver.TCPServer):
     """HTTP front end: GET /verify?ip=<addr> and GET /health.
 
     The socketserver accept loop hands each connection to an idle handler
@@ -840,8 +843,6 @@ class ManagerHTTPServer(socketserver.TCPServer):
     behind another connection's verification. A handler reads the request
     head in one pass, answers with one sendall and closes the connection.
     """
-
-    allow_reuse_address = True
 
     def __init__(self, service: ManagerService, host: str = "127.0.0.1", port: int = DEFAULT_API_PORT):
         self.service = service
@@ -853,15 +854,6 @@ class ManagerHTTPServer(socketserver.TCPServer):
         # process_request hands connections to _handler threads, so no
         # RequestHandlerClass is used
         super().__init__((host, port), None)
-
-    @property
-    def bound_address(self) -> tuple[str, int]:
-        return self.server_address[:2]
-
-    def serve_in_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 
     def process_request(self, request: socket.socket, client_address) -> None:
         with self._lock:

@@ -105,12 +105,7 @@ class DelayModel:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "circuitousness": self.circuitousness,
-            "lastmile_ms": self.lastmile_ms,
-            "jitter_ms": self.jitter_ms,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DelayModel":
@@ -281,15 +276,8 @@ class ExperimentReport:
     servers: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "total_true": self.total_true,
-            "accepted_true": self.accepted_true,
-            "total_false": self.total_false,
-            "accepted_false": self.accepted_false,
-            "fr_rate": self.fr_rate,
-            "fa_rate": self.fa_rate,
-            "servers": self.servers,
-        }
+        """The tallies by field name; servers is the report's own list."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def text_table(self) -> str:
         """Aligned per-server outcomes followed by the summary counts."""

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right, insort
 # Not used here; bench/layers.py patches slv.verify.ThreadPoolExecutor by
 # name, so the name stays importable.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Optional, Sequence
@@ -193,19 +193,12 @@ class VerifyConfig:
                         above=True)
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_ms": self.lambda_ms,
-            "probes_per_measurement": self.probes_per_measurement,
-            "max_triangles": self.max_triangles,
-            "measurement_timeout": self.measurement_timeout,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerifyConfig":
-        known = {f: data[f] for f in (
-            "lambda_ms", "probes_per_measurement", "max_triangles", "measurement_timeout",
-        ) if f in data}
-        return cls(**known)
+        """The config of the keys present; a key left out keeps its default."""
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 class DelayProvider:

@@ -17,8 +17,6 @@ from slv.agent import (
     MeasureResponse,
     PeerSpec,
     ProtocolError,
-    _measure_rtt_ex,
-    _measure_target,
     handle_measure_request,
     measure_rtt,
 )
@@ -70,9 +68,6 @@ class TestMeasureRtt:
         start = time.monotonic()
         assert measure_rtt(dead_endpoint(), probes=3, timeout=1.0) is None
         assert time.monotonic() - start < 5.0
-
-    def test_refusal_is_reported(self):
-        assert _measure_rtt_ex(dead_endpoint(), probes=2, timeout=1.0) == (None, True)
 
     def test_single_probe_is_the_sample(self, monkeypatch):
         timeouts = []
@@ -133,7 +128,20 @@ class TestMeasureRtt:
 class TestTargetFallback:
     def test_refused_port_80_falls_back_to_443(self, monkeypatch):
         probed = fake_probes(monkeypatch, refuse(80))
-        assert _measure_target(("127.0.0.1", 80), probes=2, timeout=1.0) == 6.0
+        assert measure_rtt(("127.0.0.1", 80), probes=2, timeout=1.0, https_fallback=True) == 6.0
+        assert [port for _, port in probed] == [80, 80, 443, 443]
+
+    def test_refused_loopback_connect_falls_back(self, monkeypatch, tcp_listener):
+        # Real connects: port 80 goes to a port with no listener, which
+        # refuses, and 443 to a listener.
+        connect, dead = slv.agent._tcp_connect_ms, dead_endpoint()
+
+        def redirect(address, timeout):
+            return connect(dead if address[1] == 80 else tcp_listener.address, timeout)
+
+        probed = fake_probes(monkeypatch, redirect)
+        assert measure_rtt(("127.0.0.1", 80), probes=2, timeout=1.0,
+                           https_fallback=True) is not None
         assert [port for _, port in probed] == [80, 80, 443, 443]
 
     def test_timeouts_on_port_80_do_not_fall_back(self, monkeypatch):
@@ -141,11 +149,12 @@ class TestTargetFallback:
             raise TimeoutError(address)
 
         probed = fake_probes(monkeypatch, connect)
-        assert _measure_target(("127.0.0.1", 80), probes=2, timeout=1.0) is None
+        assert measure_rtt(("127.0.0.1", 80), probes=2, timeout=1.0, https_fallback=True) is None
         assert [port for _, port in probed] == [80, 80]
 
     def test_no_fallback_for_other_ports(self):
-        assert _measure_target(("127.0.0.1", free_port()), probes=1, timeout=0.5) is None
+        address = ("127.0.0.1", free_port())
+        assert measure_rtt(address, probes=1, timeout=0.5, https_fallback=True) is None
 
     def test_request_target_falls_back_but_peers_do_not(self, monkeypatch):
         probed = fake_probes(monkeypatch, refuse(80))

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import IdealProvider, free_port
 from slv import cli
+from slv.agent import AgentServer
 from slv.geo import Circle, Location, destination_point
 from slv.manager import (
     ManagerConfig,
@@ -413,13 +414,20 @@ class TestCmdServe:
         assert run_cli("serve", "manager", "--config", str(config)) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option, value", [("--probes", "17"), ("--timeout", "31"),
-                                               ("--probes", "0"), ("--timeout", "nan")])
-    def test_verifier_over_the_request_caps_exits_one(self, capsys, option, value):
-        port = str(free_port())
-        assert run_cli("serve", "verifier", "--host", "127.0.0.1", "--port", port,
-                       option, value) == 1
-        assert "invalid agent settings" in capsys.readouterr().err
+    def test_interrupted_verifier_exits_zero_and_closes_its_socket(self, monkeypatch, capsys):
+        servers = []
+        serve = AgentServer.serve_forever
+
+        def interrupted(self, poll_interval=0.5):
+            servers.append(self)
+            self._BaseServer__shutdown_request = True  # one pass of the real loop
+            serve(self, poll_interval)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(AgentServer, "serve_forever", interrupted)
+        assert run_cli("serve", "verifier", "--host", "127.0.0.1", "--port", "0") == 0
+        assert "verifier agent listening on 127.0.0.1:" in capsys.readouterr().out
+        assert servers[0].socket.fileno() == -1
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         assert run_cli("serve", "manager", "--config", str(tmp_path / "nope.json")) == 1
@@ -544,6 +552,7 @@ class TestCmdServe:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
     def test_manager_daemon_subprocess(self, tmp_path):
         registry = tmp_path / "verifiers.csv"
@@ -573,6 +582,7 @@ class TestCmdServe:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TcpTarget:

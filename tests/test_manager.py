@@ -298,6 +298,7 @@ class TestHttpLocator:
             assert locator.locate("1.2.3.4") == Location(45.42, -75.69)
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_404_is_unknown_address(self):
         server = run_geo_service(body=b'{"error": "nope"}', status=404)
@@ -308,6 +309,7 @@ class TestHttpLocator:
                 locator.locate("1.2.3.4")
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_unreachable_provider(self):
         locator = HttpLocator(f"http://127.0.0.1:{free_port()}/geo/{{ip}}", timeout=0.5)
@@ -323,6 +325,7 @@ class TestHttpLocator:
                 locator.locate("1.2.3.4")
         finally:
             server.shutdown()
+            server.server_close()
 
     @pytest.mark.parametrize("body, key", [
         (b'{"lat": true, "lon": 10}', "lat"),
@@ -338,6 +341,7 @@ class TestHttpLocator:
                 locator.locate("1.2.3.4")
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_template_must_mention_ip(self):
         with pytest.raises(ValueError):

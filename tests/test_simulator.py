@@ -4,6 +4,7 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +15,7 @@ from slv.simulator import (
     ADVERSARY_RELAY,
     Adversary,
     DelayModel,
+    ExperimentReport,
     RegionBounds,
     ScenarioError,
     SimDelayProvider,
@@ -223,6 +225,18 @@ class TestScenarioTypes:
     def test_integral_float_seed_is_kept_as_an_integer(self):
         assert DelayModel.from_dict({"seed": 7.0}).seed == 7
         assert type(DelayModel(seed=7.0).seed) is int
+
+    def test_model_dict_is_its_fields_in_order_and_round_trips(self):
+        model = DelayModel(circuitousness=1.25, lastmile_ms=3.0, jitter_ms=0.5, seed=9)
+        assert list(model.to_dict()) == [f.name for f in fields(DelayModel)]
+        assert DelayModel.from_dict(model.to_dict()) == model
+
+    def test_report_dict_is_its_fields_in_order(self):
+        scenario = generate_scenario(5, 1, 1, 1, bounds=BOUNDS, cfg=quick_cfg(), seed=3)
+        report = run_experiment(scenario)
+        data = report.to_dict()
+        assert list(data) == [f.name for f in fields(ExperimentReport)]
+        assert data["servers"] is report.servers  # not copied row by row
 
     def test_scenario_json_round_trip(self, tmp_path):
         scenario = generate_scenario(

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+from dataclasses import fields
 from datetime import datetime, timezone
 from itertools import combinations
 from typing import Optional
@@ -1141,6 +1142,12 @@ class TestAzimuthIndex:
 
 
 class TestMessageTypes:
+    def test_config_dict_is_its_fields_in_order_and_round_trips(self):
+        cfg = VerifyConfig(lambda_ms=2.5, probes_per_measurement=3, max_triangles=2,
+                           measurement_timeout=4.0)
+        assert list(cfg.to_dict()) == [f.name for f in fields(VerifyConfig)]
+        assert VerifyConfig.from_dict(cfg.to_dict()) == cfg
+
     def test_ipinfo_rejects_junk(self):
         with pytest.raises(ValueError):
             IPInfo(value="not-an-ip", loc=Location(0, 0))
