@@ -50,6 +50,16 @@ REPLY_HEADROOM_S = 5.0
 # has passed: enough to take a reply that has already arrived.
 _LATE_READ_S = 0.001
 
+# Longest request line in bytes an agent reads, newline included; a
+# request naming MAX_PEERS peers takes under 2 KiB. A longer line gets an
+# error reply and a close.
+MAX_LINE_BYTES = 64 * 1024
+
+# Seconds a daemon reads out what a client still sends after an error reply
+# that ends the connection, and the size of each read.
+_LINGER_S = 1.0
+_RECV_SIZE = 16384
+
 # Most peers one request may name. Together with MAX_PROBES and
 # MAX_TIMEOUT_S this bounds the connections and the time one request can
 # make an agent spend, so an agent cannot be used as a scanning relay.
@@ -215,6 +225,20 @@ class MeasureResponse:
         )
 
 
+def _close_after_error(conn: socket.socket) -> None:
+    """Half-close, then read out what the client still sends (for at most
+    _LINGER_S), so that unread input does not turn the close into a reset
+    that destroys the error reply before the client reads it."""
+    try:
+        conn.shutdown(socket.SHUT_WR)
+        conn.settimeout(_LINGER_S)
+        deadline = time.monotonic() + _LINGER_S
+        while time.monotonic() < deadline and conn.recv(_RECV_SIZE):
+            pass
+    except OSError:
+        pass
+
+
 def _tcp_connect_ms(address: tuple[str, int], timeout: float) -> float:
     """Time one TCP connection establishment with the monotonic clock.
 
@@ -292,7 +316,12 @@ def handle_measure_request(req: MeasureRequest) -> MeasureResponse:
 
 class _AgentHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        for line in self.rfile:
+        while line := self.rfile.readline(MAX_LINE_BYTES):
+            if len(line) == MAX_LINE_BYTES and not line.endswith(b"\n"):
+                self._send({"error": f"request line over {MAX_LINE_BYTES} bytes",
+                            "request_id": None})
+                _close_after_error(self.connection)
+                return
             line = line.strip()
             if not line:
                 continue
@@ -318,9 +347,15 @@ class _AgentHandler(socketserver.StreamRequestHandler):
 
 class _Daemon:
     """What the agent and manager servers add to their socketserver base:
-    an address that can be bound again at once, and serving from a thread."""
+    an IPv6 socket for an IPv6 host, an address that can be bound again at
+    once, and serving from a thread."""
 
     allow_reuse_address = True
+
+    def __init__(self, server_address: tuple[str, int], handler) -> None:
+        if ":" in server_address[0]:
+            self.address_family = socket.AF_INET6
+        super().__init__(server_address, handler)
 
     @property
     def bound_address(self) -> tuple[str, int]:
@@ -364,38 +399,45 @@ class AgentConnection:
     the agent serves each on its own thread. request() sends and waits in
     one call; open(), send() and receive() are its parts, so that one
     thread can open several connections, and then have a request in
-    flight on each, at once.
+    flight on each, at once. A connection has one user at a time (the
+    pool hands it out that way), so it takes no lock.
     """
 
     def __init__(self, host: str, port: int) -> None:
         self._address = (host, port)
-        self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._reader = None
         # Monotonic time by which a handshake _connect began must be done;
         # None once it is, or when no connection is open.
         self._connect_by: Optional[float] = None
-        # The request send() wrote last, and whether a failure of it is
-        # final: its connection was opened for it, at first or again.
+        # The request send() wrote and receive() has not yet answered, and
+        # whether a failure of it is final: its connection was opened for
+        # it, at first or again.
         self._payload = b""
         self._retried = False
+
+    @property
+    def idle(self) -> bool:
+        """Whether the connection is open, its handshake done and no reply
+        outstanding: the state in which AgentPool.give_back keeps it."""
+        return self._sock is not None and self._connect_by is None and not self._payload
 
     def _connect(self) -> None:
         """Begin the handshake of a new connection without waiting for it;
         the next _write() waits for it until CONNECT_TIMEOUT_S from now.
-        Raises OSError when it fails at once."""
-        family, kind, proto, _, address = socket.getaddrinfo(
-            *self._address, type=socket.SOCK_STREAM)[0]
-        sock = socket.socket(family, kind, proto)
+        The host is an IP literal, so nothing is resolved. Raises OSError
+        when it fails at once."""
+        family = socket.AF_INET6 if ":" in self._address[0] else socket.AF_INET
+        sock = socket.socket(family, socket.SOCK_STREAM)
         sock.setblocking(False)
-        err = sock.connect_ex(address)
+        err = sock.connect_ex(self._address)
         if err not in (0, errno.EINPROGRESS):
             sock.close()
             raise OSError(err, os.strerror(err))
         self._sock, self._reader = sock, sock.makefile("rb")
         self._connect_by = time.monotonic() + CONNECT_TIMEOUT_S
 
-    def _drop(self) -> None:
+    def close(self) -> None:
         self._connect_by = None
         if self._sock is not None:
             try:
@@ -404,10 +446,6 @@ class AgentConnection:
                 self._sock = None
                 self._reader = None
 
-    def close(self) -> None:
-        with self._lock:
-            self._drop()
-
     def request(self, req: MeasureRequest) -> MeasureResponse:
         """Send one request and wait for its response, by its reply_deadline.
 
@@ -415,10 +453,9 @@ class AgentConnection:
         that do not follow the protocol (including agent-side error
         replies).
         """
-        with self._lock:
-            deadline = reply_deadline(req.probes, req.timeout)
-            self.send(req, deadline)
-            return self.receive(req, deadline)
+        deadline = reply_deadline(req.probes, req.timeout)
+        self.send(req, deadline)
+        return self.receive(req, deadline)
 
     def open(self) -> None:
         """Begin opening a connection when none is open, without waiting
@@ -454,7 +491,8 @@ class AgentConnection:
         reset a connection that was open before req and send() has not
         reconnected, this reconnects once and writes req again; a reply
         that is late is not asked for again. Raises as request() does, and
-        closes the connection on OSError."""
+        closes the connection on OSError; only a reply that follows the
+        protocol ends the request, so that the connection is idle again."""
         while True:
             try:
                 # A reply already here is read even after the deadline, so
@@ -465,10 +503,10 @@ class AgentConnection:
                     break
                 raise ConnectionError("agent closed the connection")
             except TimeoutError:
-                self._drop()
+                self.close()
                 raise
             except OSError:
-                self._drop()
+                self.close()
                 if self._retried:
                     raise
             self._retried = True
@@ -485,6 +523,7 @@ class AgentConnection:
             raise ProtocolError(
                 f"response id {response.request_id!r} does not match request {req.request_id!r}"
             )
+        self._payload = b""
         return response
 
     def _write(self, deadline: float) -> None:
@@ -505,7 +544,7 @@ class AgentConnection:
             self._sock.settimeout(max(deadline - time.monotonic(), _LATE_READ_S))
             self._sock.sendall(self._payload)
         except OSError:
-            self._drop()
+            self.close()
             raise
 
 

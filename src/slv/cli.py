@@ -110,10 +110,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (urllib.error.URLError, OSError, ValueError) as exc:
         return _fail(f"manager unreachable at {manager_url}: {exc}")
     if status != 200:
-        return _fail(f"manager returned {status}: {body.get('error', body)}")
+        error = body.get("error", body) if isinstance(body, dict) else body
+        return _fail(f"manager returned {status}: {error}")
     try:
         result = VerificationResult.from_dict(body)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"manager returned an unusable result: {exc}")
 
     store_path = os.path.expanduser(args.pin_store)
@@ -220,11 +221,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return _fail(f"cannot bind {args.host}:{args.port}: {exc}")
         return _serve_until_interrupted(server, "verifier agent listening on %s:%d")
 
+    service = None
     try:
         cfg = ManagerConfig.from_file(args.config)
         service = ManagerService.from_config(cfg)
         server = ManagerHTTPServer(service, cfg.listen_host, cfg.listen_port)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        if service is not None:
+            service.close()
         return _fail(f"cannot start manager: {exc}")
     return _serve_until_interrupted(
         server, f"manager listening on http://%s:%d ({service.registry_size} verifiers)",

@@ -34,6 +34,8 @@ from .agent import (
     MeasureRequest,
     PeerSpec,
     ProtocolError,
+    _RECV_SIZE,
+    _close_after_error,
     _Daemon,
     new_request_id,
     reply_deadline,
@@ -71,8 +73,6 @@ CACHE_LOC_TOLERANCE_KM = 1.0
 HEAD_LIMIT = 8192
 IDLE_TIMEOUT_S = 5.0
 MAX_IDLE_HANDLERS = 16
-_RECV_SIZE = 16384
-_LINGER_S = 1.0
 _SERVER = b"slv-manager/0.1"
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 _VERSIONS = (b"HTTP/1.0", b"HTTP/1.1")
@@ -533,9 +533,9 @@ class AgentPool:
 
     A connection carries one request at a time, so an agent gets several:
     take() hands out an idle connection of an agent or opens a new one, and
-    give_back() returns it once its reply is read. The connections per
-    agent are therefore bounded by the peak number of requests in flight to
-    it. A connection whose request failed is closed instead of given back.
+    give_back() returns it, whatever became of its request. The connections
+    per agent are therefore bounded by the peak number of requests in
+    flight to it.
     """
 
     def __init__(self) -> None:
@@ -553,12 +553,14 @@ class AgentPool:
         return AgentConnection(record.host, record.port)
 
     def give_back(self, record: VerifierRecord, conn: AgentConnection) -> None:
-        """Make conn, whose reply has been read, idle again; close it when
-        the pool is closed."""
-        with self._lock:
-            if not self._closed:
-                self._idle.setdefault(record.verifier_id, []).append(conn)
-                return
+        """Keep conn for the next take() when it is idle (open, handshake
+        done, no reply outstanding) and the pool is open; close it
+        otherwise. This is the one place that keeps or closes a connection."""
+        if conn.idle:
+            with self._lock:
+                if not self._closed:
+                    self._idle.setdefault(record.verifier_id, []).append(conn)
+                    return
         conn.close()
 
     def close(self) -> None:
@@ -600,10 +602,11 @@ class LiveDelayProvider(DelayProvider):
         on a pooled connection of its own. The connections not yet open all
         begin their handshakes first; then every request is sent before
         any reply is read, and the replies are read in order by one
-        deadline, that of a single request. A failed edge is None and its
-        connection is closed; the others go back to the pool. A request
-        that cannot be sent ends the sending: the edges after it are None
-        too, as the engine gives up a triangle at its first failed edge."""
+        deadline, that of a single request. A failed edge is None. A
+        request that cannot be sent ends the sending: the edges after it
+        are None too, as the engine gives up a triangle at its first failed
+        edge. Every connection goes back to the pool, which keeps the idle
+        ones, so a failed send costs no other edge's warm connection."""
         requests = []
         for verifier_id, endpoint_id in edges:
             if endpoint_id == TARGET:
@@ -616,8 +619,9 @@ class LiveDelayProvider(DelayProvider):
                 probes=probes, timeout=timeout,
             )))
         deadline = reply_deadline(probes, timeout)
-        conns: list[Optional[AgentConnection]] = [self._pool.take(r) for r, _ in requests]
-        sent, unsent = 0, None
+        conns = [self._pool.take(r) for r, _ in requests]
+        measured: list[Optional[float]] = [None] * len(edges)
+        sent = 0
         try:
             try:
                 for i, conn in enumerate(conns):
@@ -625,27 +629,17 @@ class LiveDelayProvider(DelayProvider):
                 for i, (conn, (_, request)) in enumerate(zip(conns, requests)):
                     conn.send(request, deadline)
                     sent = i + 1
-            except OSError as exc:
-                unsent = (i, exc)  # i is the edge that failed, in either loop
-
-            measured: list[Optional[float]] = [None] * len(edges)
-            for i, (record, request) in enumerate(requests[:sent]):
+            except OSError as exc:  # i is the edge that failed, in either loop
+                log.warning("measurement via %s for %s failed: %s", *edges[i], exc)
+            for i, (_, request) in enumerate(requests[:sent]):
                 try:
-                    response = conns[i].receive(request, deadline)
+                    measured[i] = conns[i].receive(request, deadline).rtts.get(edges[i][1])
                 except (OSError, ProtocolError) as exc:
                     log.warning("measurement via %s for %s failed: %s", *edges[i], exc)
-                else:
-                    self._pool.give_back(record, conns[i])
-                    conns[i] = None
-                    measured[i] = response.rtts.get(edges[i][1])
-            if unsent is not None:
-                i, exc = unsent
-                log.warning("measurement via %s for %s failed: %s", *edges[i], exc)
             return measured
         finally:
-            for conn in conns:
-                if conn is not None:
-                    conn.close()
+            for (record, _), conn in zip(requests, conns):
+                self._pool.give_back(record, conn)
 
 
 class ManagerService:
@@ -817,20 +811,6 @@ def _parse_head(head: bytes) -> str:
     if has_body:
         raise _HttpError(400, "request body not accepted")
     return target.decode("latin-1")
-
-
-def _close_after_error(conn: socket.socket) -> None:
-    """Half-close, then read out what the client still sends (for at most
-    _LINGER_S), so that unread input does not turn the close into a reset
-    that destroys the error answer before the client reads it."""
-    try:
-        conn.shutdown(socket.SHUT_WR)
-        conn.settimeout(_LINGER_S)
-        deadline = time.monotonic() + _LINGER_S
-        while time.monotonic() < deadline and conn.recv(_RECV_SIZE):
-            pass
-    except OSError:
-        pass
 
 
 class ManagerHTTPServer(_Daemon, socketserver.TCPServer):

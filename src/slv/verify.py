@@ -90,7 +90,9 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def parse_timestamp(text: str) -> datetime:
-    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    """The UTC time of an RFC 3339 timestamp; ValueError for anything else,
+    a JSON number included."""
+    dt = datetime.fromisoformat(_checked_text("timestamp", text).replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
@@ -157,10 +159,11 @@ class VerificationResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationResult":
+        ip = IPInfo.from_dict(data["ip"])  # first, so that a JSON list is a TypeError
         region = data.get("region")
         reason = data.get("reason")
         return cls(
-            ip=IPInfo.from_dict(data["ip"]),
+            ip=ip,
             veri_passed=_checked_bool("veri_passed", data["veri_passed"]),
             region=Circle.from_dict(region) if region else None,
             when_veri=parse_timestamp(data["when_veri"]),
@@ -405,7 +408,7 @@ def enumerate_triangles(
     within ~64 km of the point or of its antipode has no usable azimuth
     and is tested in every triple. Distances to the point and azimuths are
     computed only for the verifiers visited, and the cross product, arc
-    and perimeter side of a pair once per layout.
+    and haversine length of a pair together, once per layout.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -414,8 +417,7 @@ def enumerate_triangles(
         return []
     units = layout._units
     n = len(units)
-    crosses = layout._crosses
-    length = layout._length
+    crosses, locs = layout._crosses, layout._locs
     cosines = [u[0] * px + u[1] * py + u[2] * pz for u in units]
     (e1x, e1y, e1z), (e2x, e2y, e2z) = _tangent_basis(up)
     # as locals, for the loops below
@@ -475,8 +477,10 @@ def enumerate_triangles(
             key = x * n + m if x < m else m * n + x
             pair = crosses.get(key)
             if pair is None:
-                cross = _cross(vx, um) if x < m else _cross(um, vx)
-                pair = crosses[key] = (cross, _arc_km(vx, cross, um))
+                lo, hi = (x, m) if x < m else (m, x)
+                cross = _cross(units[lo], units[hi])
+                pair = crosses[key] = (cross, _arc_km(vx, cross, um),
+                                       great_circle_distance(locs[lo], locs[hi]))
             cross = pair[0]
             row.append(cross)
             row_side.append(cross[0] * px + cross[1] * py + cross[2] * pz)
@@ -533,7 +537,7 @@ def enumerate_triangles(
                 ij[0] * uk[0] + ij[1] * uk[1] + ij[2] * uk[2], pij, pjk, pik
             ):
                 continue
-            key = (length(i, j) + length(j, k) + length(i, k), i, j, k)
+            key = (crosses[i * n + j][2] + crosses[j * n + k][2] + crosses[i * n + k][2], i, j, k)
             if len(best) == limit:
                 if key >= best[-1]:
                     continue
@@ -692,12 +696,12 @@ class VerifierLayout:
     unique ids), maps each id to its location (verify_location reads a
     found triangle's vertices there), takes their unit vectors and builds
     the hull that covers() and the triangle search decide on; nothing
-    else is built later. It fills on first use, at most once per verifier pair (so at
-    most n(n - 1)/2 entries each), the pair's cross product and arc for
-    the search's side bound and its haversine length for perimeters.
-    Every such value is the float a fresh search computes. Threads may
-    share a layout: each memo entry is written whole, and two threads
-    that fill the same entry store the same value.
+    else is built later. It fills on first use one memo entry per
+    verifier pair (so at most n(n - 1)/2): the pair's cross product and
+    arc for the search's side bound, and its haversine length for
+    perimeters. Every such value is the float a fresh search computes.
+    Threads may share a layout: each memo entry is written whole, and two
+    threads that fill the same entry store the same value.
 
     covers(point) agrees with a test of every triple under the
     containment rule of enumerate_triangles on every input, and costs O(h)
@@ -712,22 +716,13 @@ class VerifierLayout:
         self._ids = list(self._loc_of)
         self._locs = list(self._loc_of.values())
         self._units = [_unit(loc) for loc in self._locs]
-        # (cross(u_i, u_j), arc in km) and haversine length of pair i < j,
-        # keyed by i * n + j.
-        self._crosses: dict[int, tuple[tuple[float, float, float], float]] = {}
-        self._lengths: dict[int, float] = {}
+        # (cross(u_i, u_j), its arc and haversine length in km) of pair
+        # i < j, keyed by i * n + j.
+        self._crosses: dict[int, tuple[tuple[float, float, float], float, float]] = {}
         # Inward unit normals of the hull edges and (boundary ray to the
         # next fan vertex, fan triple) per fan triangle, both empty when
         # the hull is not checked.
         self._normals, self._fan = _hull_edges(self._units)
-
-    def _length(self, i: int, j: int) -> float:
-        """Haversine length in km of the side between verifiers i < j."""
-        key = i * len(self._locs) + j
-        d = self._lengths.get(key)
-        if d is None:
-            d = self._lengths[key] = great_circle_distance(self._locs[i], self._locs[j])
-        return d
 
     def _beyond_hull(self, up) -> bool:
         """Whether unit vector up lies beyond a hull edge by more than

@@ -10,6 +10,7 @@ import slv.agent
 from conftest import free_port
 from slv.agent import (
     FAILED,
+    MAX_LINE_BYTES,
     MAX_PEERS,
     AgentConnection,
     AgentServer,
@@ -529,6 +530,24 @@ class TestAgentServer:
                 assert "must be a string" in reply["error"]
             sock.sendall(json.dumps(wire).encode() + b"\n")
             assert json.loads(reader.readline())["request_id"] == "ok"
+
+    def test_overlong_request_line_gets_error_reply_and_a_close(self, agent, tcp_listener):
+        good = MeasureRequest(request_id="ok", target=tcp_listener.address, probes=1, timeout=1.0)
+        wire = json.dumps(good.to_wire()).encode()
+        at_limit = wire + b" " * (MAX_LINE_BYTES - len(wire) - 1) + b"\n"
+        with socket.create_connection(agent.bound_address, timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(at_limit)
+            assert json.loads(reader.readline())["request_id"] == "ok"
+            # no newline in sight: the agent stops reading at the limit
+            sock.sendall(b"x" * (4 * MAX_LINE_BYTES))
+            reply = json.loads(reader.readline())
+            assert reply == {"error": f"request line over {MAX_LINE_BYTES} bytes",
+                             "request_id": None}
+            assert reader.readline() == b""
+        conn = AgentConnection(*agent.bound_address)
+        assert conn.request(good).request_id == "ok"
+        conn.close()
 
     def test_agent_error_reply_raises_protocol_error(self, agent):
         conn = AgentConnection(*agent.bound_address)

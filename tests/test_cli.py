@@ -2,10 +2,12 @@ import io
 import json
 import math
 import socket
+import sqlite3
 import subprocess
 import sys
 import urllib.request
-from datetime import datetime, timezone
+from contextlib import closing
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -14,6 +16,7 @@ from slv import cli
 from slv.agent import AgentServer
 from slv.geo import Circle, Location, destination_point
 from slv.manager import (
+    CacheEntry,
     ManagerConfig,
     ManagerHTTPServer,
     ManagerService,
@@ -22,7 +25,7 @@ from slv.manager import (
 )
 from slv.pinning import Outcome, PinEntry, load_store, persist_store
 from slv.simulator import DelayModel, RegionBounds, generate_scenario, run_experiment
-from slv.verify import IPInfo, VerifyConfig
+from slv.verify import IPInfo, Reason, VerificationResult, VerifyConfig
 
 NOW = datetime(2026, 8, 9, 12, 0, 0, tzinfo=timezone.utc)
 INSIDE = Location(0, 0)
@@ -183,6 +186,34 @@ class TestCmdVerify:
         err = capsys.readouterr().err
         assert "manager returned an unusable result" in err and "ip value must be" in err
         assert not store_path.exists()
+
+    @pytest.mark.parametrize("change", [{"when_veri": 7}, {"ip": "1.2.3.4"}, None],
+                             ids=["numeric_when_veri", "string_ip", "json_list"])
+    def test_malformed_reply_is_an_unusable_result(self, tmp_path, capsys, monkeypatch, change):
+        body = {
+            "ip": IPInfo(value="9.9.9.9", loc=INSIDE).to_dict(), "veri_passed": True,
+            "region": Circle(INSIDE, 100.0).to_dict(), "when_veri": "2026-08-09T12:00:00Z",
+            "reason": None,
+        }
+        body = [body] if change is None else {**body, **change}
+        monkeypatch.setattr(cli, "_http_get_json", lambda url: (200, body))
+        store_path = tmp_path / "pins.json"
+        code = run_cli(
+            "verify", "9.9.9.9", "--manager-url", "http://127.0.0.1:1",
+            "--pin-store", str(store_path),
+        )
+        assert code == cli.EXIT_ERROR
+        assert "manager returned an unusable result" in capsys.readouterr().err
+        assert not store_path.exists()
+
+    def test_error_status_with_a_json_list_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_http_get_json", lambda url: (502, [1, 2]))
+        code = run_cli(
+            "verify", "9.9.9.9", "--manager-url", "http://127.0.0.1:1",
+            "--pin-store", str(tmp_path / "pins.json"),
+        )
+        assert code == cli.EXIT_ERROR
+        assert capsys.readouterr().err == "error: manager returned 502: [1, 2]\n"
 
     def test_unresolvable_host(self, tmp_path, capsys):
         code = run_cli(
@@ -528,6 +559,54 @@ class TestCmdServe:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot start manager: ")
         assert "Traceback" not in err and "_lock" not in err
+
+    def test_manager_on_a_busy_port_closes_its_service(
+        self, tmp_path, capsys, serve_nothing, monkeypatch
+    ):
+        registry = tmp_path / "verifiers.csv"
+        registry.write_text("127.0.0.1,1,1\n127.0.0.1,2,2\n127.0.0.1,3,3\n")
+        table = tmp_path / "table.csv"
+        table.write_text("10.0.0.0/8,45.0,-75.0\n")
+        closed = []
+        close = ManagerService.close
+        monkeypatch.setattr(ManagerService, "close",
+                            lambda service: closed.append(service) or close(service))
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            config = tmp_path / "manager.json"
+            config.write_text(json.dumps({
+                "registry": str(registry),
+                "locator": {"provider": "static_table", "path": str(table)},
+                "listen_port": busy.getsockname()[1],
+                "cache_path": str(tmp_path / "cache.sqlite"),
+            }))
+            assert cli.main(["serve", "manager", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot start manager: ")
+        assert len(closed) == 1
+
+    def test_unreadable_cache_row_exits_one_without_a_traceback(
+        self, tmp_path, capsys, serve_nothing
+    ):
+        registry = tmp_path / "verifiers.csv"
+        registry.write_text("127.0.0.1,1,1\n127.0.0.1,2,2\n127.0.0.1,3,3\n")
+        table = tmp_path / "table.csv"
+        table.write_text("10.0.0.0/8,45.0,-75.0\n")
+        cache_path = tmp_path / "cache.sqlite"
+        result = VerificationResult(IPInfo("10.0.0.1", INSIDE), False, None, NOW, Reason.NO_COVERAGE)
+        row = {**CacheEntry.of(result, NOW + timedelta(days=3650)).to_dict(), "when_veri": 5}
+        with closing(sqlite3.connect(cache_path)) as db, db:
+            db.execute("CREATE TABLE verifications (ip TEXT PRIMARY KEY, data TEXT NOT NULL)")
+            db.execute("INSERT INTO verifications VALUES (?, ?)", ("10.0.0.1", json.dumps(row)))
+        config = tmp_path / "manager.json"
+        config.write_text(json.dumps({
+            "registry": str(registry),
+            "locator": {"provider": "static_table", "path": str(table)},
+            "listen_port": 0,
+            "cache_path": str(cache_path),
+        }))
+        assert run_cli("serve", "manager", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot start manager: ")
+        assert "timestamp must be a string, got 5" in err and "Traceback" not in err
 
     def test_verifier_daemon_subprocess(self):
         port = free_port()

@@ -1703,6 +1703,35 @@ class TestLiveFanOut:
             filler.close()
             silent.close()
 
+    def test_failed_send_keeps_the_other_agents_idle_connections(
+        self, three_agents, tcp_listener, tmp_path, monkeypatch
+    ):
+        registry = live_registry(tmp_path, [a.bound_address[1] for a in three_agents])
+        v3 = registry.by_id("v3")
+        pool = AgentPool()
+        provider = LiveDelayProvider(registry, *tcp_listener.address, pool)
+        edges = [(v, e) for v in ("v1", "v2", "v3")
+                 for e in (TARGET,) + tuple(w for w in ("v1", "v2", "v3") if w != v)]
+        opened = []
+        connect = AgentConnection._connect
+        monkeypatch.setattr(AgentConnection, "_connect",
+                            lambda conn: opened.append(conn._address) or connect(conn))
+        try:
+            assert None not in provider.measure_edges(edges, 1, 1.0)
+            assert idle_connections(pool) == {"v1": 3, "v2": 3, "v3": 3}
+            three_agents[1].kill()
+            # The first triangle finds v2's connections closed by the agent
+            # and drops them. On the next ones v2's port refuses, so v2's
+            # first request cannot be sent, and v3's after it are not sent:
+            # v3's connections stay warm all the same.
+            for _ in range(3):
+                del opened[:]
+                assert provider.measure_edges(edges, 1, 1.0)[3:6] == [None] * 3
+                assert idle_connections(pool) == {"v1": 3, "v3": 3}
+                assert (v3.host, v3.port) not in opened
+        finally:
+            pool.close()
+
 
 def test_service_close_closes_pooled_agent_connections(counting_agent, tcp_listener, tmp_path):
     port = counting_agent.bound_address[1]
@@ -1723,3 +1752,47 @@ def test_service_close_closes_pooled_agent_connections(counting_agent, tcp_liste
     assert counting_agent.accepted - counting_agent.closed >= 1
     service.close()
     assert counting_agent.wait_closed(counting_agent.accepted)
+
+
+def binds_ipv6_loopback() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not binds_ipv6_loopback(), reason="this host cannot bind ::1")
+def test_verification_through_ipv6_agents_and_front_end(tcp_listener, tmp_path):
+    agents = []
+    pool = AgentPool()
+    server = None
+    try:
+        for _ in range(3):
+            agents.append(AgentServer("::1", 0, default_probes=1, default_timeout=1.0))
+            agents[-1].serve_in_background()
+        rows = [(f"[::1]:{agent.bound_address[1]}", lat, lon)
+                for agent, (_, lat, lon) in zip(agents, REGISTRY_ROWS)]
+        registry = load_verifier_registry(write_registry(tmp_path, rows))
+        assert {record.host for record in registry.entries} == {"::1"}
+        service = ManagerService(
+            registry, FixedLocator({"127.0.0.1": INSIDE}),
+            lambda ip: LiveDelayProvider(registry, ip, tcp_listener.address[1], pool),
+            ManagerConfig(registry_path="x", verify=TestLiveFanOut.CFG), pool=pool,
+        )
+        server = ManagerHTTPServer(service, "::1", 0)
+        server.serve_in_background()
+        url = f"http://[::1]:{server.bound_address[1]}/verify?ip=127.0.0.1"
+        with urllib.request.urlopen(url, timeout=10) as resp:
+            body = json.loads(resp.read())
+        assert body["veri_passed"] is True
+        assert idle_connections(pool) == {"v1": 3, "v2": 3, "v3": 3}
+    finally:
+        if server is not None:
+            server.shutdown()
+            server.server_close()
+        pool.close()
+        for agent in agents:
+            agent.shutdown()
+            agent.server_close()

@@ -278,6 +278,17 @@ class TestStorePersistence:
         with pytest.raises(CorruptStoreError, match="name must be a string"):
             load_store(path)
 
+    def test_numeric_timestamp_is_a_corrupt_store(self, tmp_path):
+        path = tmp_path / "pins.json"
+        store = {}
+        evaluate_pin(store, "a.example", passed_result(), NOW)
+        persist_store(store, path)
+        entries = json.loads(path.read_text())
+        entries[0]["when_veri"] = 7
+        path.write_text(json.dumps(entries))
+        with pytest.raises(CorruptStoreError, match="timestamp must be a string, got 7"):
+            load_store(path)
+
     @pytest.mark.parametrize("rmax", [2.9, True, "3", 0, None])
     def test_rmax_is_read_as_written(self, tmp_path, rmax):
         path = tmp_path / "pins.json"
