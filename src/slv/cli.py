@@ -199,9 +199,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _serve_until_interrupted(server, banner: str, close=lambda: None) -> int:
-    """Print banner % the server's (host, port), serve until interrupted,
-    then close the listening socket and call close()."""
-    print(banner % server.bound_address, flush=True)
+    """Print banner % the server's address as host:port, or [host]:port
+    for an IPv6 host, serve until interrupted, then close the listening
+    socket and call close()."""
+    host, port = server.bound_address
+    print(banner % (f"[{host}]:{port}" if ":" in host else f"{host}:{port}"), flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -219,7 +221,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             server = AgentServer(args.host, args.port)
         except OSError as exc:
             return _fail(f"cannot bind {args.host}:{args.port}: {exc}")
-        return _serve_until_interrupted(server, "verifier agent listening on %s:%d")
+        return _serve_until_interrupted(server, "verifier agent listening on %s")
 
     service = None
     try:
@@ -231,7 +233,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             service.close()
         return _fail(f"cannot start manager: {exc}")
     return _serve_until_interrupted(
-        server, f"manager listening on http://%s:%d ({service.registry_size} verifiers)",
+        server, f"manager listening on http://%s ({service.registry_size} verifiers)",
         service.close)
 
 

@@ -131,16 +131,25 @@ class VerifierRegistry:
 
 
 def _split_hostport(text: str, default_port: int) -> tuple[str, int]:
-    """Parse `ip`, `ip:port` or `[v6]:port`; a bare IPv6 keeps its colons."""
+    """Parse `ip`, `ip:port`, `[v6]` or `[v6]:port`; a bare IPv6 keeps its
+    colons. Raises ValueError on a `[` without `]`, on brackets around a
+    host with no colon, on anything after `]` but `:port`, and on a port
+    that is not ASCII digits."""
     text = text.strip()
     if text.startswith("["):
-        host, _, rest = text[1:].partition("]")
-        port = int(rest[1:]) if rest.startswith(":") else default_port
-        return host, port
-    if text.count(":") == 1:
+        host, bracket, rest = text[1:].partition("]")
+        if not bracket or ":" not in host or rest[:1] not in ("", ":"):
+            raise ValueError(f"expected [v6] or [v6]:port, got {text!r}")
+        if not rest:
+            return host, default_port
+        port_text = rest[1:]
+    elif text.count(":") == 1:
         host, _, port_text = text.partition(":")
-        return host, int(port_text)
-    return text, default_port
+    else:
+        return text, default_port
+    if not (port_text.isascii() and port_text.isdigit()):
+        raise ValueError(f"port must be ASCII digits, got {port_text!r}")
+    return host, int(port_text)
 
 
 def _located_rows(path) -> Iterator[tuple[int, str, Location]]:

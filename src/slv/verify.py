@@ -408,7 +408,10 @@ def enumerate_triangles(
     within ~64 km of the point or of its antipode has no usable azimuth
     and is tested in every triple. Distances to the point and azimuths are
     computed only for the verifiers visited, and the cross product, arc
-    and haversine length of a pair together, once per layout.
+    and haversine length of a pair together, once per layout. The search's
+    own state of a pair is its side bound, keyed as the layout's memo is;
+    a triple's three sides of the point are taken from the memo's cross
+    products when the triple is tested.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -437,11 +440,9 @@ def enumerate_triangles(
     reach: list[float] = []  # distance to the point, by visit position
     azimuth: list[Optional[float]] = []  # about the point, None when near
     near: list[int] = []  # visit positions of the near verifiers
-    # By visit position t, the row of t: cross product, its side of p and
-    # side bound of t with each earlier position s < t.
-    rows: list[list] = []
-    sides: list[list[float]] = []
-    bounds: list[list[float]] = []
+    # The side bound of each visited pair that was not dropped, keyed as
+    # layout._crosses is: i * n + j with i < j.
+    bound: dict[int, float] = {}
     for m in sorted(range(n), key=cosines.__getitem__, reverse=True):
         um = ux, uy, uz = units[m]
         # the float _arc_km(um, _cross(um, up), up) gives, with sin_r =
@@ -454,14 +455,12 @@ def enumerate_triangles(
         azimuth_m = atan2(
             ux * e2x + uy * e2y + uz * e2z, ux * e1x + uy * e1y + uz * e1z
         ) if sin_r >= _NEAR_SIN else None
-        # Cross product, its side of p and the side bound of m with each
-        # visited verifier, by visit position; a pair whose bound cannot
-        # be met gets an infinite one. room is what the pair's side may
-        # be, and the dot test drops it only when the side is longer by
-        # far more than rounding.
+        # The side bound of m with each visited verifier, by visit
+        # position and in bound by pair; a pair whose bound cannot be met
+        # gets an infinite one and no memo lookup. room is what the pair's
+        # side may be, and the dot test drops it only when the side is
+        # longer by far more than rounding.
         room_m = cutoff - reach_m
-        row: list = []
-        row_side: list[float] = []
         row_bound: list[float] = []
         for x, reach_x in zip(visited, reach):
             room = room_m - reach_x
@@ -470,8 +469,6 @@ def enumerate_triangles(
                 room < max_room
                 and vx[0] * ux + vx[1] * uy + vx[2] * uz < cos(room / radius) - cos_slack
             ):
-                row.append(None)
-                row_side.append(0.0)
                 row_bound.append(inf)
                 continue
             key = x * n + m if x < m else m * n + x
@@ -481,10 +478,8 @@ def enumerate_triangles(
                 cross = _cross(units[lo], units[hi])
                 pair = crosses[key] = (cross, _arc_km(vx, cross, um),
                                        great_circle_distance(locs[lo], locs[hi]))
-            cross = pair[0]
-            row.append(cross)
-            row_side.append(cross[0] * px + cross[1] * py + cross[2] * pz)
-            row_bound.append(pair[1] + reach_x + reach_m)
+            bound[key] = side = pair[1] + reach_x + reach_m
+            row_bound.append(side)
         # The visited pairs (s, t), s < t, whose triple with m may contain
         # p: both live, their side with m within the bound, and leaving
         # no gap over a half-turn. With the live verifiers in order of
@@ -513,31 +508,27 @@ def enumerate_triangles(
                         if t > s or (t < s and azimuth[t] is not None):
                             pairs.append((s, t) if s < t else (t, s))
         for s, t in pairs:
+            a, b = visited[s], visited[t]
+            if a > b:
+                a, b = b, a
             # m's side bound with s and with t, then the pair's own, on
             # the k-th best perimeter as it stands
-            if row_bound[s] > cutoff or row_bound[t] > cutoff or bounds[t][s] > cutoff:
+            if row_bound[s] > cutoff or row_bound[t] > cutoff or bound.get(a * n + b, inf) > cutoff:
                 continue
-            ab, side_ab = rows[t][s], sides[t][s]
-            a, b, pa, pb = visited[s], visited[t], s, t
-            if a > b:
-                a, b, pa, pb = b, a, t, s
-            if m > b:  # (a, b, m)
-                i, j, k = a, b, m
-                ij, uk = ab, um
-                pij, pjk, pik = side_ab, row_side[pb], row_side[pa]
-            elif m > a:  # (a, m, b)
-                i, j, k = a, m, b
-                ij, uk = row[pa], units[b]
-                pij, pjk, pik = row_side[pa], row_side[pb], side_ab
-            else:  # (m, a, b)
-                i, j, k = m, a, b
-                ij, uk = row[pa], units[b]
-                pij, pjk, pik = row_side[pa], side_ab, row_side[pb]
+            # all three pairs met their bound, so each is in the memo
+            i, j, k = (a, b, m) if m > b else (a, m, b) if m > a else (m, a, b)
+            (ij, _, l_ij), (jk, _, l_jk), (ik, _, l_ik) = (
+                crosses[i * n + j], crosses[j * n + k], crosses[i * n + k]
+            )
+            uk = units[k]
             if not spherical_containment(
-                ij[0] * uk[0] + ij[1] * uk[1] + ij[2] * uk[2], pij, pjk, pik
+                ij[0] * uk[0] + ij[1] * uk[1] + ij[2] * uk[2],
+                ij[0] * px + ij[1] * py + ij[2] * pz,
+                jk[0] * px + jk[1] * py + jk[2] * pz,
+                ik[0] * px + ik[1] * py + ik[2] * pz,
             ):
                 continue
-            key = (crosses[i * n + j][2] + crosses[j * n + k][2] + crosses[i * n + k][2], i, j, k)
+            key = (l_ij + l_jk + l_ik, i, j, k)
             if len(best) == limit:
                 if key >= best[-1]:
                     continue
@@ -550,9 +541,6 @@ def enumerate_triangles(
         visited.append(m)
         reach.append(reach_m)
         azimuth.append(azimuth_m)
-        rows.append(row)
-        sides.append(row_side)
-        bounds.append(row_bound)
 
     ids = layout._ids
     return [(ids[i], ids[j], ids[k]) for _, i, j, k in best]

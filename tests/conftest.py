@@ -72,6 +72,15 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
+def binds_ipv6_loopback() -> bool:
+    try:
+        with socket.socket(socket.AF_INET6) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
 @pytest.fixture
 def tcp_listener():
     with TcpListener() as listener:

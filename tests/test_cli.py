@@ -11,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from conftest import IdealProvider, free_port
+from conftest import IdealProvider, binds_ipv6_loopback, free_port
 from slv import cli
 from slv.agent import AgentServer
 from slv.geo import Circle, Location, destination_point
@@ -459,6 +459,33 @@ class TestCmdServe:
         assert run_cli("serve", "verifier", "--host", "127.0.0.1", "--port", "0") == 0
         assert "verifier agent listening on 127.0.0.1:" in capsys.readouterr().out
         assert servers[0].socket.fileno() == -1
+
+    @pytest.mark.skipif(not binds_ipv6_loopback(), reason="this host cannot bind ::1")
+    def test_ipv6_banners_bracket_the_host(self, tmp_path, monkeypatch, capsys, serve_nothing):
+        serve = AgentServer.serve_forever
+
+        def interrupted(self, poll_interval=0.5):
+            self._BaseServer__shutdown_request = True  # one pass of the real loop
+            serve(self, poll_interval)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(AgentServer, "serve_forever", interrupted)
+        assert run_cli("serve", "verifier", "--host", "::1", "--port", "0") == 0
+        assert "verifier agent listening on [::1]:" in capsys.readouterr().out
+
+        registry = tmp_path / "verifiers.csv"
+        registry.write_text("127.0.0.1,1,1\n127.0.0.1,2,2\n127.0.0.1,3,3\n")
+        table = tmp_path / "table.csv"
+        table.write_text("10.0.0.0/8,45.0,-75.0\n")
+        config = tmp_path / "manager.json"
+        config.write_text(json.dumps({
+            "registry": str(registry),
+            "locator": {"provider": "static_table", "path": str(table)},
+            "listen_host": "::1",
+            "listen_port": 0,
+        }))
+        assert run_cli("serve", "manager", "--config", str(config)) == 0
+        assert "manager listening on http://[::1]:" in capsys.readouterr().out
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         assert run_cli("serve", "manager", "--config", str(tmp_path / "nope.json")) == 1

@@ -20,7 +20,7 @@ import pytest
 import slv.agent
 import slv.manager
 import slv.verify
-from conftest import IdealProvider, free_port
+from conftest import IdealProvider, binds_ipv6_loopback, free_port
 from slv.agent import AgentConnection, AgentServer, MeasureRequest, ProtocolError
 from slv.geo import Circle, Location, destination_point
 from slv.manager import (
@@ -123,6 +123,22 @@ class TestLoadVerifierRegistry:
         with pytest.raises(ParseError, match="port out of range") as err:
             load_verifier_registry(path)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("address", [
+        "[::1]9000", "[::1", "[10.0.0.1]:80", "10.0.0.1:8_0", "10.0.0.1:+80", "10.0.0.1:\u0668\u0660",
+    ])
+    def test_malformed_agent_address_names_line(self, tmp_path, address):
+        path = tmp_path / "verifiers.csv"
+        path.write_text(f"127.0.0.1:7711,1,1\n{address},2,2\n127.0.0.1,3,3\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_verifier_registry(path)
+        assert err.value.line_no == 2
+
+    def test_bracketed_ipv6_takes_its_port_or_the_default(self, tmp_path):
+        path = tmp_path / "verifiers.csv"
+        path.write_text("[::1],1,1\n[::1]:9000,2,2\n127.0.0.1,3,3\n")
+        registry = load_verifier_registry(path, default_port=7707)
+        assert [(r.host, r.port) for r in registry.entries[:2]] == [("::1", 7707), ("::1", 9000)]
 
 
 class TestStaticTableLocator:
@@ -1587,6 +1603,11 @@ class TestLiveFanOut:
         assert result.veri_passed is True
         assert len(wire) == 9
         assert started == []
+        # a peer probe's connect completes before the probed agent's loop
+        # counts it, so wait for the count to settle
+        deadline = time.monotonic() + 5.0
+        while sum(a.accepted for a in three_agents) < 9 + 2 * 6 and time.monotonic() < deadline:
+            time.sleep(0.01)
         assert sum(a.accepted for a in three_agents) == 9 + 2 * 6  # pool, then peer probes
 
     def test_hung_agent_costs_one_reply_deadline(
@@ -1752,15 +1773,6 @@ def test_service_close_closes_pooled_agent_connections(counting_agent, tcp_liste
     assert counting_agent.accepted - counting_agent.closed >= 1
     service.close()
     assert counting_agent.wait_closed(counting_agent.accepted)
-
-
-def binds_ipv6_loopback() -> bool:
-    try:
-        with socket.socket(socket.AF_INET6) as sock:
-            sock.bind(("::1", 0))
-    except OSError:
-        return False
-    return True
 
 
 @pytest.mark.skipif(not binds_ipv6_loopback(), reason="this host cannot bind ::1")

@@ -20,6 +20,7 @@ from slv.geo import (
     Triangle,
     _cross,
     _dot,
+    _triple_products,
     _unit,
     destination_point,
     great_circle_distance,
@@ -360,6 +361,34 @@ class TestTopKMatchesOracle:
         for server in scenario.servers:
             assert enumerate_triangles(VerifierLayout(scenario.verifiers), server.asserted_loc, 4)
         assert calls / len(scenario.servers) < 60
+
+    def test_containment_tests_see_the_floats_of_an_id_order_scan(self, monkeypatch):
+        # Every call's arguments must be those a scan of all triples
+        # i < j < k computes, down to the last bit: a product taken in
+        # another order may be mathematically equal and still flip a
+        # verdict on an edge.
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return spherical_containment(*args)
+
+        monkeypatch.setattr(slv.verify, "spherical_containment", recording)
+        for seed in (1, 2, 3):
+            scenario = generate_scenario(
+                24, 12, 0, 0,
+                bounds=RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0),
+                seed=seed,
+            )
+            layout = VerifierLayout(scenario.verifiers)
+            triples = [_triple_products(*t) for t in combinations(layout._units, 3)]
+            for server in scenario.servers:
+                calls.clear()
+                enumerate_triangles(layout, server.asserted_loc, 4)
+                up = _unit(server.asserted_loc)
+                scan = {(det, _dot(ab, up), _dot(bc, up), _dot(ac, up))
+                        for det, ab, bc, ac in triples}
+                assert calls and set(calls) <= scan
 
     def test_simulator_verdicts_identical(self, monkeypatch):
         scenario = generate_scenario(
