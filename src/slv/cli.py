@@ -192,8 +192,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     print(report.text_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        except OSError as exc:
+            return _fail(f"cannot write report {args.out}: {exc}")
         print(f"report written to {args.out}")
     return EXIT_OK
 

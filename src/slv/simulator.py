@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from hashlib import blake2b
 from typing import Optional
 
 from .geo import (
@@ -198,30 +199,51 @@ def simulated_rtt(
     a: Location,
     b: Location,
     model: DelayModel,
-    rng: random.Random,
+    fraction: float,
     is_target_edge: bool,
 ) -> float:
     """One synthetic RTT measurement in milliseconds between two points.
 
     The geodesic lower bound stretched by route circuitousness, plus
-    last-mile inflation on verifier-to-target edges, plus uniform jitter.
-    Deterministic given the RNG state.
+    last-mile inflation on verifier-to-target edges, plus `jitter_ms`
+    times `fraction`, a jitter draw in [0, 1). A function of its
+    arguments alone.
     """
     rtt = min_rtt_for_distance(great_circle_distance(a, b)) * model.circuitousness
     if is_target_edge:
         rtt += model.lastmile_ms
-    return rtt + rng.uniform(0.0, model.jitter_ms)
+    return rtt + model.jitter_ms * fraction
+
+
+def _jitter_fraction(key: str, probes: int) -> float:
+    """The least of `probes` uniform draws in [0, 1) for one edge.
+
+    Draw k is the top 53 bits of the 8-byte BLAKE2b digest of `key`
+    salted with k (16 bytes, little-endian), scaled by 2**-53: the
+    resolution of random.random(), with no generator to seed. Draw 0's
+    all-zero salt is BLAKE2b's default, so it is the plain digest of the
+    key. Digests of one length order as the integers they spell, so the
+    least digest gives the least draw.
+    """
+    data = key.encode()
+    digest = blake2b(data, digest_size=8).digest()
+    for k in range(1, probes):
+        salted = blake2b(data, digest_size=8, salt=k.to_bytes(16, "little"))
+        digest = min(digest, salted.digest())
+    return (int.from_bytes(digest, "big") >> 11) * 2.0**-53
 
 
 class SimDelayProvider(DelayProvider):
     """DelayProvider backed by scenario geography instead of sockets.
 
     Target RTTs reflect the server's true location (not the asserted one),
-    which is exactly what live measurements would see. Jitter comes from a
-    dedicated RNG per directed edge, seeded from (model seed, stream key,
-    verifier, endpoint): a given edge measures the same within one
-    verification regardless of call order or concurrency, and distinct
-    streams never share noise. Each edge is computed once per provider and
+    which is exactly what live measurements would see. An edge measured
+    with `probes` probes reads the least of `probes` jitter draws, as a
+    live agent returns the least of its connects. The draws of a directed
+    edge are keyed by (model seed, stream key, verifier, endpoint, probe
+    number): a given edge measures the same regardless of call order or
+    concurrency, and distinct streams, directions and probes never share
+    noise. Each (edge, probes) is computed once per provider and
     remembered, since the triangles of one verification share edges.
     """
 
@@ -236,22 +258,22 @@ class SimDelayProvider(DelayProvider):
         self._verifiers = dict(verifier_locs)
         self._true_loc = true_loc
         self._model = model
-        self._stream = stream
+        self._key = f"{model.seed}/{stream}"
         self._extra_target_ms = extra_target_ms
-        self._measured: dict[tuple[str, str], float] = {}
+        self._measured: dict[tuple[str, str, int], float] = {}
 
     def measure(
         self, verifier_id: str, endpoint_id: str, probes: int, timeout: float
     ) -> Optional[float]:
-        edge = (verifier_id, endpoint_id)
+        edge = (verifier_id, endpoint_id, probes)
         rtt = self._measured.get(edge)
         if rtt is not None:
             return rtt
         origin = self._verifiers[verifier_id]
         is_target = endpoint_id == TARGET
         dest = self._true_loc if is_target else self._verifiers[endpoint_id]
-        rng = random.Random(f"{self._model.seed}/{self._stream}/{verifier_id}/{endpoint_id}")
-        rtt = simulated_rtt(origin, dest, self._model, rng, is_target)
+        fraction = _jitter_fraction(f"{self._key}/{verifier_id}/{endpoint_id}", probes)
+        rtt = simulated_rtt(origin, dest, self._model, fraction, is_target)
         if is_target:
             rtt += self._extra_target_ms
         self._measured[edge] = rtt

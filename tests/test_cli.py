@@ -386,6 +386,18 @@ class TestCmdSimulate:
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert run_cli("simulate", "--scenario", str(tmp_path / "nope.json")) == 1
 
+    def test_report_into_a_missing_directory_exits_one_with_a_message(self, tmp_path, capsys):
+        scenario_path = tmp_path / "scenario.json"
+        generate_scenario(
+            6, 2, 1, bounds=BOUNDS, cfg=VerifyConfig(probes_per_measurement=1), seed=4
+        ).save(scenario_path)
+        out = tmp_path / "missing" / "report.json"
+        assert run_cli("simulate", "--scenario", str(scenario_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write report {out}: ")
+        assert "No such file or directory" in err and "Traceback" not in err
+        assert not out.parent.exists()
+
     def test_invalid_scenario_rejected(self, tmp_path, capsys):
         path = tmp_path / "small.json"
         scenario = generate_scenario(

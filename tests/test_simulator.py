@@ -3,9 +3,9 @@ import json
 import math
 import random
 import re
+import statistics
 from collections import Counter
 from dataclasses import fields
-from types import SimpleNamespace
 
 import pytest
 
@@ -33,8 +33,13 @@ BOUNDS = RegionBounds(lat_min=30.0, lat_max=57.0, lon_min=-118.0, lon_max=-70.0)
 CALIBRATED = DelayModel(circuitousness=1.5, lastmile_ms=5.0, jitter_ms=2.0, seed=0)
 NOISELESS = DelayModel(circuitousness=1.0, lastmile_ms=5.0, jitter_ms=0.0, seed=0)
 
-# sha256 of the run_experiment rows of TestRunExperiment's golden scenarios.
-GOLDEN_VERDICT_DIGEST = "531b7713995c9babe2185391eac53100e28ec5d4fa8511693c4a5fcbb7950a0f"
+# sha256 of the run_experiment rows of TestRunExperiment's golden scenarios,
+# recorded when each edge's jitter came to be drawn from a keyed BLAKE2b
+# hash instead of a freshly seeded random.Random.
+GOLDEN_VERDICT_DIGEST = "680307a857181d55334fc061b951855d26b838b46a8174aee4ee3c1e001ffaa7"
+
+# draw 0 of the edge key "0/7/v1/target"
+PINNED_DRAW = 0.5261982005545089
 
 # sha256 of the generate_scenario output of TestGenerateScenario's golden
 # configurations, recorded before server placement moved from a scan of
@@ -49,29 +54,45 @@ def quick_cfg(**overrides) -> VerifyConfig:
     return VerifyConfig(**defaults)
 
 
+# the draws a jitter fraction is given in the tests: the least and the
+# greatest possible, and one between
+FRACTIONS = (0.0, 0.5, math.nextafter(1.0, 0.0))
+
+
+def spec_draw(key: str, k: int) -> float:
+    """Draw k of an edge key as the README defines it, written out apart
+    from slv."""
+    salt = k.to_bytes(16, "little")
+    digest = hashlib.blake2b(key.encode(), digest_size=8, salt=salt).digest()
+    return (int.from_bytes(digest, "big") >> 11) / 2.0**53
+
+
 class TestSimulatedRtt:
     def test_zero_distance_no_noise(self):
         model = DelayModel(circuitousness=1.0, lastmile_ms=5.0, jitter_ms=0.0, seed=1)
-        rng = random.Random(0)
-        assert simulated_rtt(Location(1, 1), Location(1, 1), model, rng, False) == 0.0
+        for fraction in FRACTIONS:
+            assert simulated_rtt(Location(1, 1), Location(1, 1), model, fraction, False) == 0.0
 
     def test_target_edge_with_circuitousness_and_lastmile(self):
         model = DelayModel(circuitousness=1.5, lastmile_ms=5.0, jitter_ms=0.0, seed=1)
         a = Location(0, 0)
         b = destination_point(a, 90, 1000.0)
-        rng = random.Random(0)
-        assert simulated_rtt(a, b, model, rng, True) == pytest.approx(20.01, abs=0.01)
+        for fraction in FRACTIONS:
+            assert simulated_rtt(a, b, model, fraction, True) == pytest.approx(20.01, abs=0.01)
 
-    def test_deterministic_given_seed(self):
+    def test_jitter_is_the_fraction_of_jitter_ms(self):
         model = DelayModel(seed=42)
         a, b = Location(10, 10), Location(20, 30)
-        first = simulated_rtt(a, b, model, random.Random(7), True)
-        second = simulated_rtt(a, b, model, random.Random(7), True)
-        assert first == second
+        base = simulated_rtt(a, b, model, 0.0, True)
+        for fraction in FRACTIONS:
+            rtt = simulated_rtt(a, b, model, fraction, True)
+            assert rtt == simulated_rtt(a, b, model, fraction, True)
+            assert rtt == base + model.jitter_ms * fraction
+            assert base <= rtt <= base + model.jitter_ms
 
     def test_never_below_physical_bound(self):
         rng = random.Random(51)
-        for _ in range(2000):
+        for index in range(2000):
             a = Location(rng.uniform(-80, 80), rng.uniform(-179, 179))
             b = Location(rng.uniform(-80, 80), rng.uniform(-179, 179))
             model = DelayModel(
@@ -81,7 +102,7 @@ class TestSimulatedRtt:
                 seed=rng.randint(0, 10_000),
             )
             is_target = rng.random() < 0.5
-            rtt = simulated_rtt(a, b, model, rng, is_target)
+            rtt = simulated_rtt(a, b, model, FRACTIONS[index % 3], is_target)
             assert rtt >= min_rtt_for_distance(great_circle_distance(a, b))
 
     def test_model_validation(self):
@@ -96,6 +117,10 @@ class TestSimulatedRtt:
         assert model == DelayModel(jitter_ms=8.0, seed=3)
         assert type(model.jitter_ms) is float and type(model.seed) is int
         assert DelayModel.from_dict(CALIBRATED.to_dict()) == CALIBRATED
+
+
+THREE_VERIFIERS = {"v1": Location(40, -100), "v2": Location(45, -90), "v3": Location(35, -95)}
+EDGES = [(v, e) for v in THREE_VERIFIERS for e in (TARGET, *THREE_VERIFIERS) if e != v]
 
 
 class TestSimDelayProvider:
@@ -120,27 +145,76 @@ class TestSimDelayProvider:
         assert relay.measure("v1", TARGET, 1, 1) == plain.measure("v1", TARGET, 1, 1) + 30.0
         assert relay.measure("v1", "v2", 1, 1) == plain.measure("v1", "v2", 1, 1)
 
-    def test_each_edge_is_seeded_once_with_unchanged_values(self, monkeypatch):
-        verifiers = {"v1": Location(40, -100), "v2": Location(45, -90), "v3": Location(35, -95)}
-        edges = [(v, e) for v in verifiers for e in (TARGET, *verifiers) if e != v]
+    @staticmethod
+    def provider(stream="7", model=CALIBRATED) -> SimDelayProvider:
+        return SimDelayProvider(THREE_VERIFIERS, Location(41, -96), model, stream=stream)
+
+    @pytest.mark.parametrize("probes", [1, 3])
+    def test_each_edge_and_probe_is_hashed_once_with_unchanged_values(
+        self, monkeypatch, probes
+    ):
         # one fresh provider per call measures without any memory
-        expected = {
-            (v, e): SimDelayProvider(verifiers, Location(41, -96), CALIBRATED, stream="7")
-            .measure(v, e, 1, 1)
-            for v, e in edges
-        }
-        seeds = []
+        expected = {(v, e): self.provider().measure(v, e, probes, 1) for v, e in EDGES}
+        keys = []
 
-        class CountingRandom(random.Random):
-            def seed(self, a=None, version=2):
-                seeds.append(a)
-                super().seed(a, version)
+        def counting(data, **kwargs):
+            keys.append((data, kwargs.get("salt", bytes(16))))
+            return hashlib.blake2b(data, **kwargs)
 
-        monkeypatch.setattr("slv.simulator.random", SimpleNamespace(Random=CountingRandom))
-        provider = SimDelayProvider(verifiers, Location(41, -96), CALIBRATED, stream="7")
-        for order in (edges, list(reversed(edges)), edges):
-            assert {(v, e): provider.measure(v, e, 1, 1) for v, e in order} == expected
-        assert len(seeds) == len(set(seeds)) == len(edges)
+        monkeypatch.setattr("slv.simulator.blake2b", counting)
+        provider = self.provider()
+        for order in (EDGES, list(reversed(EDGES)), EDGES):
+            assert {(v, e): provider.measure(v, e, probes, 1) for v, e in order} == expected
+        assert len(keys) == len(set(keys)) == len(EDGES) * probes
+
+    def test_a_pinned_key_gives_a_pinned_draw(self):
+        # a change to the key, the hash, the bits taken or the scaling
+        # changes every simulated verdict; it must show here first
+        assert spec_draw("0/7/v1/target", 0) == PINNED_DRAW
+        jitter = CALIBRATED.jitter_ms * PINNED_DRAW
+        floor = simulated_rtt(THREE_VERIFIERS["v1"], Location(41, -96), CALIBRATED, 0.0, True)
+        assert self.provider().measure("v1", TARGET, 1, 1) == floor + jitter
+
+    def test_draws_are_uniform_on_the_unit_interval(self):
+        # a target at a verifier's own location under a model whose RTT is
+        # the jitter alone reads the draw itself
+        model = DelayModel(circuitousness=1.0, lastmile_ms=0.0, jitter_ms=1.0)
+        v1 = {"v1": THREE_VERIFIERS["v1"]}
+        draws = [
+            SimDelayProvider(v1, v1["v1"], model, stream=str(s)).measure("v1", TARGET, 1, 1)
+            for s in range(20_000)
+        ]
+        assert all(0.0 <= d < 1.0 for d in draws)
+        assert abs(statistics.fmean(draws) - 0.5) < 0.01
+        deciles = Counter(int(d * 10) for d in draws)
+        assert sorted(deciles) == list(range(10))
+        assert all(1800 <= count <= 2200 for count in deciles.values())
+
+    def test_draws_differ_across_streams_directions_and_probes(self):
+        draws = {spec_draw(f"0/{stream}/{v}/{e}", k)
+                 for stream in ("1", "2") for v, e in EDGES for k in range(3)}
+        assert len(draws) == 2 * len(EDGES) * 3
+        a, b = self.provider(stream="1"), self.provider(stream="2")
+        assert a.measure("v1", TARGET, 1, 1) != b.measure("v1", TARGET, 1, 1)
+        assert a.measure("v1", "v2", 1, 1) != a.measure("v2", "v1", 1, 1)
+
+    def test_an_edge_reads_the_least_of_its_probes_draws(self):
+        model = DelayModel(jitter_ms=8.0, seed=3)
+        provider = self.provider(model=model)
+        single = self.provider(model=model)
+        lowered = 0
+        for v, e in EDGES:
+            dest = Location(41, -96) if e == TARGET else THREE_VERIFIERS[e]
+            floor = simulated_rtt(THREE_VERIFIERS[v], dest, model, 0.0, e == TARGET)
+            least = min(spec_draw(f"3/7/{v}/{e}", k) for k in range(5))
+            rtt = provider.measure(v, e, 5, 1)
+            assert rtt == floor + model.jitter_ms * least
+            assert rtt <= single.measure(v, e, 1, 1)
+            lowered += rtt < single.measure(v, e, 1, 1)
+            # one provider keeps the value of each probe count apart
+            assert provider.measure(v, e, 1, 1) == single.measure(v, e, 1, 1)
+            assert provider.measure(v, e, 5, 1) == rtt
+        assert lowered > 0
 
 
 class TestScenarioTypes:
