@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 from .geo import (
     EARTH_RADIUS_KM,
-    MAX_DISTANCE_KM,
     _EDGE_EPS,
     _Triple,
     _checked_number,
@@ -307,9 +306,13 @@ def _validated(verifiers: Sequence[VerifierInput]) -> tuple[VerifierInput, ...]:
 # dropped for good.
 #
 # The slack covers rounding and the sign test's tolerance. Both bounds
-# take every distance, to p as between verifiers, as atan2(|u x v|, u.v)
-# of unit vectors, while perimeters are summed from haversine distances;
-# both are accurate to well under a metre, near-antipodal pairs included.
+# take a distance to p as atan2(|u x p|, u.p) of unit vectors, accurate
+# to well under a metre. A side bound takes d(a, b) as acos(u_a.u_b),
+# the dot clamped to [-1, 1]: a rounding e ~1e-16 of the dot moves acos
+# by about e / sin(d(a, b)), and by at most sqrt(2e) ~2e-8 radians
+# (~0.2 m) for sides within metres of 0 or of a half-turn, where a dot
+# rounded past 1 or -1 is clamped to a side of 0 or pi. Perimeters are
+# summed from haversine distances, accurate to well under a metre too.
 # The edge tolerance lets a point lie outside a triangle by a distance of
 # order EARTH_RADIUS_KM * _EDGE_EPS over the sines of its shortest side and
 # sharpest angle, which weakens either inequality by at most twice that
@@ -320,15 +323,6 @@ def _validated(verifiers: Sequence[VerifierInput]) -> tuple[VerifierInput, ...]:
 # cosine's rounding, at most ~1e-8 radians (0.1 km) when both lie within
 # metres of p and far less otherwise, which the slack covers too.
 _STOP_SLACK_KM = 1.0
-
-# A new pair (x, m) whose side may be at most room km long is dropped
-# before its cross product and arc are looked up when the cosine of its
-# side, u_x.u_m, is below cos(room / EARTH_RADIUS_KM) by more than this.
-# Both cosines are exact to ~1e-16, so the pair's side is then longer than
-# room by at least 1e-9 radians (6 mm), far above the rounding of the side
-# bound: the side bound drops every such pair too, and the kept pairs are
-# the same.
-_ROOM_COS_SLACK = 1e-9
 
 # Why a triple is tested only when the directions of its vertices seen
 # from p leave no gap wider than a half-turn. Write each unit vector as
@@ -359,12 +353,6 @@ _NEAR_SIN = 0.01
 _AZIMUTH_SLACK = 1e-7
 
 
-def _arc_km(u, cross, v) -> float:
-    """Great-circle distance in km between unit vectors u and v, given
-    cross = u x v (or v x u)."""
-    return EARTH_RADIUS_KM * math.atan2(math.sqrt(_dot(cross, cross)), _dot(u, v))
-
-
 def enumerate_triangles(
     layout: VerifierLayout, asserted: Location, limit: Optional[int] = None
 ) -> list[tuple[str, str, str]]:
@@ -393,8 +381,8 @@ def enumerate_triangles(
     triangle lies within half its perimeter of the point), and a triple
     is skipped when one of its sides (a, b) has d(a, b) + d(a, p) +
     d(b, p) above it (every containing triangle with side (a, b) is at
-    least that long). A new pair whose d(a, b) is already too long by its
-    dot product is dropped before its cross product is looked up.
+    least that long). Each new pair's side bound is taken from its dot
+    product, once per visit.
 
     Each visited verifier gets its azimuth about the point, and a triple
     is tested only when its three azimuths leave no gap wider than a
@@ -407,11 +395,9 @@ def enumerate_triangles(
     visits, and a point just outside the hull tests none. A verifier
     within ~64 km of the point or of its antipode has no usable azimuth
     and is tested in every triple. Distances to the point and azimuths are
-    computed only for the verifiers visited, and the cross product, arc
-    and haversine length of a pair together, once per layout. The search's
-    own state of a pair is its side bound, keyed as the layout's memo is;
-    a triple's three sides of the point are taken from the memo's cross
-    products when the triple is tested.
+    computed only for the verifiers visited. A pair's cross product and
+    haversine length are computed together, once per layout, when a
+    triple about to be tested first reads them from the layout's memo.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -420,12 +406,12 @@ def enumerate_triangles(
         return []
     units = layout._units
     n = len(units)
-    crosses, locs = layout._crosses, layout._locs
+    crosses, pair = layout._crosses, layout._pair
     cosines = [u[0] * px + u[1] * py + u[2] * pz for u in units]
     (e1x, e1y, e1z), (e2x, e2y, e2z) = _tangent_basis(up)
     # as locals, for the loops below
-    cos, atan2, sqrt, inf, tau = math.cos, math.atan2, math.sqrt, math.inf, math.tau
-    max_room, radius, cos_slack = MAX_DISTANCE_KM, EARTH_RADIUS_KM, _ROOM_COS_SLACK
+    acos, atan2, sqrt, pi, tau = math.acos, math.atan2, math.sqrt, math.pi, math.tau
+    radius = EARTH_RADIUS_KM
     # the widest gap between two vertices' turns, and the least turn of
     # the last of three, as a key for bisect on (turn, position)
     widest = math.pi + _AZIMUTH_SLACK
@@ -437,16 +423,17 @@ def enumerate_triangles(
     best: list[tuple[float, int, int, int]] = []
     cutoff = math.inf  # the k-th best perimeter plus slack once the top k is full
     visited: list[int] = []
+    seen: list[tuple[float, float, float]] = []  # unit vectors, by visit position
     reach: list[float] = []  # distance to the point, by visit position
     azimuth: list[Optional[float]] = []  # about the point, None when near
     near: list[int] = []  # visit positions of the near verifiers
-    # The side bound of each visited pair that was not dropped, keyed as
-    # layout._crosses is: i * n + j with i < j.
-    bound: dict[int, float] = {}
+    # rows[t][s], s < t: the side bound of the verifiers at visit
+    # positions s and t
+    rows: list[list[float]] = []
     for m in sorted(range(n), key=cosines.__getitem__, reverse=True):
         um = ux, uy, uz = units[m]
-        # the float _arc_km(um, _cross(um, up), up) gives, with sin_r =
-        # |um x up| kept for the near test
+        # d(m, p) in km as atan2(|um x up|, um.up), with sin_r = |um x up|
+        # kept for the near test
         cx, cy, cz = uy * pz - uz * py, uz * px - ux * pz, ux * py - uy * px
         sin_r = sqrt(cx * cx + cy * cy + cz * cz)
         reach_m = radius * atan2(sin_r, cosines[m])
@@ -456,37 +443,21 @@ def enumerate_triangles(
             ux * e2x + uy * e2y + uz * e2z, ux * e1x + uy * e1y + uz * e1z
         ) if sin_r >= _NEAR_SIN else None
         # The side bound of m with each visited verifier, by visit
-        # position and in bound by pair; a pair whose bound cannot be met
-        # gets an infinite one and no memo lookup. room is what the pair's
-        # side may be, and the dot test drops it only when the side is
-        # longer by far more than rounding.
-        room_m = cutoff - reach_m
-        row_bound: list[float] = []
-        for x, reach_x in zip(visited, reach):
-            room = room_m - reach_x
-            vx = units[x]
-            if room < 0.0 or (
-                room < max_room
-                and vx[0] * ux + vx[1] * uy + vx[2] * uz < cos(room / radius) - cos_slack
-            ):
-                row_bound.append(inf)
-                continue
-            key = x * n + m if x < m else m * n + x
-            pair = crosses.get(key)
-            if pair is None:
-                lo, hi = (x, m) if x < m else (m, x)
-                cross = _cross(units[lo], units[hi])
-                pair = crosses[key] = (cross, _arc_km(vx, cross, um),
-                                       great_circle_distance(locs[lo], locs[hi]))
-            bound[key] = side = pair[1] + reach_x + reach_m
-            row_bound.append(side)
+        # position: the side's length from its cosine c, clamped to
+        # [-1, 1] (see the comment above _STOP_SLACK_KM), plus both
+        # distances to the point.
+        row = [
+            radius * (acos(c) if -1.0 <= (c := vx * ux + vy * uy + vz * uz) <= 1.0
+                      else 0.0 if c > 0.0 else pi) + reach_x + reach_m
+            for (vx, vy, vz), reach_x in zip(seen, reach)
+        ]
         # The visited pairs (s, t), s < t, whose triple with m may contain
         # p: both live, their side with m within the bound, and leaving
         # no gap over a half-turn. With the live verifiers in order of
         # their turn phi from m's azimuth, that is phi_s <= pi + slack and
         # phi_t in [max(phi_s, pi - slack), phi_s + pi + slack]; a near
         # verifier pairs with every live one, and a near m with all pairs.
-        live = [s for s, bound in enumerate(row_bound) if bound <= cutoff]
+        live = [s for s, side in enumerate(row) if side <= cutoff]
         if azimuth_m is None:
             pairs = [(s, t) for i, t in enumerate(live) for s in live[:i]]
         else:
@@ -503,22 +474,23 @@ def enumerate_triangles(
                 for _, t in turns[max(i + 1, first_last):bisect_right(turns, (phi_s + widest, n))]:
                     pairs.append((s, t) if s < t else (t, s))
             for s in near:
-                if row_bound[s] <= cutoff:
+                if row[s] <= cutoff:
                     for t in live:
                         if t > s or (t < s and azimuth[t] is not None):
                             pairs.append((s, t) if s < t else (t, s))
         for s, t in pairs:
+            # m's side bound with s and with t, then the pair's own, on
+            # the k-th best perimeter as it stands
+            if row[s] > cutoff or row[t] > cutoff or rows[t][s] > cutoff:
+                continue
             a, b = visited[s], visited[t]
             if a > b:
                 a, b = b, a
-            # m's side bound with s and with t, then the pair's own, on
-            # the k-th best perimeter as it stands
-            if row_bound[s] > cutoff or row_bound[t] > cutoff or bound.get(a * n + b, inf) > cutoff:
-                continue
-            # all three pairs met their bound, so each is in the memo
             i, j, k = (a, b, m) if m > b else (a, m, b) if m > a else (m, a, b)
-            (ij, _, l_ij), (jk, _, l_jk), (ik, _, l_ik) = (
-                crosses[i * n + j], crosses[j * n + k], crosses[i * n + k]
+            (ij, l_ij), (jk, l_jk), (ik, l_ik) = (
+                crosses.get(i * n + j) or pair(i, j),
+                crosses.get(j * n + k) or pair(j, k),
+                crosses.get(i * n + k) or pair(i, k),
             )
             uk = units[k]
             if not spherical_containment(
@@ -539,8 +511,10 @@ def enumerate_triangles(
         if azimuth_m is None:
             near.append(len(visited))
         visited.append(m)
+        seen.append(um)
         reach.append(reach_m)
         azimuth.append(azimuth_m)
+        rows.append(row)
 
     ids = layout._ids
     return [(ids[i], ids[j], ids[k]) for _, i, j, k in best]
@@ -684,10 +658,11 @@ class VerifierLayout:
     unique ids), maps each id to its location (verify_location reads a
     found triangle's vertices there), takes their unit vectors and builds
     the hull that covers() and the triangle search decide on; nothing
-    else is built later. It fills on first use one memo entry per
-    verifier pair (so at most n(n - 1)/2): the pair's cross product and
-    arc for the search's side bound, and its haversine length for
-    perimeters. Every such value is the float a fresh search computes.
+    else is built later. It fills one memo entry per verifier pair (so at
+    most n(n - 1)/2) that a triple tested by the search reads, and no
+    other: the pair's cross product for the containment test and its
+    haversine length for perimeters. Every such value is the float a
+    fresh search computes.
     Threads may share a layout: each memo entry is written whole, and two
     threads that fill the same entry store the same value.
 
@@ -704,13 +679,21 @@ class VerifierLayout:
         self._ids = list(self._loc_of)
         self._locs = list(self._loc_of.values())
         self._units = [_unit(loc) for loc in self._locs]
-        # (cross(u_i, u_j), its arc and haversine length in km) of pair
-        # i < j, keyed by i * n + j.
-        self._crosses: dict[int, tuple[tuple[float, float, float], float, float]] = {}
+        # (cross(u_i, u_j), haversine length in km) of pair i < j, keyed
+        # by i * n + j.
+        self._crosses: dict[int, tuple[tuple[float, float, float], float]] = {}
         # Inward unit normals of the hull edges and (boundary ray to the
         # next fan vertex, fan triple) per fan triangle, both empty when
         # the hull is not checked.
         self._normals, self._fan = _hull_edges(self._units)
+
+    def _pair(self, i: int, j: int) -> tuple[tuple[float, float, float], float]:
+        """Fills and returns the memo entry of verifier pair i < j."""
+        entry = self._crosses[i * len(self._units) + j] = (
+            _cross(self._units[i], self._units[j]),
+            great_circle_distance(self._locs[i], self._locs[j]),
+        )
+        return entry
 
     def _beyond_hull(self, up) -> bool:
         """Whether unit vector up lies beyond a hull edge by more than

@@ -344,6 +344,7 @@ def test_criterion_7_live_loopback_loop(tmp_path):
             finally:
                 api.shutdown()
                 api.server_close()
+                service.close()
         finally:
             target.__exit__(None, None, None)
             for agent in agents:

@@ -490,6 +490,71 @@ class TestVerifierLayout:
         points += [loc for _, loc in verifiers[-5:]]
         self._check(verifiers, points, (1, 2, 4, None), oracle_points=len(points))
 
+    def test_antipodal_pair_whose_dot_rounds_below_minus_one(self):
+        # The side bound takes acos of a verifier pair's dot product, which
+        # can round below -1 for a pair half a turn apart; the search
+        # clamps it, neither raising nor changing a result.
+        for seed in range(100):
+            rng = random.Random(seed)
+            lat, lon = rng.uniform(-80.0, 80.0), rng.uniform(-180.0, 0.0)
+            pair = Location(lat, lon), Location(-lat, lon + 180.0)
+            if _dot(*map(_unit, pair)) < -1.0:
+                break
+        else:
+            pytest.fail("no seed gives a dot below -1")
+
+        def anywhere() -> Location:
+            return Location(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                            rng.uniform(-180.0, 180.0))
+
+        verifiers = [(f"v{i:02d}", anywhere()) for i in range(10)]
+        verifiers += [("w0", pair[0]), ("w1", pair[1])]
+        points = [anywhere() for _ in range(16)] + list(pair)
+        self._check(verifiers, points, (1, 2, 4, None), oracle_points=len(points))
+
+    def test_close_pair_whose_dot_rounds_above_one(self):
+        # Two verifiers 11 cm apart whose dot product rounds above 1: the
+        # clamp gives their side length 0, and the search matches the
+        # oracle.
+        for seed in range(10000):
+            rng = random.Random(seed)
+            lat, lon = rng.uniform(-80.0, 80.0), rng.uniform(-180.0, 180.0)
+            pair = Location(lat, lon), Location(lat + 1e-6, lon)
+            if _dot(*map(_unit, pair)) > 1.0:
+                break
+        else:
+            pytest.fail("no seed gives a dot above 1")
+        verifiers = [
+            (f"v{i:02d}", Location(lat + rng.uniform(-5.0, 5.0), lon + rng.uniform(-5.0, 5.0)))
+            for i in range(10)
+        ]
+        verifiers += [("w0", pair[0]), ("w1", pair[1])]
+        points = [Location(lat + rng.uniform(-6.0, 6.0), lon + rng.uniform(-6.0, 6.0))
+                  for _ in range(16)] + list(pair)
+        self._check(verifiers, points, (1, 2, 4, None), oracle_points=len(points))
+
+    def test_memo_holds_only_the_pairs_of_tested_triples(self, monkeypatch):
+        # A pair's memo entry is filled when a triple about to be tested
+        # first reads it, so one search on a fresh layout fills at most
+        # three entries per containment test, not one per pair it visits.
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return spherical_containment(*args)
+
+        monkeypatch.setattr(slv.verify, "spherical_containment", counting)
+        verifiers, points = self._box_layout(random.Random(12), 40, grow=0.0)
+        searched = 0
+        for p in points:
+            layout = VerifierLayout(verifiers)
+            calls = 0
+            enumerate_triangles(layout, p, 4)
+            assert len(layout._crosses) <= 3 * calls, p
+            searched += calls > 0
+        assert searched > len(points) // 2
+
     def test_threads_sharing_one_layout_get_the_fresh_results(self):
         # The manager's handler threads share its layout; two threads that
         # fill one memo entry store the same value, so no result changes.

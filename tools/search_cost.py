@@ -15,9 +15,12 @@ does with the default `max_triangles`, for two sets of points:
   the search decides it, and finds no triangle.
 
 It prints one Markdown table row per set: the containment tests per point
-(mean, median, max), which depend only on the code and the seeds, and the
-time per point in ms (mean, median, 99th percentile), the minimum of R
-rounds (default 3) on the warm layout, after the pass that counts.
+(mean, median, max) and the entries of the layout's pair memo after the
+set's counted pass (which holds those of the covers() calls that drew the
+points, and, for band, of the covered pass), which depend only on the
+code and the seeds, and the time per point in ms (mean, median, 99th
+percentile), the minimum of R rounds (default 3) on the warm layout,
+after the pass that counts.
 --no-times prints the counts only. The slv package is imported from the
 src directory next to this script. Standard library only.
 """
@@ -124,7 +127,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--no-times", action="store_true")
     args = parser.parse_args(argv)
 
-    head = "| verifiers | points | tests mean | tests p50 | tests max |"
+    head = "| verifiers | points | tests mean | tests p50 | tests max | memo entries |"
     if not args.no_times:
         head += " mean ms | p50 ms | p99 ms |"
     print(head)
@@ -135,7 +138,8 @@ def main(argv: list[str]) -> int:
         for name, points in (("covered", covered_points(layout)), ("band", band_points(layout))):
             tests = containment_tests(layout, points)
             row = (f"| {n} | {len(points)} {name} | {statistics.fmean(tests):,.1f} "
-                   f"| {statistics.median(tests):,.0f} | {max(tests):,} |")
+                   f"| {statistics.median(tests):,.0f} | {max(tests):,} "
+                   f"| {len(layout._crosses):,} |")
             if not args.no_times:
                 ms = times_ms(layout, points, args.rounds)
                 row += (f" {statistics.fmean(ms):.3f} | {statistics.median(ms):.3f} "
