@@ -267,16 +267,14 @@ class SimDelayProvider(DelayProvider):
     ) -> Optional[float]:
         edge = (verifier_id, endpoint_id, probes)
         rtt = self._measured.get(edge)
-        if rtt is not None:
-            return rtt
-        origin = self._verifiers[verifier_id]
-        is_target = endpoint_id == TARGET
-        dest = self._true_loc if is_target else self._verifiers[endpoint_id]
-        fraction = _jitter_fraction(f"{self._key}/{verifier_id}/{endpoint_id}", probes)
-        rtt = simulated_rtt(origin, dest, self._model, fraction, is_target)
-        if is_target:
-            rtt += self._extra_target_ms
-        self._measured[edge] = rtt
+        if rtt is None:
+            is_target = endpoint_id == TARGET
+            dest = self._true_loc if is_target else self._verifiers[endpoint_id]
+            fraction = _jitter_fraction(f"{self._key}/{verifier_id}/{endpoint_id}", probes)
+            rtt = simulated_rtt(self._verifiers[verifier_id], dest, self._model, fraction, is_target)
+            if is_target:
+                rtt += self._extra_target_ms
+            self._measured[edge] = rtt
         return rtt
 
 

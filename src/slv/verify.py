@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ipaddress
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 # Not used here; bench/layers.py patches slv.verify.ThreadPoolExecutor by
 # name, so the name stays importable.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -349,6 +349,13 @@ _STOP_SLACK_KM = 1.0
 # leave one wider than pi + _AZIMUTH_SLACK fails the sign test and need
 # not be tested. A verifier with sin(r) < _NEAR_SIN, within ~64 km of p or
 # of its antipode, has no usable azimuth and is tested in every triple.
+# The search measures turns phi in [0, 2*pi) from the azimuth of the
+# verifier m it visits. For phi_s <= phi_t the gaps of (m, s, t) in
+# circular order are phi_s, phi_t - phi_s and 2*pi - phi_t, so none
+# exceeds pi + _AZIMUTH_SLACK iff phi_s <= pi + _AZIMUTH_SLACK (s may come
+# first), phi_t >= pi - _AZIMUTH_SLACK (t may come last) and
+# phi_t - phi_s <= pi + _AZIMUTH_SLACK. Ordering s and t by (phi, visit
+# position) takes each pair once, bit-equal turns included.
 _NEAR_SIN = 0.01
 _AZIMUTH_SLACK = 1e-7
 
@@ -388,13 +395,15 @@ def enumerate_triangles(
     is tested only when its three azimuths leave no gap wider than a
     half-turn, which every triple passing the containment test does (see
     the comment above _NEAR_SIN). The visited verifiers whose pair with
-    the new one meets the side bound are sorted by their turn from its
-    azimuth, and the pairs among them that can close such a triple are
-    found by bisection. So a point near the hull edge, which lies only in
-    long triangles, no longer tests every triple of the many verifiers it
-    visits, and a point just outside the hull tests none. A verifier
-    within ~64 km of the point or of its antipode has no usable azimuth
-    and is tested in every triple. Distances to the point and azimuths are
+    the new one meets the side bound are split by their turn from its
+    azimuth into those that may come first (at most a half-turn) and
+    those that may come last (at least a half-turn), slack included, and
+    only the pairs of one of each that close such a triple are tested;
+    nothing is sorted per visit. So a point near the hull edge, which
+    lies only in long triangles, no longer tests every triple of the many
+    verifiers it visits, and a point just outside the hull tests none. A
+    verifier within ~64 km of the point or of its antipode has no usable
+    azimuth and is tested in every triple. Distances to the point and azimuths are
     computed only for the verifiers visited. A pair's cross product and
     haversine length are computed together, once per layout, when a
     triple about to be tested first reads them from the layout's memo.
@@ -413,9 +422,9 @@ def enumerate_triangles(
     acos, atan2, sqrt, pi, tau = math.acos, math.atan2, math.sqrt, math.pi, math.tau
     radius = EARTH_RADIUS_KM
     # the widest gap between two vertices' turns, and the least turn of
-    # the last of three, as a key for bisect on (turn, position)
+    # the last of three
     widest = math.pi + _AZIMUTH_SLACK
-    least_last = (math.pi - _AZIMUTH_SLACK,)
+    least_last = math.pi - _AZIMUTH_SLACK
 
     # Every triple is tested as (i, j, k) with i < j < k in id order, and
     # every pair's cross product as (i, j), i < j, so each float the test
@@ -453,30 +462,32 @@ def enumerate_triangles(
         ]
         # The visited pairs (s, t), s < t, whose triple with m may contain
         # p: both live, their side with m within the bound, and leaving
-        # no gap over a half-turn. With the live verifiers in order of
-        # their turn phi from m's azimuth, that is phi_s <= pi + slack and
-        # phi_t in [max(phi_s, pi - slack), phi_s + pi + slack]; a near
+        # no gap over a half-turn. With phi the turn from m's azimuth,
+        # that is phi_s <= pi + slack (s may come first), phi_t >=
+        # pi - slack (t may come last), (phi_s, s) < (phi_t, t) so that
+        # each pair is taken once, and phi_t <= phi_s + pi + slack; a near
         # verifier pairs with every live one, and a near m with all pairs.
-        live = [s for s, side in enumerate(row) if side <= cutoff]
         if azimuth_m is None:
+            live = [s for s, side in enumerate(row) if side <= cutoff]
             pairs = [(s, t) for i, t in enumerate(live) for s in live[:i]]
         else:
-            turns = sorted([
-                ((azimuth[s] - azimuth_m) % tau, s) for s in live if azimuth[s] is not None
-            ])
-            first_last = bisect_left(turns, least_last)
-            pairs = []
-            for i, (phi_s, s) in enumerate(turns):
-                if phi_s > widest:
-                    break
-                # n is past every position, so the slice ends after the
-                # last turn within phi_s + widest
-                for _, t in turns[max(i + 1, first_last):bisect_right(turns, (phi_s + widest, n))]:
-                    pairs.append((s, t) if s < t else (t, s))
+            first, last = [], []
+            for s, side in enumerate(row):
+                if side <= cutoff and (azimuth_s := azimuth[s]) is not None:
+                    phi = (azimuth_s - azimuth_m) % tau
+                    if phi <= widest:
+                        first.append((phi, s))
+                    if phi >= least_last:
+                        last.append((phi, s))
+            pairs = [
+                (s, t) if s < t else (t, s)
+                for phi_s, s in first for phi_t, t in last
+                if phi_s < phi_t <= phi_s + widest or phi_s == phi_t and s < t
+            ]
             for s in near:
                 if row[s] <= cutoff:
-                    for t in live:
-                        if t > s or (t < s and azimuth[t] is not None):
+                    for t, side in enumerate(row):
+                        if side <= cutoff and (t > s or (t < s and azimuth[t] is not None)):
                             pairs.append((s, t) if s < t else (t, s))
         for s, t in pairs:
             # m's side bound with s and with t, then the pair's own, on
@@ -600,13 +611,16 @@ def _hull(units) -> Optional[list[int]]:
     centre = _normalized(tuple(sum(u[i] for u in units) for i in range(3)))
     if centre is None:
         return None
-    e1, e2 = _tangent_basis(centre)
+    cx, cy, cz = centre
+    (e1x, e1y, e1z), (e2x, e2y, e2z) = _tangent_basis(centre)
+    # _dot(u, centre), _dot(u, e1) and _dot(u, e2), inlined: the same
+    # products summed in the same order, without a call per verifier.
     points = []
-    for index, u in enumerate(units):
-        m = _dot(u, centre)
+    for index, (x, y, z) in enumerate(units):
+        m = x * cx + y * cy + z * cz
         if m <= 0.0:
             return None
-        points.append((_dot(u, e1) / m, _dot(u, e2) / m, index))
+        points.append(((x * e1x + y * e1y + z * e1z) / m, (x * e2x + y * e2y + z * e2z) / m, index))
     points.sort()
 
     def chain(ordered) -> list:
@@ -731,17 +745,18 @@ def _measure_triangle(
     verifier, each to the target and then to its peers in id order, so a
     live provider can put them all in flight at once and a triangle costs
     one probe round of wall time rather than nine."""
-    edges = [(v, e) for v in ids for e in (TARGET,) + tuple(w for w in ids if w != v)]
+    a, b, c = ids
+    edges = [(a, TARGET), (a, b), (a, c), (b, TARGET), (b, a), (b, c), (c, TARGET), (c, a), (c, b)]
     measured = delays.measure_edges(
         edges, cfg.probes_per_measurement, cfg.measurement_timeout)
-
-    rtts = {}
-    for edge, ms in zip(edges, measured):
-        if ms is None:
-            return None
-        ms = max(ms, 0.0)
-        rtts[edge] = apply_lastmile_correction(ms, cfg.lambda_ms) if edge[1] == TARGET else ms
-    return rtts
+    if None in measured:
+        return None
+    lambda_ms = cfg.lambda_ms
+    return {
+        edge: apply_lastmile_correction(max(ms, 0.0), lambda_ms) if edge[1] == TARGET
+        else max(ms, 0.0)
+        for edge, ms in zip(edges, measured)
+    }
 
 
 def verify_location(

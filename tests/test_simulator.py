@@ -21,6 +21,7 @@ from slv.simulator import (
     SimDelayProvider,
     SimScenario,
     SimServer,
+    _jitter_fraction,
     generate_scenario,
     run_experiment,
     simulated_rtt,
@@ -215,6 +216,28 @@ class TestSimDelayProvider:
             assert provider.measure(v, e, 1, 1) == single.measure(v, e, 1, 1)
             assert provider.measure(v, e, 5, 1) == rtt
         assert lowered > 0
+
+    @pytest.mark.parametrize("probes", [1, 3])
+    def test_each_edge_reads_simulated_rtt_of_its_draw(self, probes):
+        # one delay formula: every directed edge is simulated_rtt with its
+        # edge's jitter draw, plus the relay's overhead on target edges
+        scenario = generate_scenario(12, 1, 1, 1, bounds=BOUNDS, model=CALIBRATED, seed=5)
+        assert [server.adversary.extra_ms for server in scenario.servers] == [0.0, 0.0, 30.0]
+        locs = dict(scenario.verifiers)
+        model = scenario.model
+        for index, server in enumerate(scenario.servers):
+            extra = server.adversary.extra_ms
+            provider = SimDelayProvider(locs, server.true_loc, model, stream=str(index),
+                                        extra_target_ms=extra)
+            for v in locs:
+                for e in [w for w in locs if w != v] + [TARGET]:
+                    is_target = e == TARGET
+                    fraction = _jitter_fraction(f"{model.seed}/{index}/{v}/{e}", probes)
+                    dest = server.true_loc if is_target else locs[e]
+                    expected = simulated_rtt(locs[v], dest, model, fraction, is_target)
+                    if is_target:
+                        expected += extra
+                    assert provider.measure(v, e, probes, 1).hex() == expected.hex(), (v, e)
 
 
 class TestScenarioTypes:

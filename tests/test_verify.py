@@ -641,6 +641,53 @@ class TestVerifierLayout:
             checked += bool(normals)
         assert 0 < checked < len(layouts)
 
+    def test_hull_matches_a_dot_call_projection(self):
+        # _hull inlines the gnomonic projection's three _dot calls per
+        # verifier; the reference below makes them, and the hull must be
+        # the same indices in the same order.
+        def reference_hull(units):
+            centre = slv.verify._normalized(tuple(sum(u[i] for u in units) for i in range(3)))
+            if centre is None:
+                return None
+            e1, e2 = slv.verify._tangent_basis(centre)
+            points = []
+            for index, u in enumerate(units):
+                m = _dot(u, centre)
+                if m <= 0.0:
+                    return None
+                points.append((_dot(u, e1) / m, _dot(u, e2) / m, index))
+            points.sort()
+
+            def chain(ordered) -> list:
+                out: list = []
+                for q in ordered:
+                    while len(out) >= 2 and (
+                        (out[-1][0] - out[-2][0]) * (q[1] - out[-2][1])
+                        - (out[-1][1] - out[-2][1]) * (q[0] - out[-2][0])
+                    ) <= 0.0:
+                        out.pop()
+                    out.append(q)
+                return out[:-1]
+
+            hull = chain(points) + chain(reversed(points))
+            return [q[2] for q in hull] if len(hull) >= 3 else None
+
+        rng = random.Random(19)
+        # sim_sweep's box and 40 verifiers, random boxes of 3 to 60, and
+        # layouts over the whole sphere (mostly wider than a hemisphere)
+        layouts = [[(f"v{i:02d}", TestCoverage._draw(rng, TestCoverage.BOXES["north_america"]))
+                    for i in range(40)] for _ in range(20)]
+        layouts += [self._box_layout(rng, rng.randint(3, 60))[0] for _ in range(25)]
+        layouts += [[(f"w{i}", Location(rng.uniform(-90, 90), rng.uniform(-180, 180)))
+                     for i in range(12)] for _ in range(5)]
+        checked = 0
+        for verifiers in layouts:
+            units = [_unit(loc) for _, loc in sorted(verifiers, key=lambda v: v[0])]
+            hull = slv.verify._hull(units)
+            assert hull == reference_hull(units)
+            checked += hull is not None
+        assert len(layouts) == 50 and 45 <= checked < 50
+
     def test_run_experiment_searches_one_layout(self, monkeypatch):
         scenario = generate_scenario(
             12, 3, 2, 1,
@@ -1183,6 +1230,44 @@ class TestAzimuthIndex:
                 full = [t.verifier_ids for t in oracle(verifiers, p)]
                 for k in (1, 4, None):
                     assert enumerate_triangles(layout, p, k) == full[:k], (km, k, verifiers, p)
+
+    def test_bit_equal_turns_take_each_pair_once(self, monkeypatch):
+        # Verifiers on the meridian and the equator through (0, 0): seen
+        # from a point on them, many turns are bit-equal, several of them
+        # a half-turn, where a verifier may come first and last. Each
+        # triple is tested at most once, with the floats of an id-order
+        # scan, and the result is the oracle's head with no repeat. A
+        # tested triple (i, j, k) reads the memo at pairs (i, j), (j, k)
+        # and (i, k), in that order; distinct triples of this symmetric
+        # layout can pass equal floats to the test, so the reads name them.
+        class Reads(dict):
+            def get(self, key, default=None):
+                read.append(key)
+                return super().get(key, default)
+
+        verifiers = [(f"{name}{deg}", Location(lat * deg, lon * deg))
+                     for name, lat, lon in (("n", 1, 0), ("s", -1, 0), ("e", 0, 1), ("w", 0, -1))
+                     for deg in (10, 20)]
+        layout = VerifierLayout(verifiers)
+        layout._crosses = Reads()
+        n = len(verifiers)
+        triples = [_triple_products(*t) for t in combinations(layout._units, 3)]
+        calls = TestSearchConsultsTheHull._containment_calls(monkeypatch)
+        for p in (Location(0, 0), Location(0, 5), Location(-5, 0)):
+            up = _unit(p)
+            scan = {(det, _dot(ab, up), _dot(bc, up), _dot(ac, up)) for det, ab, bc, ac in triples}
+            full = [t.verifier_ids for t in oracle(verifiers, p)]
+            assert len(full) >= 4
+            for k in (1, 4, None):
+                calls.clear()
+                read: list = []
+                found = enumerate_triangles(layout, p, k)
+                assert found == full[:k], (k, p)
+                assert len(set(found)) == len(found)
+                tested = [(ij // n, ij % n, jk % n) for ij, jk, _ in zip(*[iter(read)] * 3)]
+                assert len(tested) == len(calls) and set(calls) <= scan, (k, p)
+                assert all(i < j < k for i, j, k in tested)
+                assert len(set(tested)) == len(tested), (k, p)
 
     def test_oracle_head_with_a_verifier_antipodal_to_the_point(self):
         rng = random.Random(3)
