@@ -124,7 +124,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     outcome = evaluate_pin(store, host, result, now=utc_now(), rmax=args.rmax)
     if outcome is Outcome.UNSUSPICIOUS:
-        persist_store(store, store_path)
+        try:
+            persist_store(store, store_path)
+        except OSError as exc:
+            return _fail(f"cannot write pin store {store_path}: {exc}")
 
     if args.json:
         payload = result.to_dict()
@@ -160,20 +163,20 @@ def cmd_pin(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.pin_command == "clear":
         del store[domain]
+    else:  # set-rmax
+        if args.n < 1:
+            return _fail("rmax must be >= 1")
+        if args.n < len(entry.ver_regs):
+            return _fail(
+                f"{domain} already has {len(entry.ver_regs)} pinned regions; "
+                f"clear the pin before lowering rmax below that"
+            )
+        entry.rmax = args.n
+    try:
         persist_store(store, store_path)
-        print(f"cleared {domain}")
-        return EXIT_OK
-    # set-rmax
-    if args.n < 1:
-        return _fail("rmax must be >= 1")
-    if args.n < len(entry.ver_regs):
-        return _fail(
-            f"{domain} already has {len(entry.ver_regs)} pinned regions; "
-            f"clear the pin before lowering rmax below that"
-        )
-    entry.rmax = args.n
-    persist_store(store, store_path)
-    print(f"{domain} rmax={args.n}")
+    except OSError as exc:
+        return _fail(f"cannot write pin store {store_path}: {exc}")
+    print(f"cleared {domain}" if args.pin_command == "clear" else f"{domain} rmax={args.n}")
     return EXIT_OK
 
 

@@ -608,14 +608,18 @@ class LiveDelayProvider(DelayProvider):
         self, edges: Sequence[tuple[str, str]], probes: int, timeout: float
     ) -> list[Optional[float]]:
         """Every edge at once, from the calling thread: one request per edge
-        on a pooled connection of its own. The connections not yet open all
-        begin their handshakes first; then every request is sent before
-        any reply is read, and the replies are read in order by one
-        deadline, that of a single request. A failed edge is None. A
-        request that cannot be sent ends the sending: the edges after it
-        are None too, as the engine gives up a triangle at its first failed
-        edge. Every connection goes back to the pool, which keeps the idle
-        ones, so a failed send costs no other edge's warm connection."""
+        on a pooled connection of its own. The engine passes only the edges
+        of a triangle that its verification has not measured yet, so a
+        verification sends one request per distinct edge it walks. The
+        connections not yet open all begin their handshakes first; then
+        every request is sent before any reply is read, and the replies
+        are read in order by one deadline, that of a single request. A
+        failed edge is None. A request that cannot be sent ends the
+        sending: the edges after it are None too, as the engine gives up a
+        triangle with any failed edge (and asks for an unsent edge again
+        when a later triangle needs it). Every connection goes back to the
+        pool, which keeps the idle ones, so a failed send costs no other
+        edge's warm connection."""
         requests = []
         for verifier_id, endpoint_id in edges:
             if endpoint_id == TARGET:

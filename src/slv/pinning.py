@@ -194,5 +194,5 @@ def load_store(path) -> PinStore:
             entry = PinEntry.from_dict(data)
             store[entry.name] = entry
         return store
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptStoreError(f"cannot parse pin store {path}: {exc}") from exc
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CorruptStoreError(f"cannot read pin store {path}: {exc}") from exc

@@ -243,8 +243,9 @@ class SimDelayProvider(DelayProvider):
     edge are keyed by (model seed, stream key, verifier, endpoint, probe
     number): a given edge measures the same regardless of call order or
     concurrency, and distinct streams, directions and probes never share
-    noise. Each (edge, probes) is computed once per provider and
-    remembered, since the triangles of one verification share edges.
+    noise. The provider keeps no state: a measurement is a function of
+    (seed, stream, verifier, endpoint, probes) alone, and the engine asks
+    for each edge of a verification once.
     """
 
     def __init__(
@@ -260,22 +261,15 @@ class SimDelayProvider(DelayProvider):
         self._model = model
         self._key = f"{model.seed}/{stream}"
         self._extra_target_ms = extra_target_ms
-        self._measured: dict[tuple[str, str, int], float] = {}
 
     def measure(
         self, verifier_id: str, endpoint_id: str, probes: int, timeout: float
     ) -> Optional[float]:
-        edge = (verifier_id, endpoint_id, probes)
-        rtt = self._measured.get(edge)
-        if rtt is None:
-            is_target = endpoint_id == TARGET
-            dest = self._true_loc if is_target else self._verifiers[endpoint_id]
-            fraction = _jitter_fraction(f"{self._key}/{verifier_id}/{endpoint_id}", probes)
-            rtt = simulated_rtt(self._verifiers[verifier_id], dest, self._model, fraction, is_target)
-            if is_target:
-                rtt += self._extra_target_ms
-            self._measured[edge] = rtt
-        return rtt
+        is_target = endpoint_id == TARGET
+        dest = self._true_loc if is_target else self._verifiers[endpoint_id]
+        fraction = _jitter_fraction(f"{self._key}/{verifier_id}/{endpoint_id}", probes)
+        rtt = simulated_rtt(self._verifiers[verifier_id], dest, self._model, fraction, is_target)
+        return rtt + self._extra_target_ms if is_target else rtt
 
 
 @dataclass

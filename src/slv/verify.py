@@ -207,10 +207,13 @@ class DelayProvider:
     """Source of raw (uncorrected) RTT measurements.
 
     The engine clamps each returned RTT at zero and applies the last-mile
-    correction to target RTTs; a provider does neither. The engine calls
-    measure_edges once per triangle, with its 9 edges (3 verifiers times
-    the target and 2 peers). A provider implements measure; one that can
-    take many edges at once also overrides measure_edges.
+    correction to target RTTs; a provider does neither. A verification
+    measures each directed edge it needs once: the engine remembers every
+    edge measured successfully, and per triangle calls measure_edges once
+    with those of its 9 edges (3 verifiers times the target and 2 peers)
+    that it has not measured yet, or not at all when it knows all 9. A
+    provider implements measure; one that can take many edges at once
+    also overrides measure_edges.
     """
 
     def measure(
@@ -734,29 +737,34 @@ class VerifierLayout:
 
 
 def _measure_triangle(
-    ids: tuple[str, str, str], delays: DelayProvider, cfg: VerifyConfig
+    ids: tuple[str, str, str],
+    delays: DelayProvider,
+    cfg: VerifyConfig,
+    known: dict[tuple[str, str], float],
 ) -> Optional[dict[tuple[str, str], float]]:
-    """The 9 RTTs in ms of the triangle of verifier ids `ids`, keyed by
-    (verifier id, endpoint id) where the endpoint is another verifier or
-    TARGET; None when any measurement fails. Each RTT is clamped at zero,
-    and target RTTs are then last-mile corrected.
+    """Measure the triangle of verifier ids `ids` into `known` and return
+    it, or None when one of the triangle's edges failed.
 
-    All 9 edges go to the provider in one measure_edges call, verifier by
-    verifier, each to the target and then to its peers in id order, so a
-    live provider can put them all in flight at once and a triangle costs
-    one probe round of wall time rather than nine."""
+    `known` holds the RTTs in ms that this verification has measured so
+    far, keyed by (verifier id, endpoint id) where the endpoint is another
+    verifier or TARGET. Only the triangle's edges not in it go to the
+    provider, in one measure_edges call (none when all 9 are known),
+    verifier by verifier, each to the target and then to its peers in id
+    order, so a live provider can put them all in flight at once and a
+    triangle costs at most one probe round of wall time. Each RTT measured
+    is clamped at zero, target RTTs are then last-mile corrected, and the
+    value is stored in `known`. A failed edge is not stored, so the next
+    triangle that needs it asks again."""
     a, b, c = ids
     edges = [(a, TARGET), (a, b), (a, c), (b, TARGET), (b, a), (b, c), (c, TARGET), (c, a), (c, b)]
+    new = [edge for edge in edges if edge not in known]
     measured = delays.measure_edges(
-        edges, cfg.probes_per_measurement, cfg.measurement_timeout)
-    if None in measured:
-        return None
-    lambda_ms = cfg.lambda_ms
-    return {
-        edge: apply_lastmile_correction(max(ms, 0.0), lambda_ms) if edge[1] == TARGET
-        else max(ms, 0.0)
-        for edge, ms in zip(edges, measured)
-    }
+        new, cfg.probes_per_measurement, cfg.measurement_timeout) if new else []
+    for edge, ms in zip(new, measured):
+        if ms is not None:
+            ms = max(ms, 0.0)
+            known[edge] = apply_lastmile_correction(ms, cfg.lambda_ms) if edge[1] == TARGET else ms
+    return None if None in measured else known
 
 
 def verify_location(
@@ -778,8 +786,12 @@ def verify_location(
     delay test and whose pair circle geodesically contains the asserted
     location yields a positive result with that circle as the region.
 
-    A triangle with any failed measurement is skipped but still counts
-    against cfg.max_triangles. Negative results carry a reason:
+    Each directed edge is measured once per verification: a triangle
+    asks the provider only for edges no earlier triangle of this call
+    measured, and a failed edge is asked again by the next triangle that
+    needs it. Nothing is remembered across calls. A triangle with any
+    failed measurement is skipped but still counts against
+    cfg.max_triangles. Negative results carry a reason:
     NO_COVERAGE when no triangle contains the assertion,
     MEASUREMENT_FAILURE when no attempted triangle could be fully
     measured, ALL_TRIANGLES_REJECTED otherwise.
@@ -792,9 +804,10 @@ def verify_location(
         )
 
     loc_of = layout._loc_of
+    known: dict[tuple[str, str], float] = {}
     any_complete = False
     for ids in triangles:
-        rtts = _measure_triangle(ids, delays, cfg)
+        rtts = _measure_triangle(ids, delays, cfg, known)
         if rtts is None:
             continue
         any_complete = True

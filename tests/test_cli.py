@@ -254,6 +254,15 @@ class TestCmdVerify:
         assert run_cli("verify", "9.9.9.9", "--pin-store", store) == cli.EXIT_ERROR
         assert f"manager unreachable at {down}" in capsys.readouterr().err
 
+    def test_unwritable_store_fails_cleanly(self, manager, tmp_path, capsys):
+        # the store's parent path is a regular file, so the new pin of an
+        # unsuspicious result cannot be written
+        (tmp_path / "file").write_text("")
+        store = tmp_path / "file" / "pins.json"
+        code = run_cli("verify", "9.9.9.9", "--manager-url", manager, "--pin-store", str(store))
+        assert code == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: cannot write pin store {store}: ")
+
     def test_parse_args_keeps_no_state_between_calls(self):
         parser = cli.build_parser()
         first = parser.parse_args([
@@ -331,6 +340,23 @@ class TestCmdPin:
         path = tmp_path / "pins.json"
         path.write_text("[{broken")
         assert run_cli("pin", "--pin-store", str(path), "list") == 1
+
+    def test_unreadable_store_fails_cleanly(self, tmp_path, capsys):
+        # a directory is no store: an error line, not an IsADirectoryError
+        assert run_cli("pin", "--pin-store", str(tmp_path), "list") == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read pin store {tmp_path}: ")
+
+    @pytest.mark.parametrize("command", [("clear", "a.example"), ("set-rmax", "a.example", "7")])
+    def test_unwritable_store_fails_cleanly(self, populated_store, monkeypatch, capsys, command):
+        def full(store, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "persist_store", full)
+        assert run_cli("pin", "--pin-store", str(populated_store), *command) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write pin store {populated_store}: "
+            "[Errno 28] No space left on device\n")
+        assert load_store(populated_store)["a.example"].rmax == 3
 
 
 class TestCmdSimulate:

@@ -50,6 +50,7 @@ from slv.verify import (
     VerificationResult,
     VerifierLayout,
     VerifyConfig,
+    enumerate_triangles,
     utc_now,
     verify_location,
 )
@@ -1392,6 +1393,23 @@ class CountingAgent(AgentServer):
                 sock.close()
 
 
+class _WireCountingHandler(slv.agent._AgentHandler):
+    def _send(self, payload: dict) -> None:
+        with self.server._count_lock:
+            self.server.wire.extend(payload.get("rtts", ()))
+        super()._send(payload)
+
+
+class WireCountingAgent(CountingAgent):
+    """CountingAgent that also records the endpoint of every wire request
+    it answers, before the reply goes out."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.RequestHandlerClass = _WireCountingHandler
+        self.wire: list[str] = []
+
+
 @pytest.fixture
 def counting_agent():
     server = CountingAgent()
@@ -1752,6 +1770,42 @@ class TestLiveFanOut:
                 assert (v3.host, v3.port) not in opened
         finally:
             pool.close()
+
+    def test_a_verification_sends_each_distinct_edge_it_walks_once(
+        self, tcp_listener, tmp_path, monkeypatch
+    ):
+        agents = [WireCountingAgent() for _ in range(4)]
+        for agent in agents:
+            agent.serve_in_background()
+        locs = [(10.0, 0.0), (-10.0, 10.0), (-10.0, -10.0), (25.0, 0.0)]
+        rows = [(f"127.0.0.1:{a.bound_address[1]}", lat, lon) for a, (lat, lon) in zip(agents, locs)]
+        registry = load_verifier_registry(write_registry(tmp_path, rows))
+        cfg = VerifyConfig(probes_per_measurement=1, measurement_timeout=1.0, lambda_ms=5.0)
+        triangles = enumerate_triangles(
+            VerifierLayout(registry.verifier_inputs()), INSIDE, cfg.max_triangles)
+        assert len(triangles) >= 2
+        walked = {(v, e) for ids in triangles for v in ids for e in (TARGET, *ids) if e != v}
+        # every target connect reads 50 ms over its loopback time, so each
+        # triangle rejects and the verification walks all it finds
+        connect = slv.agent._tcp_connect_ms
+
+        def inflated(address, timeout):
+            ms = connect(address, timeout)
+            return ms + 50.0 if tuple(address) == tcp_listener.address else ms
+
+        monkeypatch.setattr(slv.agent, "_tcp_connect_ms", inflated)
+        pool = AgentPool()
+        try:
+            result = verify_live(registry, pool, tcp_listener.address, cfg)
+        finally:
+            pool.close()
+            for agent in agents:
+                agent.kill()
+        assert result.reason is Reason.ALL_TRIANGLES_REJECTED
+        sent = [(f"v{i}", e) for i, agent in enumerate(agents, 1) for e in agent.wire]
+        # one wire request per distinct edge, not 9 per triangle
+        assert sorted(sent) == sorted(walked)
+        assert len(sent) < 9 * len(triangles)
 
 
 def test_service_close_closes_pooled_agent_connections(counting_agent, tcp_listener, tmp_path):

@@ -151,10 +151,11 @@ class TestSimDelayProvider:
         return SimDelayProvider(THREE_VERIFIERS, Location(41, -96), model, stream=stream)
 
     @pytest.mark.parametrize("probes", [1, 3])
-    def test_each_edge_and_probe_is_hashed_once_with_unchanged_values(
-        self, monkeypatch, probes
-    ):
-        # one fresh provider per call measures without any memory
+    def test_values_are_those_of_fresh_providers_in_any_order(self, monkeypatch, probes):
+        # the provider keeps no state: one provider reads, in any call
+        # order, what a fresh provider per call reads, and hashes each
+        # (edge, probe) once per call (the engine asks for an edge once
+        # per verification)
         expected = {(v, e): self.provider().measure(v, e, probes, 1) for v, e in EDGES}
         keys = []
 
@@ -166,7 +167,7 @@ class TestSimDelayProvider:
         provider = self.provider()
         for order in (EDGES, list(reversed(EDGES)), EDGES):
             assert {(v, e): provider.measure(v, e, probes, 1) for v, e in order} == expected
-        assert len(keys) == len(set(keys)) == len(EDGES) * probes
+        assert len(keys) == 3 * len(set(keys)) == 3 * len(EDGES) * probes
 
     def test_a_pinned_key_gives_a_pinned_draw(self):
         # a change to the key, the hash, the bits taken or the scaling

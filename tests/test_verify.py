@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -29,7 +30,13 @@ from slv.geo import (
     point_in_spherical_triangle,
     spherical_containment,
 )
-from slv.simulator import RegionBounds, SimDelayProvider, generate_scenario, run_experiment
+from slv.simulator import (
+    DelayModel,
+    RegionBounds,
+    SimDelayProvider,
+    generate_scenario,
+    run_experiment,
+)
 from slv.verify import (
     _EDGE_EPS,
     _HULL_MARGIN,
@@ -1629,8 +1636,13 @@ class TestVerifyLocation:
             post_init(self)
 
         monkeypatch.setattr(Triangle, "__post_init__", counting)
+        batches = []
 
         class NoA(IdealProvider):
+            def measure_edges(self, edges, probes, timeout):
+                batches.append(list(edges))
+                return super().measure_edges(edges, probes, timeout)
+
             def measure(self, verifier_id, endpoint_id, probes, timeout):
                 if "a" in (verifier_id, endpoint_id):
                     return None
@@ -1648,6 +1660,79 @@ class TestVerifyLocation:
             region=circle_of_pair(locs["b"], locs["d"]), when_veri=NOW,
         )
         assert built == []
+        # the second triangle asks only for the edges the first did not
+        # measure: (b, T), (b, c), (c, T) and (c, b) are known
+        assert batches == [
+            [("a", TARGET), ("a", "b"), ("a", "c"), ("b", TARGET), ("b", "a"), ("b", "c"),
+             ("c", TARGET), ("c", "a"), ("c", "b")],
+            [("b", "d"), ("c", "d"), ("d", TARGET), ("d", "b"), ("d", "c")],
+        ]
+
+    def test_a_failed_edge_is_asked_again_by_the_next_triangle_that_needs_it(self):
+        # (b, T) fails the first time only: the first triangle is skipped,
+        # and the second asks for (b, T) again beside its 5 new edges and
+        # decides on the value it reads now
+        batches = []
+
+        class FirstBFails(IdealProvider):
+            def measure_edges(self, edges, probes, timeout):
+                batches.append(list(edges))
+                return super().measure_edges(edges, probes, timeout)
+
+            def measure(self, verifier_id, endpoint_id, probes, timeout):
+                if (verifier_id, endpoint_id) == ("b", TARGET) and len(batches) == 1:
+                    return None
+                return super().measure(verifier_id, endpoint_id, probes, timeout)
+
+        server = Location(0, 0)
+        verifiers = TRI_VERIFIERS + [("d", Location(25, 0))]
+        provider = FirstBFails(dict(verifiers), server, target_inflation_ms=5.0)
+        result = verify_location(
+            make_ip(server), VerifierLayout(verifiers), provider, self.cfg(), NOW
+        )
+        locs = dict(verifiers)
+        assert result.region == circle_of_pair(locs["b"], locs["d"])
+        assert batches[1] == [
+            ("b", TARGET), ("b", "d"), ("c", "d"), ("d", TARGET), ("d", "b"), ("d", "c"),
+        ]
+
+    @pytest.mark.parametrize("probes", [1, 3])
+    def test_each_edge_is_asked_and_hashed_once_per_verification(self, monkeypatch, probes):
+        # a false assertion 3000 km from the server walks 4 triangles of a
+        # 6-verifier ring, all rejected; their 36 edges hold fewer distinct
+        # ones, and each is asked of the provider and hashed once
+        asserted = Location(0, 0)
+        ring = [
+            (f"v{i}", destination_point(asserted, bearing, 800.0))
+            for i, bearing in enumerate(range(0, 360, 60))
+        ]
+        layout = VerifierLayout(ring)
+        triangles = enumerate_triangles(layout, asserted, 4)
+        assert len(triangles) == 4
+        walked = {(v, e) for ids in triangles for v in ids
+                  for e in (TARGET, *ids) if e != v}
+        asked, keys = [], []
+
+        class Recording(SimDelayProvider):
+            def measure_edges(self, edges, probes, timeout):
+                asked.extend(edges)
+                return super().measure_edges(edges, probes, timeout)
+
+        def counting(data, **kwargs):
+            keys.append((data, kwargs.get("salt", bytes(16))))
+            return hashlib.blake2b(data, **kwargs)
+
+        monkeypatch.setattr("slv.simulator.blake2b", counting)
+        provider = Recording(dict(ring), destination_point(asserted, 90.0, 3000.0),
+                             DelayModel(jitter_ms=2.0, seed=5))
+        cfg = self.cfg(probes_per_measurement=probes)
+        for verification in (1, 2):
+            result = verify_location(make_ip(asserted), layout, provider, cfg, NOW)
+            assert result.reason is Reason.ALL_TRIANGLES_REJECTED
+            # nothing is remembered across calls: the second asks again
+            assert len(asked) == len(set(asked)) * verification
+            assert set(asked) == walked and len(walked) < 36
+            assert len(keys) == len(set(keys)) * verification == len(asked) * probes
 
     def test_measured_triangle_is_clamped_then_corrected(self):
         # raw RTTs of -3, 2 and 9 ms on every edge kind: each is clamped at
@@ -1659,12 +1744,18 @@ class TestVerifyLocation:
             def measure(self, verifier_id, endpoint_id, probes, timeout):
                 return self.ms
 
+        class Unasked(DelayProvider):
+            def measure_edges(self, edges, probes, timeout):
+                raise AssertionError(f"asked for {edges}")
+
         ids = enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(0, 0))[0]
         edges = [(v, e) for v in ids for e in (TARGET,) + tuple(w for w in ids if w != v)]
         cfg = self.cfg(lambda_ms=5.0)
         for raw, target_ms, peer_ms in ((-3.0, 0.0, 0.0), (2.0, 0.0, 2.0), (9.0, 4.0, 9.0)):
-            rtts = slv.verify._measure_triangle(ids, Fixed(raw), cfg)
+            rtts = slv.verify._measure_triangle(ids, Fixed(raw), cfg, {})
             assert rtts == {e: target_ms if e[1] == TARGET else peer_ms for e in edges}
+            # all 9 known: the provider is not called, not even with no edges
+            assert slv.verify._measure_triangle(ids, Unasked(), cfg, rtts) is rtts
 
     def test_measured_triangle_is_none_when_any_edge_fails(self):
         triangle = enumerate_triangles(VerifierLayout(TRI_VERIFIERS), Location(0, 0))[0]
@@ -1676,4 +1767,4 @@ class TestVerifyLocation:
                     return super().measure(verifier_id, endpoint_id, probes, timeout)
 
             provider = OneFails(dict(TRI_VERIFIERS), Location(0, 0))
-            assert slv.verify._measure_triangle(triangle, provider, self.cfg()) is None
+            assert slv.verify._measure_triangle(triangle, provider, self.cfg(), {}) is None

@@ -10,8 +10,10 @@ runs `run_experiment` on each and prints one row per wrong verdict (an
 honest server rejected, FR, or an adversary accepted, FA): seed, layout,
 server, kind, displacement between true and asserted location, the
 radius of the returned region and whether the true location lies in it.
-Then it prints the totals. The verdicts are a function of the code and
-the seeds alone, so runs of two commits compare line for line.
+Then it prints the totals, with the mean number of edges a verification
+asks of its delay provider, for accepted and for rejected servers apart.
+The verdicts are a function of the code and the seeds alone, so runs of
+two commits compare line for line.
 
 The slv package is imported from the src directory next to this script,
 and sim_sweep from the bench directory next to it. Standard library only.
@@ -29,7 +31,7 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "bench")]
 
 import slv.simulator  # noqa: E402
 from slv.geo import great_circle_distance  # noqa: E402
-from slv.simulator import ADVERSARY_NONE  # noqa: E402
+from slv.simulator import ADVERSARY_NONE, SimDelayProvider  # noqa: E402
 from sim_sweep import BOUNDS, CALIBRATED, FULL, SIM_CFG  # noqa: E402
 
 
@@ -53,20 +55,34 @@ def layouts(seed: int):
 
 def verdicts(scenario):
     """run_experiment's rows, each with the VerificationResult it came
-    from, taken by wrapping slv.simulator.verify_location for the call."""
+    from and the number of edges that verification asked of its provider,
+    taken by wrapping slv.simulator.verify_location and
+    SimDelayProvider.measure_edges for the call."""
     verify = slv.simulator.verify_location
-    results = []
+    measure_edges = SimDelayProvider.measure_edges
+    results, asked = [], []
 
     def recording(*args, **kwargs):
+        asked.append(0)
         results.append(verify(*args, **kwargs))
         return results[-1]
 
+    def counting(self, edges, *args, **kwargs):
+        asked[-1] += len(edges)
+        return measure_edges(self, edges, *args, **kwargs)
+
     slv.simulator.verify_location = recording
+    SimDelayProvider.measure_edges = counting
     try:
         rows = slv.simulator.run_experiment(scenario).servers
     finally:
         slv.simulator.verify_location = verify
-    return zip(rows, results)
+        SimDelayProvider.measure_edges = measure_edges
+    return zip(rows, results, asked)
+
+
+def _per(total: int, count: int) -> str:
+    return f"{total / count:.2f}" if count else "-"
 
 
 def main(argv: list[str]) -> int:
@@ -79,9 +95,13 @@ def main(argv: list[str]) -> int:
     servers = {"FR": 0, "FA": 0}
     wrong = {"FR": 0, "FA": 0}
     wrong_seeds = set()
+    verified = {True: 0, False: 0}
+    edges = {True: 0, False: 0}
     for seed in args.seeds:
         for k, scenario in layouts(seed):
-            for (row, result), server in zip(verdicts(scenario), scenario.servers):
+            for (row, result, asked), server in zip(verdicts(scenario), scenario.servers):
+                verified[row["accepted"]] += 1
+                edges[row["accepted"]] += asked
                 kind = "FR" if row["adversary"] == ADVERSARY_NONE else "FA"
                 servers[kind] += 1
                 if row["accepted"] == (kind == "FR"):
@@ -99,7 +119,9 @@ def main(argv: list[str]) -> int:
     print()
     print(f"seeds {args.seeds.start}-{args.seeds.stop - 1}: {len(wrong_seeds)} of "
           f"{len(args.seeds)} with a wrong verdict; FR {wrong['FR']} of {servers['FR']:,} "
-          f"honest, FA {wrong['FA']} of {servers['FA']:,} adversarial")
+          f"honest, FA {wrong['FA']} of {servers['FA']:,} adversarial; provider edges per "
+          f"verification {_per(edges[True], verified[True])} accepted, "
+          f"{_per(edges[False], verified[False])} rejected")
     return 0
 
 
