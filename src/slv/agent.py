@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import os
-import selectors
 import socket
 import socketserver
 import threading
@@ -25,13 +24,20 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .geo import _checked_number
-from .verify import MAX_PROBES, MAX_TIMEOUT_S, TARGET, _checked_text, format_timestamp, utc_now
+from .verify import (
+    DEFAULT_PROBES,
+    DEFAULT_TIMEOUT,
+    MAX_PROBES,
+    MAX_TIMEOUT_S,
+    TARGET,
+    _checked_text,
+    format_timestamp,
+    utc_now,
+)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_AGENT_PORT = 7707
-DEFAULT_PROBES = 5
-DEFAULT_TIMEOUT = 10.0
 
 # Wire marker for an endpoint that could not be measured.
 FAILED = "FAILED"
@@ -392,53 +398,49 @@ class AgentServer(_Daemon, socketserver.ThreadingTCPServer):
 class AgentConnection:
     """Manager-side end of the wire protocol.
 
-    Keeps one persistent connection to an agent, reconnecting once when a
-    connection that was open before the request fails (the agent closed or
-    reset it). One request is in flight per connection; concurrent requests
-    to one agent need several connections (see manager.AgentPool), which
-    the agent serves each on its own thread. request() sends and waits in
-    one call; open(), send() and receive() are its parts, so that one
-    thread can open several connections, and then have a request in
-    flight on each, at once. A connection has one user at a time (the
-    pool hands it out that way), so it takes no lock.
+    Keeps one persistent connection to an agent. One request is in flight
+    per connection; concurrent requests to one agent need several
+    connections (see manager.AgentPool), which the agent serves each on
+    its own thread. request() sends and waits in one call; open(), send()
+    and receive() are its parts, so that one thread can open several
+    connections, and then have a request in flight on each, at once.
+    Each request is one attempt: a connection that fails while it carries
+    one is closed, and nothing is sent again. An agent closes, or a
+    middlebox resets, a connection while it sits idle; idle sees that, so
+    AgentPool drops such a connection before it hands it out. A
+    connection has one user at a time (the pool hands it out that way),
+    so it takes no lock.
     """
 
     def __init__(self, host: str, port: int) -> None:
         self._address = (host, port)
         self._sock: Optional[socket.socket] = None
         self._reader = None
-        # Monotonic time by which a handshake _connect began must be done;
-        # None once it is, or when no connection is open.
-        self._connect_by: Optional[float] = None
-        # The request send() wrote and receive() has not yet answered, and
-        # whether a failure of it is final: its connection was opened for
-        # it, at first or again.
-        self._payload = b""
-        self._retried = False
+        # Monotonic time by which the handshake open() began, and then the
+        # reply to what send() wrote, must be done; None while idle or closed.
+        self._due: Optional[float] = None
 
     @property
     def idle(self) -> bool:
-        """Whether the connection is open, its handshake done and no reply
-        outstanding: the state in which AgentPool.give_back keeps it."""
-        return self._sock is not None and self._connect_by is None and not self._payload
-
-    def _connect(self) -> None:
-        """Begin the handshake of a new connection without waiting for it;
-        the next _write() waits for it until CONNECT_TIMEOUT_S from now.
-        The host is an IP literal, so nothing is resolved. Raises OSError
-        when it fails at once."""
-        family = socket.AF_INET6 if ":" in self._address[0] else socket.AF_INET
-        sock = socket.socket(family, socket.SOCK_STREAM)
-        sock.setblocking(False)
-        err = sock.connect_ex(self._address)
-        if err not in (0, errno.EINPROGRESS):
-            sock.close()
-            raise OSError(err, os.strerror(err))
-        self._sock, self._reader = sock, sock.makefile("rb")
-        self._connect_by = time.monotonic() + CONNECT_TIMEOUT_S
+        """Whether the connection is open, its handshake done, no reply
+        outstanding and the agent has neither closed nor reset it: the
+        state in which AgentPool keeps it and hands it out. Looks at the
+        socket without waiting."""
+        if self._sock is None or self._due is not None:
+            return False
+        try:
+            self._sock.setblocking(False)
+            # An agent sends nothing unasked, so any byte here, or the end
+            # of the stream, or an error, means the connection is done.
+            self._sock.recv(1, socket.MSG_PEEK)
+        except BlockingIOError:
+            return True
+        except OSError:
+            pass
+        return False
 
     def close(self) -> None:
-        self._connect_by = None
+        self._due = None
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -459,59 +461,57 @@ class AgentConnection:
 
     def open(self) -> None:
         """Begin opening a connection when none is open, without waiting
-        for the handshake; send() waits for it. A caller that opens several
-        connections before it sends on any waits about one handshake for
-        all of them. Raises OSError."""
-        if self._sock is None:
-            self._connect()
+        for the handshake; send() waits for it, until CONNECT_TIMEOUT_S
+        from now. A caller that opens several connections before it sends
+        on any waits about one handshake for all of them. The host is an
+        IP literal, so nothing is resolved. Raises OSError when the
+        handshake fails at once."""
+        if self._sock is not None:
+            return
+        family = socket.AF_INET6 if ":" in self._address[0] else socket.AF_INET
+        sock = socket.socket(family, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        err = sock.connect_ex(self._address)
+        if err not in (0, errno.EINPROGRESS):
+            sock.close()
+            raise OSError(err, os.strerror(err))
+        self._sock, self._reader = sock, sock.makefile("rb")
+        self._due = time.monotonic() + CONNECT_TIMEOUT_S
 
     def send(self, req: MeasureRequest, deadline: float) -> None:
         """First part of request(): write req, opening the connection first
-        when none is open. A connection that was open before fails the
-        write when the agent has closed it, so it is opened again once;
-        a connection opened for req is not. The caller then reads the
-        reply with receive(req, deadline); until it has, the connection is
-        the caller's alone (AgentPool.take hands out connections that way).
-        Raises OSError."""
-        self._payload = json.dumps(req.to_wire()).encode() + b"\n"
+        when none is open. The write waits for a pending handshake until
+        the deadline, or CONNECT_TIMEOUT_S from the open when that comes
+        first. The caller then reads the reply with receive(req, deadline);
+        until it has, the connection is the caller's alone (AgentPool.take
+        hands out connections that way). Closes the connection and raises
+        OSError when the handshake or the write fails."""
         self.open()
-        self._retried = self._connect_by is not None
+        due = deadline if self._due is None else min(deadline, self._due)
         try:
-            self._write(deadline)
+            self._sock.settimeout(max(due - time.monotonic(), _LATE_READ_S))
+            self._sock.sendall(json.dumps(req.to_wire()).encode() + b"\n")
         except OSError:
-            if self._retried:
-                raise
-            self._retried = True
-            self._connect()
-            self._write(deadline)
+            self.close()
+            raise
+        self._due = deadline
 
     def receive(self, req: MeasureRequest, deadline: float) -> MeasureResponse:
         """Second part of request(): read the reply to req, which send()
-        wrote, by the monotonic time deadline. When the agent has closed or
-        reset a connection that was open before req and send() has not
-        reconnected, this reconnects once and writes req again; a reply
-        that is late is not asked for again. Raises as request() does, and
-        closes the connection on OSError; only a reply that follows the
-        protocol ends the request, so that the connection is idle again."""
-        while True:
-            try:
-                # A reply already here is read even after the deadline, so
-                # one slow agent does not fail the replies read after its own.
-                self._sock.settimeout(max(deadline - time.monotonic(), _LATE_READ_S))
-                line = self._reader.readline()
-                if line:
-                    break
+        wrote, by the monotonic time deadline. Raises as request() does,
+        and closes the connection on OSError; only a reply that follows
+        the protocol ends the request, so that the connection is idle
+        again."""
+        try:
+            # A reply already here is read even after the deadline, so one
+            # slow agent does not fail the replies read after its own.
+            self._sock.settimeout(max(deadline - time.monotonic(), _LATE_READ_S))
+            line = self._reader.readline()
+            if not line:
                 raise ConnectionError("agent closed the connection")
-            except TimeoutError:
-                self.close()
-                raise
-            except OSError:
-                self.close()
-                if self._retried:
-                    raise
-            self._retried = True
-            self._connect()
-            self._write(deadline)
+        except OSError:
+            self.close()
+            raise
         try:
             data = json.loads(line)
         except ValueError as exc:
@@ -523,29 +523,8 @@ class AgentConnection:
             raise ProtocolError(
                 f"response id {response.request_id!r} does not match request {req.request_id!r}"
             )
-        self._payload = b""
+        self._due = None
         return response
-
-    def _write(self, deadline: float) -> None:
-        """Write the request send() holds on the open connection, first
-        waiting for its handshake if that is not done; closes the
-        connection and raises OSError when either fails."""
-        try:
-            if self._connect_by is not None:
-                with selectors.DefaultSelector() as selector:
-                    selector.register(self._sock, selectors.EVENT_WRITE)
-                    ready = selector.select(max(self._connect_by - time.monotonic(), 0.0))
-                if not ready:
-                    raise TimeoutError("timed out connecting to the agent")
-                err = self._sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-                if err:
-                    raise OSError(err, os.strerror(err))
-                self._connect_by = None
-            self._sock.settimeout(max(deadline - time.monotonic(), _LATE_READ_S))
-            self._sock.sendall(self._payload)
-        except OSError:
-            self.close()
-            raise
 
 
 def reply_deadline(probes: int, timeout: float) -> float:

@@ -16,6 +16,7 @@ import re
 import socket
 import socketserver
 import sqlite3
+import string
 import threading
 import time
 import urllib.error
@@ -260,15 +261,20 @@ class StaticTableLocator:
 class HttpLocator:
     """Fetches assertions from a JSON geolocation endpoint.
 
-    The URL template must contain `{ip}`; the response body must be a JSON
-    object with numeric `lat` and `lon` fields. An HTTP 404 means the
-    address is unknown; any other failure means the provider is
-    unavailable, never a silent fallback.
+    The URL template must contain `{ip}` and no other placeholder; the
+    response body must be UTF-8 JSON, an object with numeric `lat` and
+    `lon` fields. An HTTP 404 means the address is unknown; any other
+    failure means the provider is unavailable, never a silent fallback.
     """
 
     def __init__(self, url_template: str, timeout: float = 5.0) -> None:
-        if "{ip}" not in url_template:
-            raise ValueError("url_template must contain {ip}")
+        try:
+            names = {f[1:] for f in string.Formatter().parse(url_template) if f[1] is not None}
+        except ValueError as exc:  # an unbalanced brace
+            raise ValueError(f"url_template {url_template!r}: {exc}") from None
+        if names != {("ip", "", None)}:
+            raise ValueError(
+                f"url_template {url_template!r} must contain {{ip}} and no other placeholder")
         self._url_template = url_template
         self._timeout = timeout
 
@@ -282,7 +288,7 @@ class HttpLocator:
             if exc.code == 404:
                 raise UnknownAddressError(f"no assertion available for {ip}") from exc
             raise ProviderUnavailableError(f"assertion provider failed: {exc}") from exc
-        except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # URLError; bad JSON or bad UTF-8
             raise ProviderUnavailableError(f"assertion provider failed: {exc}") from exc
         try:
             return Location(body["lat"], body["lon"])
@@ -544,7 +550,9 @@ class AgentPool:
     take() hands out an idle connection of an agent or opens a new one, and
     give_back() returns it, whatever became of its request. The connections
     per agent are therefore bounded by the peak number of requests in
-    flight to it.
+    flight to it. A pooled connection that its agent closed or reset while
+    it sat idle is caught in take(), before any request is written on it;
+    a connection that fails while it carries a request fails that edge.
     """
 
     def __init__(self) -> None:
@@ -554,17 +562,25 @@ class AgentPool:
 
     def take(self, record: VerifierRecord) -> AgentConnection:
         """A connection to the record's agent for the caller alone: an idle
-        one, or a new one that connects on its first open or send."""
-        with self._lock:
-            idle = self._idle.get(record.verifier_id)
-            if idle:
-                return idle.pop()
-        return AgentConnection(record.host, record.port)
+        one, or a new one that connects on its first open or send. Closes
+        the pooled connections that are no longer idle on the way, as the
+        agent has closed or reset them."""
+        while True:
+            with self._lock:
+                idle = self._idle.get(record.verifier_id)
+                conn = idle.pop() if idle else None
+            if conn is None:
+                return AgentConnection(record.host, record.port)
+            if conn.idle:
+                return conn
+            conn.close()
 
     def give_back(self, record: VerifierRecord, conn: AgentConnection) -> None:
         """Keep conn for the next take() when it is idle (open, handshake
-        done, no reply outstanding) and the pool is open; close it
-        otherwise. This is the one place that keeps or closes a connection."""
+        done, no reply outstanding, not closed by the agent) and the pool
+        is open; close it otherwise. The pool alone keeps or closes a
+        connection: here, and in take() for one the agent closed while it
+        was pooled."""
         if conn.idle:
             with self._lock:
                 if not self._closed:

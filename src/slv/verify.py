@@ -49,6 +49,11 @@ TARGET = "target"
 MAX_PROBES = 16
 MAX_TIMEOUT_S = 30.0
 
+# Probe count and per-measurement timeout in seconds of a VerifyConfig that
+# sets none, and of an agent request that names none.
+DEFAULT_PROBES = 5
+DEFAULT_TIMEOUT = 10.0
+
 
 def _checked_bool(name: str, value) -> bool:
     """value, which must be a bool; raises ValueError naming name and value
@@ -182,9 +187,9 @@ class VerifyConfig:
     """
 
     lambda_ms: float = 5.0
-    probes_per_measurement: int = 5
+    probes_per_measurement: int = DEFAULT_PROBES
     max_triangles: int = 4
-    measurement_timeout: float = 10.0
+    measurement_timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self) -> None:
         _checked_number("lambda_ms", self.lambda_ms, 0)

@@ -606,6 +606,23 @@ class TestCmdServe:
         assert f"{key} must be a finite number" in err and f"got {shown}" in err
         assert "Traceback" not in err
 
+    def test_url_template_with_another_placeholder_exits_one(
+        self, tmp_path, capsys, serve_nothing
+    ):
+        registry = tmp_path / "verifiers.csv"
+        registry.write_text("127.0.0.1,1,1\n127.0.0.1,2,2\n127.0.0.1,3,3\n")
+        template = "http://127.0.0.1:9/geo/{ip}?key={key}"
+        config = tmp_path / "manager.json"
+        config.write_text(json.dumps({
+            "registry": str(registry),
+            "locator": {"provider": "http_service", "url_template": template},
+            "listen_port": 0,
+        }))
+        assert run_cli("serve", "manager", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot start manager: ")
+        assert repr(template) in err and "Traceback" not in err
+
     def test_manager_on_a_busy_port_exits_one_without_a_traceback(
         self, tmp_path, capsys, serve_nothing
     ):

@@ -364,6 +364,39 @@ class TestHttpLocator:
         with pytest.raises(ValueError):
             HttpLocator("http://example.net/geo")
 
+    @pytest.mark.parametrize("template", [
+        "http://example.net/geo/{ip}?key={key}",
+        "http://example.net/geo/{}/{ip}",
+        "http://example.net/geo/{ip!r}",
+        "http://example.net/geo/{ip[0]}",
+    ], ids=["named", "positional", "conversion", "index"])
+    def test_template_with_another_placeholder_is_refused(self, template):
+        with pytest.raises(ValueError, match=re.escape(repr(template))):
+            HttpLocator(template)
+
+    @pytest.mark.parametrize("template", [
+        "http://example.net/geo/{ip}}",
+        "http://example.net/geo/{ip",
+        "http://example.net/{/geo/{ip}",
+    ], ids=["stray_close", "unclosed", "stray_open"])
+    def test_template_with_an_unbalanced_brace_is_refused(self, template):
+        with pytest.raises(ValueError, match=re.escape(repr(template))):
+            HttpLocator(template)
+
+    def test_escaped_braces_are_not_placeholders(self):
+        HttpLocator("http://example.net/geo/{ip}?q={{x}}")
+
+    def test_body_that_is_not_utf8_is_provider_failure(self):
+        server = run_geo_service(body=b'\xff{"lat": 1, "lon": 2}')
+        try:
+            host, port = server.server_address[:2]
+            locator = HttpLocator(f"http://{host}:{port}/geo/{{ip}}")
+            with pytest.raises(ProviderUnavailableError):
+                locator.locate("1.2.3.4")
+        finally:
+            server.shutdown()
+            server.server_close()
+
 
 def entry(ip: str, expires: datetime, loc: Location = INSIDE) -> CacheEntry:
     return CacheEntry(
@@ -986,6 +1019,25 @@ class TestProviderUnavailableSurfacing(object):
             server.shutdown()
             server.server_close()
 
+    def test_http_502_for_a_provider_body_that_is_not_utf8(self, tmp_path):
+        geo = run_geo_service(body=b'\xff{"lat": 1, "lon": 2}')
+        host, port = geo.server_address[:2]
+        registry = load_verifier_registry(write_registry(tmp_path))
+        service = ManagerService(
+            registry, HttpLocator(f"http://{host}:{port}/geo/{{ip}}"), lambda ip: None,
+            ManagerConfig(registry_path="x"),
+        )
+        server = ManagerHTTPServer(service, "127.0.0.1", 0)
+        server.serve_in_background()
+        try:
+            status, body = api_get(server, "/verify?ip=9.9.9.9")
+            assert status == 502 and "assertion provider failed" in body["error"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            geo.shutdown()
+            geo.server_close()
+
 
 class StubService:
     """Answers every address at once, except those in `blocked`, which wait
@@ -1410,6 +1462,25 @@ class WireCountingAgent(CountingAgent):
         self.wire: list[str] = []
 
 
+class _DroppingHandler(slv.agent._AgentHandler):
+    def handle(self) -> None:
+        while line := self.rfile.readline():
+            if self.server.dropping:
+                return
+            request = MeasureRequest.from_wire(json.loads(line))
+            self._send(slv.agent.handle_measure_request(request).to_wire())
+
+
+class DroppingAgent(CountingAgent):
+    """CountingAgent that, once dropping is set, reads each request and
+    closes its connection without an answer."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.RequestHandlerClass = _DroppingHandler
+        self.dropping = False
+
+
 @pytest.fixture
 def counting_agent():
     server = CountingAgent()
@@ -1494,6 +1565,28 @@ class TestAgentPool:
         assert counting_agent.accepted == 2
         pool.close()
 
+    def test_request_the_agent_drops_fails_its_edge_and_is_not_sent_again(
+        self, tcp_listener, caplog
+    ):
+        agent = DroppingAgent()
+        agent.serve_in_background()
+        pool = AgentPool()
+        provider = pooled_provider(agent, pool, tcp_listener.address)
+        try:
+            assert provider.measure(*self.EDGE, 1, 1.0) is not None
+            assert idle_connections(pool) == {"v1": 1}
+            agent.dropping = True
+            with caplog.at_level("WARNING", logger="slv.manager"):
+                assert provider.measure(*self.EDGE, 1, 1.0) is None
+            assert caplog.text.count("measurement via v1 for target failed") == 1
+            assert idle_connections(pool) == {}
+            # the pooled connection carried the request, and no new one
+            # was opened to send it again
+            assert agent.accepted == 1
+        finally:
+            pool.close()
+            agent.kill()
+
     def test_failed_request_does_not_return_its_connection(
         self, counting_agent, tcp_listener, monkeypatch, caplog
     ):
@@ -1549,6 +1642,20 @@ def verify_live(registry, pool, target, cfg):
 
 def idle_connections(pool) -> dict:
     return {vid: len(conns) for vid, conns in pool._idle.items() if conns}
+
+
+def on_handshake(monkeypatch, record) -> None:
+    """Call record(conn) whenever an AgentConnection is about to begin a
+    handshake: when open() finds no connection open. An exception that
+    record raises comes out of open() in its place."""
+    open_ = AgentConnection.open
+
+    def opening(conn):
+        if conn._sock is None:
+            record(conn)
+        open_(conn)
+
+    monkeypatch.setattr(AgentConnection, "open", opening)
 
 
 @pytest.fixture
@@ -1665,11 +1772,10 @@ class TestLiveFanOut:
         registry = live_registry(tmp_path, [a.bound_address[1] for a in three_agents])
         pool = AgentPool()
         steps = []
-        connect, write = AgentConnection._connect, AgentConnection._write
-        monkeypatch.setattr(AgentConnection, "_connect",
-                            lambda conn: steps.append("connect") or connect(conn))
-        monkeypatch.setattr(AgentConnection, "_write",
-                            lambda conn, deadline: steps.append("write") or write(conn, deadline))
+        on_handshake(monkeypatch, lambda conn: steps.append("connect"))
+        send = AgentConnection.send
+        monkeypatch.setattr(AgentConnection, "send", lambda conn, req, deadline: (
+            steps.append("write") or send(conn, req, deadline)))
         try:
             assert verify_live(registry, pool, tcp_listener.address, self.CFG).veri_passed is True
         finally:
@@ -1683,15 +1789,13 @@ class TestLiveFanOut:
         registry = live_registry(tmp_path, [a.bound_address[1] for a in three_agents])
         dead = registry.by_id("v2")
         attempts = []
-        connect = AgentConnection._connect
 
         def refusing(conn):
             attempts.append(conn._address)
             if conn._address == (dead.host, dead.port):
                 raise ConnectionRefusedError("refused")
-            connect(conn)
 
-        monkeypatch.setattr(AgentConnection, "_connect", refusing)
+        on_handshake(monkeypatch, refusing)
         wire = []
         handle = slv.agent.handle_measure_request
         monkeypatch.setattr(slv.agent, "handle_measure_request",
@@ -1752,17 +1856,16 @@ class TestLiveFanOut:
         edges = [(v, e) for v in ("v1", "v2", "v3")
                  for e in (TARGET,) + tuple(w for w in ("v1", "v2", "v3") if w != v)]
         opened = []
-        connect = AgentConnection._connect
-        monkeypatch.setattr(AgentConnection, "_connect",
-                            lambda conn: opened.append(conn._address) or connect(conn))
+        on_handshake(monkeypatch, lambda conn: opened.append(conn._address))
         try:
             assert None not in provider.measure_edges(edges, 1, 1.0)
             assert idle_connections(pool) == {"v1": 3, "v2": 3, "v3": 3}
             three_agents[1].kill()
-            # The first triangle finds v2's connections closed by the agent
-            # and drops them. On the next ones v2's port refuses, so v2's
-            # first request cannot be sent, and v3's after it are not sent:
-            # v3's connections stay warm all the same.
+            # The first triangle's take() finds v2's pooled connections
+            # closed by the agent and drops them, and every triangle then
+            # opens new ones. v2's port refuses, so v2's first request
+            # cannot be sent, and v3's after it are not sent: v3's
+            # connections stay warm all the same.
             for _ in range(3):
                 del opened[:]
                 assert provider.measure_edges(edges, 1, 1.0)[3:6] == [None] * 3
