@@ -405,11 +405,13 @@ class AgentConnection:
     and receive() are its parts, so that one thread can open several
     connections, and then have a request in flight on each, at once.
     Each request is one attempt: a connection that fails while it carries
-    one is closed, and nothing is sent again. An agent closes, or a
-    middlebox resets, a connection while it sits idle; idle sees that, so
-    AgentPool drops such a connection before it hands it out. A
-    connection has one user at a time (the pool hands it out that way),
-    so it takes no lock.
+    one is closed, and nothing is sent again on it. idle sees a connection
+    that the agent closed or reset while it sat idle, so AgentPool drops
+    it before it hands it out; one lost unseen (a crashed host, a
+    middlebox that forgot it) fails its request by a reset or the end of
+    the stream, and LiveDelayProvider.measure_edges asks that edge again
+    on a new connection. A connection has one user at a time (the pool
+    hands it out that way), so it takes no lock.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -433,20 +435,14 @@ class AgentConnection:
             # An agent sends nothing unasked, so any byte here, or the end
             # of the stream, or an error, means the connection is done.
             self._sock.recv(1, socket.MSG_PEEK)
-        except BlockingIOError:
-            return True
-        except OSError:
-            pass
+        except OSError as exc:
+            return isinstance(exc, BlockingIOError)
         return False
 
     def close(self) -> None:
-        self._due = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            finally:
-                self._sock = None
-                self._reader = None
+        sock, self._sock, self._reader, self._due = self._sock, None, None, None
+        if sock is not None:
+            sock.close()
 
     def request(self, req: MeasureRequest) -> MeasureResponse:
         """Send one request and wait for its response, by its reply_deadline.
@@ -487,12 +483,17 @@ class AgentConnection:
         hands out connections that way). Closes the connection and raises
         OSError when the handshake or the write fails."""
         self.open()
-        due = deadline if self._due is None else min(deadline, self._due)
+        connecting = self._due is not None
+        due = min(deadline, self._due) if connecting else deadline
         try:
             self._sock.settimeout(max(due - time.monotonic(), _LATE_READ_S))
             self._sock.sendall(json.dumps(req.to_wire()).encode() + b"\n")
-        except OSError:
+        except OSError as exc:
             self.close()
+            # One request line fits the send buffer, so only a handshake
+            # that is not done makes the write time out.
+            if connecting and isinstance(exc, TimeoutError):
+                raise TimeoutError("timed out connecting to the agent") from exc
             raise
         self._due = deadline
 

@@ -551,8 +551,9 @@ class AgentPool:
     give_back() returns it, whatever became of its request. The connections
     per agent are therefore bounded by the peak number of requests in
     flight to it. A pooled connection that its agent closed or reset while
-    it sat idle is caught in take(), before any request is written on it;
-    a connection that fails while it carries a request fails that edge.
+    it sat idle is caught in take(), before any request is written on it.
+    One that the agent lost unseen fails the request it carries, which
+    LiveDelayProvider.measure_edges then sends once more on a new one.
     """
 
     def __init__(self) -> None:
@@ -635,7 +636,14 @@ class LiveDelayProvider(DelayProvider):
         triangle with any failed edge (and asks for an unsent edge again
         when a later triangle needs it). Every connection goes back to the
         pool, which keeps the idle ones, so a failed send costs no other
-        edge's warm connection."""
+        edge's warm connection.
+
+        A pooled connection passed take()'s check, yet its agent may have
+        lost it unseen: a host that crashed or rebooted, a middlebox that
+        dropped its state and resets the next packet. The request written
+        on it then fails by a reset or the end of the stream before any
+        reply, and its edge is asked once more, on a new connection, by
+        the same deadline. Any other failure is final."""
         requests = []
         for verifier_id, endpoint_id in edges:
             if endpoint_id == TARGET:
@@ -650,21 +658,28 @@ class LiveDelayProvider(DelayProvider):
         deadline = reply_deadline(probes, timeout)
         conns = [self._pool.take(r) for r, _ in requests]
         measured: list[Optional[float]] = [None] * len(edges)
-        sent = 0
         try:
-            try:
-                for i, conn in enumerate(conns):
-                    conn.open()
-                for i, (conn, (_, request)) in enumerate(zip(conns, requests)):
-                    conn.send(request, deadline)
-                    sent = i + 1
-            except OSError as exc:  # i is the edge that failed, in either loop
-                log.warning("measurement via %s for %s failed: %s", *edges[i], exc)
-            for i, (_, request) in enumerate(requests[:sent]):
+            todo = range(len(edges))
+            while todo:
+                pooled = {i for i in todo if conns[i].idle}  # none in a second round
+                sent, again = 0, []
                 try:
-                    measured[i] = conns[i].receive(request, deadline).rtts.get(edges[i][1])
-                except (OSError, ProtocolError) as exc:
+                    for i in todo:
+                        conns[i].open()
+                    for n, i in enumerate(todo):
+                        conns[i].send(requests[i][1], deadline)
+                        sent = n + 1
+                except OSError as exc:  # i is the edge that failed, in either loop
                     log.warning("measurement via %s for %s failed: %s", *edges[i], exc)
+                for i in todo[:sent]:
+                    try:
+                        measured[i] = conns[i].receive(requests[i][1], deadline).rtts.get(edges[i][1])
+                    except (OSError, ProtocolError) as exc:
+                        if i in pooled and isinstance(exc, ConnectionError):
+                            again.append(i)  # receive() closed it; open() opens a new one
+                        else:
+                            log.warning("measurement via %s for %s failed: %s", *edges[i], exc)
+                todo = again
             return measured
         finally:
             for (record, _), conn in zip(requests, conns):

@@ -1465,20 +1465,31 @@ class WireCountingAgent(CountingAgent):
 class _DroppingHandler(slv.agent._AgentHandler):
     def handle(self) -> None:
         while line := self.rfile.readline():
-            if self.server.dropping:
+            with self.server._count_lock:
+                drop = self.server.drops > 0
+                self.server.drops -= drop
+            if drop:
+                if self.server.by_reset:
+                    self.connection.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                    self.connection.close()
                 return
             request = MeasureRequest.from_wire(json.loads(line))
             self._send(slv.agent.handle_measure_request(request).to_wire())
 
 
 class DroppingAgent(CountingAgent):
-    """CountingAgent that, once dropping is set, reads each request and
-    closes its connection without an answer."""
+    """CountingAgent that reads each of the next `drops` requests and ends
+    its connection without an answer: by a FIN, or by an RST alone when
+    by_reset is set, as a host that lost the connection answers a packet
+    on it (it crashed and came back, or a middlebox forgot the
+    connection)."""
 
-    def __init__(self) -> None:
+    def __init__(self, by_reset: bool = False) -> None:
         super().__init__()
         self.RequestHandlerClass = _DroppingHandler
-        self.dropping = False
+        self.drops = 0
+        self.by_reset = by_reset
 
 
 @pytest.fixture
@@ -1560,32 +1571,62 @@ class TestAgentPool:
         provider = pooled_provider(counting_agent, pool, tcp_listener.address)
         assert provider.measure(*self.EDGE, 1, 1.0) is not None
         counting_agent.reset()
-        time.sleep(0.05)  # let the RST arrive, so that the next write fails
+        time.sleep(0.05)  # let the RST arrive, so that take() drops the connection
         assert provider.measure(*self.EDGE, 1, 1.0) is not None
         assert counting_agent.accepted == 2
         pool.close()
 
-    def test_request_the_agent_drops_fails_its_edge_and_is_not_sent_again(
-        self, tcp_listener, caplog
-    ):
-        agent = DroppingAgent()
+    @pytest.fixture(params=[False, True], ids=["fin", "rst"])
+    def dropping_agent(self, request):
+        agent = DroppingAgent(by_reset=request.param)
         agent.serve_in_background()
+        yield agent
+        agent.kill()
+
+    def test_request_lost_on_a_new_connection_fails_its_edge_and_is_not_sent_again(
+        self, dropping_agent, tcp_listener, caplog
+    ):
         pool = AgentPool()
-        provider = pooled_provider(agent, pool, tcp_listener.address)
-        try:
+        provider = pooled_provider(dropping_agent, pool, tcp_listener.address)
+        dropping_agent.drops = 1
+        with caplog.at_level("WARNING", logger="slv.manager"):
+            assert provider.measure(*self.EDGE, 1, 1.0) is None
+        assert caplog.text.count("measurement via v1 for target failed") == 1
+        assert idle_connections(pool) == {}
+        # the connection was opened for the request, so it is not opened again
+        assert dropping_agent.accepted == 1
+        pool.close()
+
+    def test_request_lost_on_a_pooled_connection_is_sent_once_more_on_a_new_one(
+        self, dropping_agent, tcp_listener, caplog
+    ):
+        pool = AgentPool()
+        provider = pooled_provider(dropping_agent, pool, tcp_listener.address)
+        assert provider.measure(*self.EDGE, 1, 1.0) is not None
+        # the agent ends the connection only once it has read the request,
+        # so take() finds the pooled connection idle and hands it out
+        dropping_agent.drops = 1
+        with caplog.at_level("WARNING", logger="slv.manager"):
             assert provider.measure(*self.EDGE, 1, 1.0) is not None
-            assert idle_connections(pool) == {"v1": 1}
-            agent.dropping = True
-            with caplog.at_level("WARNING", logger="slv.manager"):
-                assert provider.measure(*self.EDGE, 1, 1.0) is None
-            assert caplog.text.count("measurement via v1 for target failed") == 1
-            assert idle_connections(pool) == {}
-            # the pooled connection carried the request, and no new one
-            # was opened to send it again
-            assert agent.accepted == 1
-        finally:
-            pool.close()
-            agent.kill()
+        assert "measurement via" not in caplog.text
+        assert dropping_agent.accepted == 2
+        assert idle_connections(pool) == {"v1": 1}
+        pool.close()
+
+    def test_request_lost_on_a_pooled_and_then_a_new_connection_fails_its_edge(
+        self, dropping_agent, tcp_listener, caplog
+    ):
+        pool = AgentPool()
+        provider = pooled_provider(dropping_agent, pool, tcp_listener.address)
+        assert provider.measure(*self.EDGE, 1, 1.0) is not None
+        dropping_agent.drops = 2
+        with caplog.at_level("WARNING", logger="slv.manager"):
+            assert provider.measure(*self.EDGE, 1, 1.0) is None
+        assert caplog.text.count("measurement via v1 for target failed") == 1
+        assert idle_connections(pool) == {}
+        # one new connection for the lost request, and no further one
+        assert dropping_agent.accepted == 2
+        pool.close()
 
     def test_failed_request_does_not_return_its_connection(
         self, counting_agent, tcp_listener, monkeypatch, caplog
@@ -1816,7 +1857,7 @@ class TestLiveFanOut:
         assert "measurement via v2 for target failed: refused" in caplog.text
 
     def test_silent_agent_costs_one_connect_timeout(
-        self, three_agents, tcp_listener, tmp_path, monkeypatch
+        self, three_agents, tcp_listener, tmp_path, monkeypatch, caplog
     ):
         monkeypatch.setattr(slv.agent, "CONNECT_TIMEOUT_S", 0.3)
         # A listener whose backlog is full drops further SYNs unanswered,
@@ -1833,9 +1874,12 @@ class TestLiveFanOut:
         cfg = VerifyConfig(probes_per_measurement=1, measurement_timeout=0.1)
         try:
             began = time.monotonic()
-            result = verify_live(registry, pool, tcp_listener.address, cfg)
+            with caplog.at_level("WARNING", logger="slv.manager"):
+                result = verify_live(registry, pool, tcp_listener.address, cfg)
             elapsed = time.monotonic() - began
             assert result.reason is Reason.MEASUREMENT_FAILURE
+            assert ("measurement via v2 for target failed: "
+                    "timed out connecting to the agent") in caplog.text
             # the send on v2's first connection waits out the timeout once,
             # and the triangle's sending stops there
             assert 0.3 <= elapsed < 0.6
