@@ -18,7 +18,6 @@ import socket
 import socketserver
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -354,9 +353,13 @@ class _AgentHandler(socketserver.StreamRequestHandler):
 class _Daemon:
     """What the agent and manager servers add to their socketserver base:
     an IPv6 socket for an IPv6 host, an address that can be bound again at
-    once, and serving from a thread."""
+    once, a listen backlog that takes a burst of connects, and serving
+    from a thread."""
 
     allow_reuse_address = True
+    # socketserver's backlog of 5 drops the SYNs of a burst, and a dropped
+    # SYN is sent again about 1 s later: a probe would read it as RTT
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, server_address: tuple[str, int], handler) -> None:
         if ":" in server_address[0]:
@@ -537,4 +540,4 @@ def reply_deadline(probes: int, timeout: float) -> float:
 
 
 def new_request_id() -> str:
-    return uuid.uuid4().hex
+    return os.urandom(16).hex()

@@ -11,8 +11,6 @@ import logging
 import os
 import socket
 import sys
-import urllib.error
-import urllib.request
 from urllib.parse import quote
 
 from .agent import DEFAULT_AGENT_PORT, AgentServer
@@ -62,6 +60,10 @@ def _resolve(host: str) -> str:
 
 
 def _http_get_json(url: str, timeout: float = 60.0) -> tuple[int, dict]:
+    # loaded on first use: only slv verify needs the HTTP client
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
             return response.status, json.loads(response.read().decode("utf-8"))
@@ -107,7 +109,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     url = f"{manager_url.rstrip('/')}/verify?ip={quote(ip)}"
     try:
         status, body = _http_get_json(url)
-    except (urllib.error.URLError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # URLError is an OSError
         return _fail(f"manager unreachable at {manager_url}: {exc}")
     if status != 200:
         error = body.get("error", body) if isinstance(body, dict) else body

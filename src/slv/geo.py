@@ -57,7 +57,7 @@ def _checked_number(name: str, value, low, high=math.inf, *, above=False, intege
         raise ValueError(f"{name} must be {kind}{lower}{upper}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     """A point on the sphere.
 
@@ -88,7 +88,7 @@ class Location:
         return cls(lat=data["lat"], lon=data["lon"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circle:
     """A geodesic disc: all points within `radius` km of `centre`. The
     radius must be a number in (0, MAX_DISTANCE_KM] and is kept as a float."""

@@ -19,8 +19,6 @@ import sqlite3
 import string
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
@@ -261,26 +259,34 @@ class StaticTableLocator:
 class HttpLocator:
     """Fetches assertions from a JSON geolocation endpoint.
 
-    The URL template must contain `{ip}` and no other placeholder; the
-    response body must be UTF-8 JSON, an object with numeric `lat` and
-    `lon` fields. An HTTP 404 means the address is unknown; any other
-    failure means the provider is unavailable, never a silent fallback.
+    The URL template must be an http or https URL that contains `{ip}`
+    and no other placeholder; the response body must be UTF-8 JSON, an
+    object with numeric `lat` and `lon` fields. An HTTP 404 means the
+    address is unknown; any other failure means the provider is
+    unavailable, never a silent fallback.
     """
 
     def __init__(self, url_template: str, timeout: float = 5.0) -> None:
         try:
             names = {f[1:] for f in string.Formatter().parse(url_template) if f[1] is not None}
-        except ValueError as exc:  # an unbalanced brace
+            scheme = urlsplit(url_template).scheme
+        except ValueError as exc:  # an unbalanced brace or bracket
             raise ValueError(f"url_template {url_template!r}: {exc}") from None
         if names != {("ip", "", None)}:
             raise ValueError(
                 f"url_template {url_template!r} must contain {{ip}} and no other placeholder")
+        if scheme not in ("http", "https"):  # urlsplit lowers the scheme
+            raise ValueError(f"url_template {url_template!r} must be an http or https URL")
         self._url_template = url_template
         self._timeout = timeout
 
     def locate(self, ip: str) -> Location:
         ipaddress.ip_address(ip)
         url = self._url_template.format(ip=ip)
+        # loaded on first use: only this locator needs the HTTP client
+        import urllib.error
+        import urllib.request
+
         try:
             with urllib.request.urlopen(url, timeout=self._timeout) as response:
                 body = json.loads(response.read().decode("utf-8"))

@@ -110,7 +110,7 @@ class Reason(Enum):
     MEASUREMENT_FAILURE = "MeasurementFailure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IPInfo:
     """An IP address together with its asserted location."""
 
@@ -132,7 +132,7 @@ class IPInfo:
         return cls(value=data["value"], loc=Location.from_dict(data["loc"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationResult:
     """Outcome of one verification.
 

@@ -623,6 +623,21 @@ class TestCmdServe:
         assert err.startswith("error: cannot start manager: ")
         assert repr(template) in err and "Traceback" not in err
 
+    def test_url_template_that_is_not_http_exits_one(self, tmp_path, capsys, serve_nothing):
+        registry = tmp_path / "verifiers.csv"
+        registry.write_text("127.0.0.1,1,1\n127.0.0.1,2,2\n127.0.0.1,3,3\n")
+        template = "file:///tmp/{ip}"
+        config = tmp_path / "manager.json"
+        config.write_text(json.dumps({
+            "registry": str(registry),
+            "locator": {"provider": "http_service", "url_template": template},
+            "listen_port": 0,
+        }))
+        assert run_cli("serve", "manager", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot start manager: ")
+        assert repr(template) in err and "http or https" in err and "Traceback" not in err
+
     def test_manager_on_a_busy_port_exits_one_without_a_traceback(
         self, tmp_path, capsys, serve_nothing
     ):

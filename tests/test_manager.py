@@ -1,13 +1,20 @@
+import copy
+import errno
 import http.client
 import ipaddress
 import json
 import math
+import os
+import pickle
 import random
 import re
+import selectors
 import socket
 import socketserver
 import sqlite3
 import struct
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -382,6 +389,22 @@ class TestHttpLocator:
     def test_template_with_an_unbalanced_brace_is_refused(self, template):
         with pytest.raises(ValueError, match=re.escape(repr(template))):
             HttpLocator(template)
+
+    @pytest.mark.parametrize("template", [
+        "geo.example/{ip}",
+        "ftp://geo.example/{ip}",
+        "file:///tmp/{ip}",
+    ], ids=["no_scheme", "ftp", "file"])
+    def test_template_that_is_not_an_http_url_is_refused(self, template):
+        with pytest.raises(ValueError, match=re.escape(repr(template))):
+            HttpLocator(template)
+
+    @pytest.mark.parametrize("template", [
+        "HTTP://example.net/geo/{ip}",
+        "Https://example.net/geo/{ip}",
+    ])
+    def test_scheme_is_matched_in_any_case(self, template):
+        HttpLocator(template)
 
     def test_escaped_braces_are_not_placeholders(self):
         HttpLocator("http://example.net/geo/{ip}?q={{x}}")
@@ -1236,6 +1259,66 @@ class TestHttpFrontEnd:
             thread.join(5)
             assert not thread.is_alive()
         assert errors == []
+
+
+def connects_late(address, count=32, within=0.5) -> int:
+    """Begin count connects to address at once and return how many have
+    not completed within `within` seconds. Closes every socket it opened."""
+    socks = [socket.socket() for _ in range(count)]
+    try:
+        with selectors.DefaultSelector() as selector:
+            deadline = time.monotonic() + within
+            for sock in socks:
+                sock.setblocking(False)
+                assert sock.connect_ex(address) in (0, errno.EINPROGRESS)
+                selector.register(sock, selectors.EVENT_WRITE)
+            while selector.get_map() and (left := deadline - time.monotonic()) > 0:
+                for key, _ in selector.select(left):
+                    selector.unregister(key.fileobj)
+                    assert key.fileobj.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR) == 0
+            return len(selector.get_map())
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+@pytest.mark.parametrize("kind", ["agent", "manager"])
+def test_a_burst_of_connects_is_taken_without_a_resent_syn(kind):
+    # a listen backlog of 5 drops the SYNs of such a burst, and the client
+    # sends each again about 1 s later
+    if kind == "agent":
+        server = AgentServer("127.0.0.1", 0)
+    else:
+        server = ManagerHTTPServer(StubService(), "127.0.0.1", 0)
+    server.serve_in_background()
+    try:
+        assert connects_late(server.bound_address) == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("record", [
+    INSIDE,
+    Circle(INSIDE, 100.0),
+    IPInfo("1.2.3.4", INSIDE),
+    VerificationResult(IPInfo("1.2.3.4", INSIDE), True, Circle(INSIDE, 100.0), NOW),
+], ids=lambda record: type(record).__name__)
+def test_records_held_per_row_and_entry_are_slotted(record):
+    assert not hasattr(record, "__dict__")
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_daemon_modules_load_no_http_client_tls_or_uuid():
+    code = (
+        "import sys, slv, slv.cli, slv.manager, slv.agent\n"
+        "print([m for m in ('urllib.request', 'http.client', 'ssl', 'uuid') if m in sys.modules])"
+    )
+    src = os.path.dirname(os.path.dirname(slv.manager.__file__))
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 class TestManagerConfig:
