@@ -19,12 +19,14 @@ import sqlite3
 import string
 import threading
 import time
+from array import array
+from bisect import bisect_left
 from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from email.utils import formatdate
 from http import HTTPStatus
-from typing import Iterator, Optional, Protocol, Sequence
+from typing import Iterable, Iterator, Optional, Protocol, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from .agent import (
@@ -64,6 +66,9 @@ DEFAULT_API_PORT = 7700
 # A cached assertion within this distance of the fresh one counts as
 # unchanged; exact float equality would be brittle against provider jitter.
 CACHE_LOC_TOLERANCE_KM = 1.0
+
+# sqlite page cache of a VerificationCache file, in pages.
+_SQLITE_CACHE_PAGES = 16
 
 # HTTP front end. A request head (request line plus headers) over
 # HEAD_LIMIT bytes is refused; a client that has not sent its whole head
@@ -114,16 +119,22 @@ class VerifierRecord:
 
 @dataclass
 class VerifierRegistry:
+    """The verifiers, in row order. by_id reads an index of entries built
+    once, with the registry; of duplicate ids the first record wins."""
+
     entries: list[VerifierRecord]
+    _by_id: dict[str, VerifierRecord] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_id = {}
+        for record in self.entries:
+            self._by_id.setdefault(record.verifier_id, record)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def by_id(self, verifier_id: str) -> VerifierRecord:
-        for record in self.entries:
-            if record.verifier_id == verifier_id:
-                return record
-        raise KeyError(verifier_id)
+        return self._by_id[verifier_id]
 
     def verifier_inputs(self) -> list[tuple[str, Location]]:
         return [(record.verifier_id, record.loc) for record in self.entries]
@@ -214,46 +225,109 @@ class Locator(Protocol):
 class StaticTableLocator:
     """CIDR-to-coordinates table answering by longest prefix match.
 
-    The rows are indexed once, with one dict per (IP version, prefix length)
-    keyed by the network's leading prefix-length bits. A lookup probes the
-    tables of the address's own version, longest prefix first, so it costs
-    at most one probe per distinct prefix length present, whatever the row
-    count. Address families never cross-match: an IPv4-mapped IPv6 address
-    does not match IPv4 rows. Of duplicate CIDRs the first row wins.
+    The rows are packed once into one table per (IP version, prefix
+    length): the networks' leading prefix-length bits, sorted, in an
+    `array('Q')` (a list for IPv6 prefixes over /64, whose keys need more
+    than 64 bits), and each row's latitude and longitude in an
+    `array('d')`, about 25 bytes per row. A lookup bisects the tables of
+    the address's own version, longest prefix first, so it costs at most
+    one O(log n) search per distinct prefix length present, and builds
+    the row's `Location`. Address families never cross-match: an
+    IPv4-mapped IPv6 address does not match IPv4 rows. Of duplicate
+    CIDRs the first row wins.
     """
 
     def __init__(self, rows: list[tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, Location]]):
-        # Keyed by (version, host-bit count); the network address is masked,
-        # so shifting out the host bits leaves exactly the prefix.
-        tables: dict[tuple[int, int], dict[int, Location]] = {}
-        for network, loc in rows:
-            shift = network.max_prefixlen - network.prefixlen
-            table = tables.setdefault((network.version, shift), {})
-            table.setdefault(int(network.network_address) >> shift, loc)
-        # Per version, (shift, table) pairs by ascending shift: longest prefix first.
-        self._probes: dict[int, list[tuple[int, dict[int, Location]]]] = {4: [], 6: []}
-        for (version, shift), table in sorted(tables.items()):
-            self._probes[version].append((shift, table))
+        self._probes = _packed_tables(
+            (*_network_key(network), loc.lat, loc.lon) for network, loc in rows)
 
     @classmethod
     def from_file(cls, path) -> "StaticTableLocator":
-        """Load `cidr,lat,lon` rows; blank lines and #-comments are skipped."""
-        rows = []
-        for line_no, cidr, loc in _located_rows(path):
-            try:
-                rows.append((ipaddress.ip_network(cidr), loc))
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-        return cls(rows)
+        """Load `cidr,lat,lon` rows; blank lines and #-comments are skipped.
+        Rows are packed as they are read, with no per-row object kept."""
+
+        def keyed_rows():
+            for line_no, cidr, loc in _located_rows(path):
+                try:
+                    key = _cidr_key(cidr)
+                except ValueError as exc:
+                    raise ParseError(path, line_no, str(exc)) from exc
+                yield (*key, loc.lat, loc.lon)
+
+        locator = cls.__new__(cls)
+        locator._probes = _packed_tables(keyed_rows())
+        return locator
 
     def locate(self, ip: str) -> Location:
         address = ipaddress.ip_address(ip)
         value = int(address)
-        for shift, table in self._probes[address.version]:
-            loc = table.get(value >> shift)
-            if loc is not None:
-                return loc
+        for shift, keys, coords in self._probes[address.version]:
+            key = value >> shift
+            i = bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                return Location(coords[2 * i], coords[2 * i + 1])
         raise UnknownAddressError(f"no assertion available for {ip}")
+
+
+def _network_key(network: ipaddress.IPv4Network | ipaddress.IPv6Network) -> tuple[int, int, int]:
+    """(version, host-bit count, prefix) of a network. Its address is
+    masked, so shifting out the host bits leaves exactly the prefix."""
+    shift = network.max_prefixlen - network.prefixlen
+    return network.version, shift, int(network.network_address) >> shift
+
+
+def _cidr_key(cidr: str) -> tuple[int, int, int]:
+    """`_network_key` of `ipaddress.ip_network(cidr)`. A canonical IPv4
+    `a.b.c.d/n` (n ASCII digits <= 32, no host bits) is read by inet_pton,
+    which accepts exactly the dotted quads ipaddress does, with no
+    ipaddress object. Any other text, and any it refuses, goes through
+    ip_network, so the same rows are accepted and refused with the same
+    messages."""
+    address, _, length = cidr.partition("/")
+    if length.isascii() and length.isdigit():
+        try:
+            value = int.from_bytes(socket.inet_pton(socket.AF_INET, address), "big")
+            shift = 32 - int(length)
+        except (OSError, ValueError):
+            pass
+        else:
+            if 0 <= shift and not value & ((1 << shift) - 1):
+                return 4, shift, value >> shift
+    return _network_key(ipaddress.ip_network(cidr))
+
+
+_Table = tuple[int, array | list[int], array]  # (shift, sorted keys, lat/lon pairs)
+
+
+def _packed_tables(keyed: Iterable[tuple[int, int, int, float, float]]) -> dict[int, list[_Table]]:
+    """Per IP version, the table of each host-bit count, by ascending shift:
+    longest prefix first. keyed yields (version, shift, key, lat, lon)
+    rows; a stable sort keeps the first of equal keys."""
+    tables: dict[tuple[int, int], tuple[array | list[int], array]] = {}
+    for version, shift, key, lat, lon in keyed:
+        table = tables.get((version, shift))
+        if table is None:
+            table = tables[version, shift] = (_key_store(version, shift), array("d"))
+        table[0].append(key)
+        table[1].append(lat)
+        table[1].append(lon)
+    probes: dict[int, list[_Table]] = {4: [], 6: []}
+    for (version, shift), (keys, coords) in sorted(tables.items()):
+        packed_keys, packed_coords = _key_store(version, shift), array("d")
+        last = None
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            if keys[i] != last:
+                last = keys[i]
+                packed_keys.append(last)
+                packed_coords.append(coords[2 * i])
+                packed_coords.append(coords[2 * i + 1])
+        probes[version].append((shift, packed_keys, packed_coords))
+    return probes
+
+
+def _key_store(version: int, shift: int) -> array | list[int]:
+    """An array('Q') for keys of at most 64 bits, else a list."""
+    return array("Q") if version == 4 or shift >= 64 else []
 
 
 class HttpLocator:
@@ -386,7 +460,11 @@ class VerificationCache:
     have expired by then are not loaded but deleted from the file. `_lock`
     guards the map and is held only briefly. Writes are serialized by
     `_write_lock`, held through the sqlite commit, so the map and the file
-    see puts in the same order, and a read never waits on the disk.
+    see puts in the same order, and a read never waits on the disk. A row
+    that cannot be read closes the file and stops the start. As every read
+    is served from the map, sqlite keeps a page cache of only
+    `_SQLITE_CACHE_PAGES` pages, not its default 2 MiB, which would hold
+    the start-up scan's pages for the life of the process.
     """
 
     def __init__(self, path=None) -> None:
@@ -396,19 +474,24 @@ class VerificationCache:
         self._db: Optional[sqlite3.Connection] = None
         if path is not None:
             self._db = sqlite3.connect(str(path), check_same_thread=False)
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS verifications (ip TEXT PRIMARY KEY, data TEXT NOT NULL)"
-            )
-            now = utc_now()
-            expired = []
-            for (blob,) in self._db.execute("SELECT data FROM verifications"):
-                entry = CacheEntry.from_dict(json.loads(blob))
-                if entry.expires_at <= now:
-                    expired.append((entry.ip,))
-                else:
-                    self._entries[entry.ip] = entry
-            self._db.executemany("DELETE FROM verifications WHERE ip = ?", expired)
-            self._db.commit()
+            try:
+                self._db.execute(f"PRAGMA cache_size = {_SQLITE_CACHE_PAGES}")
+                self._db.execute(
+                    "CREATE TABLE IF NOT EXISTS verifications (ip TEXT PRIMARY KEY, data TEXT NOT NULL)"
+                )
+                now = utc_now()
+                expired = []
+                for (blob,) in self._db.execute("SELECT data FROM verifications"):
+                    entry = CacheEntry.from_dict(json.loads(blob))
+                    if entry.expires_at <= now:
+                        expired.append((entry.ip,))
+                    else:
+                        self._entries[entry.ip] = entry
+                self._db.executemany("DELETE FROM verifications WHERE ip = ?", expired)
+                self._db.commit()
+            except BaseException:  # a refused row: close the file before raising
+                self._db.close()
+                raise
 
     def __len__(self) -> int:
         with self._lock:

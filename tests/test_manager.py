@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from datetime import datetime, timedelta, timezone
@@ -141,6 +142,27 @@ class TestLoadVerifierRegistry:
         with pytest.raises(ParseError) as err:
             load_verifier_registry(path)
         assert err.value.line_no == 2
+
+    def test_by_id_reads_an_index_built_with_the_registry(self):
+        compared = []
+
+        class CountedId(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                compared.append(other)
+                return str.__eq__(self, other)
+
+        records = [VerifierRecord(f"v{i}", "10.0.0.1", 7707, Location(0, i / 10))
+                   for i in range(1, 641)]
+        duplicate = VerifierRecord("v7", "10.9.9.9", 7707, Location(1, 1))
+        registry = VerifierRegistry(records + [duplicate])
+        assert registry.entries == records + [duplicate]
+        assert registry.by_id(CountedId("v640")) is records[-1]
+        assert len(compared) <= 1  # a scan of entries compares 640 ids
+        assert registry.by_id("v7") is records[6]  # of duplicate ids the first wins
+        with pytest.raises(KeyError):
+            registry.by_id("v641")
 
     def test_bracketed_ipv6_takes_its_port_or_the_default(self, tmp_path):
         path = tmp_path / "verifiers.csv"
@@ -289,6 +311,88 @@ def test_locator_matches_oracle_on_random_tables():
                 hits += 1
             checked += 1
     assert hits > checked // 4 and checked - hits > checked // 10
+
+
+def cidr_text(rng, network):
+    """network in one of the forms ip_network reads as it: canonical, the
+    prefix length with a leading zero, an IPv4 netmask or hostmask, a bare
+    IPv4 /32 address, an exploded upper-case IPv6 or an IPv4-mapped IPv6
+    with a dotted quad."""
+    address, length = network.network_address, network.prefixlen
+    forms = [str(network), f"{address}/0{length}"]
+    if network.version == 4:
+        if 0 < length < 32:  # 0.0.0.0 and 255.255.255.255 read as netmasks
+            forms += [f"{address}/{network.netmask}", f"{address}/{network.hostmask}"]
+        if length == 32:
+            forms.append(str(address))
+    else:
+        forms.append(network.exploded.upper())
+        if int(address) >> 32 == 0xFFFF:
+            forms.append(f"::ffff:{ipaddress.IPv4Address(int(address) & 0xFFFFFFFF)}/{length}")
+    return rng.choice(forms)
+
+
+def test_file_loader_answers_as_the_row_index_and_the_oracle(tmp_path):
+    checked = hits = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        rows = random_table(rng, (1, 2, 5, 20, 60)[seed % 5])
+        texts = [cidr_text(rng, network) for network, _ in rows]
+        assert [ipaddress.ip_network(text) for text in texts] == [n for n, _ in rows]
+        path = tmp_path / f"table-{seed}.csv"
+        path.write_text("".join(
+            f"{text},{loc.lat!r},{loc.lon!r}\n" for text, (_, loc) in zip(texts, rows)))
+        sources = (StaticTableLocator.from_file(path).locate, StaticTableLocator(rows).locate,
+                   lambda ip: oracle(rows, ip))
+        for ip in probe_addresses(rng, rows):
+            answers = []
+            for locate in sources:
+                try:
+                    answers.append(locate(ip))
+                except UnknownAddressError:
+                    answers.append(None)
+            assert answers[0] == answers[1] == answers[2], (seed, ip)
+            checked += 1
+            hits += answers[0] is not None
+    assert hits > checked // 4 and checked - hits > checked // 10
+
+
+@pytest.mark.parametrize("cidr", [
+    "010.0.0.0/8", "10.0.0.1/8", "1.2.3.0/33", "1.2.3/24", "1.2.3.0 /24", "::1/129",
+    "1.2.3.256/32", "1.2.3.0/", "1.2.3.0/-1", "1.2.3.0/+8", "1.2.3.0/ 8", "1.2.3.0/24/1",
+    "1.2.3.0/\u0662\u0664", "0x1.2.3.0/8", "1.2.3.0/255.0.255.0",
+    pytest.param("1.2.3.0/4" + "0" * 5000, id="prefix_of_5001_digits"),
+])
+def test_a_bad_cidr_is_refused_with_the_ipaddress_message(tmp_path, cidr):
+    with pytest.raises(ValueError) as expected:
+        ipaddress.ip_network(cidr)
+    path = tmp_path / "table.csv"
+    path.write_text(f"10.0.0.0/8,45.42,-75.69\n{cidr},48.14,11.58\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        StaticTableLocator.from_file(path)
+    assert info.value.line_no == 2
+    assert str(info.value) == f"{path}:2: {expected.value}"
+
+
+def test_table_rows_are_packed(tmp_path):
+    # 20k distinct /24s: one table, so its sort is the whole load's peak
+    rng, n = random.Random(29), 20_000
+    path = tmp_path / "table.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        for net in rng.sample(range(2 ** 24), n):
+            fh.write(f"{ipaddress.IPv4Address(net << 8)}/24,"
+                     f"{rng.uniform(-90, 90)!r},{rng.uniform(-180, 180)!r}\n")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        locator = StaticTableLocator.from_file(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (retained - before) / n <= 48 and (peak - before) / n <= 160
+    first = path.read_text(encoding="utf-8").partition("\n")[0].split(",")
+    assert locator.locate(first[0].removesuffix("0/24") + "9") == Location(
+        float(first[1]), float(first[2]))
 
 
 class _GeoHandler(BaseHTTPRequestHandler):
@@ -529,6 +633,16 @@ class TestVerificationCache:
             assert db.execute("SELECT ip FROM verifications").fetchall() == [("2.2.2.2",)]
 
 
+    def test_sqlite_page_cache_is_small(self, tmp_path):
+        # reads are served from the map; sqlite's default cache is 2 MiB
+        cache = VerificationCache(tmp_path / "cache.sqlite")
+        try:
+            (pages,) = cache._db.execute("PRAGMA cache_size").fetchone()
+            (page_size,) = cache._db.execute("PRAGMA page_size").fetchone()
+        finally:
+            cache.close()
+        assert 0 < pages * page_size <= 256 * 1024
+
     @pytest.mark.parametrize("key, value, named", [
         ("veri_passed", "false", "veri_passed"),
         ("veri_passed", 1, "veri_passed"),
@@ -536,7 +650,8 @@ class TestVerificationCache:
         ("asserted_loc", {"lat": 0.0, "lon": "1"}, "lon"),
         ("region", {"centre": {"lat": 0.0, "lon": 1.0}, "radius": True}, "radius"),
     ])
-    def test_rows_are_read_as_written_or_refused_at_start(self, tmp_path, key, value, named):
+    def test_rows_are_read_as_written_or_refused_at_start(
+            self, tmp_path, monkeypatch, key, value, named):
         path = tmp_path / "cache.sqlite"
         cache = VerificationCache(path)
         cache.put(entry("1.1.1.1", utc_now() + timedelta(hours=1)))
@@ -546,8 +661,14 @@ class TestVerificationCache:
             db.execute("UPDATE verifications SET data = ?",
                        (json.dumps({**json.loads(blob), key: value}),))
         db.close()
+        opened, connect = [], sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect",
+                            lambda *args, **kw: opened.append(connect(*args, **kw)) or opened[-1])
         with pytest.raises(ValueError, match=f"{named} must be"):
             VerificationCache(path)
+        (refused,) = opened
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            refused.execute("SELECT 1")
 
     @pytest.mark.parametrize("ip", [5, 16843009, None])
     def test_non_string_ip_rows_are_refused_at_start(self, tmp_path, ip):
