@@ -119,22 +119,16 @@ class VerifierRecord:
 
 @dataclass
 class VerifierRegistry:
-    """The verifiers, in row order. by_id reads an index of entries built
-    once, with the registry; of duplicate ids the first record wins."""
-
     entries: list[VerifierRecord]
-    _by_id: dict[str, VerifierRecord] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._by_id = {}
-        for record in self.entries:
-            self._by_id.setdefault(record.verifier_id, record)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def by_id(self, verifier_id: str) -> VerifierRecord:
-        return self._by_id[verifier_id]
+        for record in self.entries:
+            if record.verifier_id == verifier_id:
+                return record
+        raise KeyError(verifier_id)
 
     def verifier_inputs(self) -> list[tuple[str, Location]]:
         return [(record.verifier_id, record.loc) for record in self.entries]
@@ -249,7 +243,7 @@ class StaticTableLocator:
         def keyed_rows():
             for line_no, cidr, loc in _located_rows(path):
                 try:
-                    key = _cidr_key(cidr)
+                    key = _network_key(ipaddress.ip_network(cidr))
                 except ValueError as exc:
                     raise ParseError(path, line_no, str(exc)) from exc
                 yield (*key, loc.lat, loc.lon)
@@ -274,26 +268,6 @@ def _network_key(network: ipaddress.IPv4Network | ipaddress.IPv6Network) -> tupl
     masked, so shifting out the host bits leaves exactly the prefix."""
     shift = network.max_prefixlen - network.prefixlen
     return network.version, shift, int(network.network_address) >> shift
-
-
-def _cidr_key(cidr: str) -> tuple[int, int, int]:
-    """`_network_key` of `ipaddress.ip_network(cidr)`. A canonical IPv4
-    `a.b.c.d/n` (n ASCII digits <= 32, no host bits) is read by inet_pton,
-    which accepts exactly the dotted quads ipaddress does, with no
-    ipaddress object. Any other text, and any it refuses, goes through
-    ip_network, so the same rows are accepted and refused with the same
-    messages."""
-    address, _, length = cidr.partition("/")
-    if length.isascii() and length.isdigit():
-        try:
-            value = int.from_bytes(socket.inet_pton(socket.AF_INET, address), "big")
-            shift = 32 - int(length)
-        except (OSError, ValueError):
-            pass
-        else:
-            if 0 <= shift and not value & ((1 << shift) - 1):
-                return 4, shift, value >> shift
-    return _network_key(ipaddress.ip_network(cidr))
 
 
 _Table = tuple[int, array | list[int], array]  # (shift, sorted keys, lat/lon pairs)
