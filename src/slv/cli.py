@@ -100,7 +100,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     host = args.host.strip().lower()
     try:
         ip = _resolve(host)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:  # UnicodeError: IDNA cannot encode host
         return _fail(f"cannot resolve {host!r}: {exc}")
 
     manager_url = args.manager_url

@@ -24,7 +24,6 @@ from bisect import bisect_left
 from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
-from email.utils import formatdate
 from http import HTTPStatus
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 from urllib.parse import parse_qs, urlsplit
@@ -81,6 +80,8 @@ _SERVER = b"slv-manager/0.1"
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
 _VERSIONS = (b"HTTP/1.0", b"HTTP/1.1")
 _PHRASES = {s: HTTPStatus(s).phrase.encode() for s in (200, 400, 404, 405, 431, 500, 502)}
+_DAYS = b"Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = b"Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
 
 class ParseError(ValueError):
@@ -810,13 +811,17 @@ class ManagerService:
         cached assertion; otherwise a verification runs and its result
         (positive or negative) replaces the cache entry.
 
+        The address is taken in its canonical form (`2001:DB8:0::1` is
+        `2001:db8::1`): the locator, the cache, single-flight and the result
+        all see that spelling.
+
         Raises InvalidAddressError for a syntactically invalid address,
         and lets UnknownAddressError / ProviderUnavailableError from the
         locator through: failing to obtain an assertion is an error, not a
         negative verification.
         """
         try:
-            ipaddress.ip_address(ip)
+            ip = str(ipaddress.ip_address(ip))
         except ValueError as exc:
             raise InvalidAddressError(f"invalid ip address: {ip!r}") from exc
         now = now or utc_now()
@@ -859,6 +864,14 @@ class ManagerService:
         )
         self._cache.put(CacheEntry.of(result, now + timedelta(seconds=self._cfg.cache_ttl)))
         return result
+
+
+def _http_date(second: int) -> bytes:
+    """The IMF-fixdate of a Unix time, as in an HTTP Date header: English
+    day and month names whatever the locale, and no email package."""
+    t = time.gmtime(second)
+    return b"%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        _DAYS[t.tm_wday], t.tm_mday, _MONTHS[t.tm_mon - 1], t.tm_year, t.tm_hour, t.tm_min, t.tm_sec)
 
 
 class _HttpError(Exception):
@@ -1022,7 +1035,7 @@ class ManagerHTTPServer(_Daemon, socketserver.TCPServer):
         second = int(time.time())
         date = self._date
         if date[0] != second:
-            date = self._date = (second, formatdate(second, usegmt=True).encode())
+            date = self._date = (second, _http_date(second))
         return b"HTTP/1.1 %d %s\r\nDate: %s\r\nServer: %s\r\n" \
             b"Content-Type: application/json\r\nContent-Length: %d\r\nConnection: close\r\n%s\r\n%s" % (
                 status, _PHRASES[status], date[1], _SERVER, len(body), headers, body)

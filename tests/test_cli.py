@@ -215,13 +215,19 @@ class TestCmdVerify:
         assert code == cli.EXIT_ERROR
         assert capsys.readouterr().err == "error: manager returned 502: [1, 2]\n"
 
-    def test_unresolvable_host(self, tmp_path, capsys):
+    # the last two fail IDNA encoding (an empty label, a 64-character one)
+    # before any lookup
+    @pytest.mark.parametrize("host", ["host.invalid.", "a..b", "a" * 64 + ".example"])
+    def test_unresolvable_host(self, tmp_path, capsys, host):
         code = run_cli(
-            "verify", "host.invalid.",
+            "verify", host,
             "--manager-url", "http://127.0.0.1:1",
             "--pin-store", str(tmp_path / "pins.json"),
         )
         assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot resolve {host!r}: ")
+        assert "Traceback" not in err
 
     def test_exit_codes_cover_all_outcomes(self):
         assert cli._OUTCOME_EXIT[Outcome.UNSUSPICIOUS] == 0

@@ -850,6 +850,19 @@ class TestManagerService:
         assert len(results) == 8
         assert all(r == results[0] for r in results)
 
+    def test_spellings_of_one_address_share_one_verification(self, tmp_path):
+        registry = load_verifier_registry(write_registry(tmp_path))
+        factory = CountingFactory({r.verifier_id: r.loc for r in registry.entries},
+                                  {"2001:db8::1": INSIDE})
+        locator = StaticTableLocator([(ipaddress.ip_network("2001:db8::/32"), INSIDE)])
+        service = ManagerService(registry, locator, factory, ManagerConfig(
+            registry_path="x", verify=VerifyConfig(probes_per_measurement=1)))
+        spellings = ("2001:db8::1", "2001:DB8::1", "2001:db8:0::1", "2001:0db8:0000::0001")
+        results = [service.handle_verify_request(ip, now=NOW) for ip in spellings]
+        assert factory.verifications == 1
+        assert len(service._cache) == 1
+        assert [r.ip.value for r in results] == ["2001:db8::1"] * 4
+
     def test_lookup_errors_are_not_negative_verifications(self, tmp_path):
         service, _ = make_service(tmp_path)
         with pytest.raises(UnknownAddressError):
@@ -1392,15 +1405,27 @@ def test_records_held_per_row_and_entry_are_slotted(record):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
-def test_daemon_modules_load_no_http_client_tls_or_uuid():
+def test_daemon_modules_load_no_http_client_tls_libcrypto_email_or_uuid():
+    # _hashlib maps OpenSSL's libcrypto
     code = (
         "import sys, slv, slv.cli, slv.manager, slv.agent\n"
-        "print([m for m in ('urllib.request', 'http.client', 'ssl', 'uuid') if m in sys.modules])"
+        "print([m for m in ('urllib.request', 'http.client', 'ssl', 'uuid', '_hashlib', 'hashlib',\n"
+        "                   'email.utils') if m in sys.modules])"
     )
     src = os.path.dirname(os.path.dirname(slv.manager.__file__))
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_http_date_is_the_imf_fixdate_of_email_utils():
+    import email.utils
+
+    # the epoch, a leap day, the first second past 32-bit time_t, and year 9999
+    rng = random.Random(30)
+    seconds = [0, 951782400, 2**31, 253402300799] + [rng.randrange(253402300800) for _ in range(500)]
+    for second in seconds:
+        assert slv.manager._http_date(second) == email.utils.formatdate(second, usegmt=True).encode()
 
 
 class TestManagerConfig:
