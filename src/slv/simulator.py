@@ -13,12 +13,9 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from typing import Optional
 
-try:
-    # hashlib's own BLAKE2b class, without hashlib loading OpenSSL's
-    # libcrypto through _hashlib; random takes _sha512 the same way.
-    from _blake2 import blake2b
-except ImportError:  # an interpreter whose hashlib takes BLAKE2b elsewhere
-    from hashlib import blake2b
+# hashlib's own BLAKE2b class (hashlib builds blake2b only from _blake2),
+# without hashlib loading OpenSSL's libcrypto through _hashlib.
+from _blake2 import blake2b
 
 from .geo import (
     Location,

@@ -1,18 +1,14 @@
 import hashlib
 import json
 import math
-import os
 import random
 import re
 import statistics
-import subprocess
-import sys
 from collections import Counter
 from dataclasses import fields
 
 import pytest
 
-import slv.simulator
 from slv.geo import Location, destination_point, great_circle_distance, min_rtt_for_distance
 from slv.simulator import (
     ADVERSARY_FALSE_ASSERTION,
@@ -243,23 +239,6 @@ class TestSimDelayProvider:
                     if is_target:
                         expected += extra
                     assert provider.measure(v, e, probes, 1).hex() == expected.hex(), (v, e)
-
-    def test_draws_are_the_same_when_blake2b_comes_from_hashlib(self):
-        # a fresh interpreter without the _blake2 module takes the fallback
-        # import; hashlib is imported first, as it needs _blake2 itself
-        keys, probes = ("0/7/v1/target", "3/0/v2/v3", "12/4/v3/target"), (1, 3, 16)
-        code = (
-            "import sys, hashlib\n"
-            "sys.modules['_blake2'] = None\n"
-            "from slv.simulator import _jitter_fraction\n"
-            f"print([_jitter_fraction(k, p).hex() for k in {keys!r} for p in {probes!r}])\n"
-        )
-        src = os.path.dirname(os.path.dirname(slv.simulator.__file__))
-        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, timeout=60)
-        expected = [_jitter_fraction(k, p).hex() for k in keys for p in probes]
-        assert expected == [min(spec_draw(k, i) for i in range(p)).hex() for k in keys for p in probes]
-        assert (done.returncode, done.stdout, done.stderr) == (0, f"{expected}\n", "")
 
 
 class TestScenarioTypes:
